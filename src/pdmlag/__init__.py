@@ -14,8 +14,8 @@ from .models import (Case1Params, Case2Params, ModelKind, default_domain,
                      norm_constant_closed_form, pct_master_residual, pct_prefactor,
                      susy_constant, v_eff, v_eff_m1_closed_form, wavefunction)
 from .orthopoly import (Polynomial, XmFamilySpec, classical_laguerre,
-                        eval_poly, xm_inner_product, xm_laguerre,
-                        xm_ode_residual, xm_weight)
+                        eval_poly, eval_xm_laguerre, xm_inner_product,
+                        xm_laguerre, xm_ode_residual, xm_weight)
 from .solver import (DiscretizedOperator, Grid, SpectrumResult,
                      convergence_order, discretize, eigen_lowest, quadrature,
                      solve_model)
@@ -27,7 +27,7 @@ from .susy import (PartnerModel, SuperpotentialFn, apply_A, apply_A_dagger,
 __all__ = [
     "__version__",
     "Polynomial", "XmFamilySpec", "classical_laguerre", "eval_poly",
-    "xm_laguerre", "xm_ode_residual", "xm_weight", "xm_inner_product",
+    "eval_xm_laguerre", "xm_laguerre", "xm_ode_residual", "xm_weight", "xm_inner_product",
     "Case1Params", "Case2Params", "ModelKind", "mass", "g_map", "v_eff",
     "v_eff_m1_closed_form", "energy", "energy_fraction", "wavefunction",
     "norm_constant_closed_form", "pct_prefactor", "pct_master_residual",

@@ -26,8 +26,8 @@ from .models import (Case1Params, Case2Params, ModelKind, default_domain,
                      energy, energy_fraction, mass, pct_master_residual,
                      susy_constant, v_eff, v_eff_m1_closed_form, wavefunction)
 from .orthopoly import XmFamilySpec, xm_inner_product, xm_laguerre, xm_ode_residual
-from .solver import (Grid, convergence_order, discretize, eigen_lowest,
-                     quadrature, solve_model)
+from .solver import (Grid, align_sign, convergence_order, discretize,
+                     eigen_lowest, quadrature, solve_model)
 from .susy import (apply_A, apply_A_dagger, partner_model,
                    partner_route_residual, partner_wavefunction,
                    shape_invariance_residual)
@@ -226,15 +226,21 @@ def _render_table(cfg: RunConfig, metadata: dict, columns: list,
     return "\n".join(lines) + "\n"
 
 
-def _write_output(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
-        sys.stdout.write(text)
-        return
+def _output_path(cfg: RunConfig) -> Optional[str]:
+    """Resolved --out path (relative paths go under $PDMLAG_OUTDIR); None: stdout."""
     path = cfg.out
-    if not os.path.isabs(path):
+    if path is not None and not os.path.isabs(path):
         outdir = os.environ.get(OUTDIR_ENV)
         if outdir:
             path = os.path.join(outdir, path)
+    return path
+
+
+def _write_output(cfg: RunConfig, text: str) -> None:
+    path = _output_path(cfg)
+    if path is None:
+        sys.stdout.write(text)
+        return
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -494,11 +500,6 @@ def _check_partner_route():
     return worst, 1e-8
 
 
-def _align(v: np.ndarray) -> np.ndarray:
-    from .solver import align_sign
-    return align_sign(v)
-
-
 def _check_intertwining():
     worst = 0.0
     for model in (Case1Params.susy_zero(1, 2, 1), Case2Params.susy_zero(1, 2, 1)):
@@ -510,12 +511,12 @@ def _check_intertwining():
             target = partner_wavefunction(model, n, xs)
             target /= np.sqrt(quadrature(target ** 2, grid))
             worst = max(worst, float(np.max(np.abs(
-                _align(lowered) - _align(target)))))
+                align_sign(lowered) - align_sign(target)))))
             raised = apply_A_dagger(model, target, grid)
             raised /= np.sqrt(quadrature(raised ** 2, grid))
             base = wavefunction(model, n + 1, xs)
             worst = max(worst, float(np.max(np.abs(
-                _align(raised) - _align(base)))))
+                align_sign(raised) - align_sign(base)))))
     return worst, 1e-5
 
 
@@ -742,26 +743,31 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    status = 0
     try:
         cfg = _resolve_config(args)
         if args.command == "spectrum":
-            _write_output(cfg, cmd_spectrum(cfg))
+            text = cmd_spectrum(cfg)
         elif args.command == "profile":
-            _write_output(cfg, cmd_profile(cfg))
+            text = cmd_profile(cfg)
         elif args.command == "density2d":
-            _write_output(cfg, cmd_density2d(cfg))
-        elif args.command == "verify":
+            text = cmd_density2d(cfg)
+        else:
             text, ok = cmd_verify(cfg)
+            status = 0 if ok else 2
+        try:
             _write_output(cfg, text)
-            if not ok:
-                return 2
+        except OSError as exc:
+            print(f"error: cannot write {_output_path(cfg) or 'stdout'}: {exc}",
+                  file=sys.stderr)
+            return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ Case 1 uses an exponential mass M(x) = e^(-b x) on the whole line; Case 2
 uses a power-law mass M(x) = l^2 x^(l-2) (l = 2*eta + 2) on the half line.
 Both are mapped by the change of variable g(x) onto the X_m-Laguerre
 equation, which fixes the effective potential, the equispaced spectrum, and
-the bound states.  Everything here is closed-form; wavefunction
-normalization is the one numeric ingredient (adaptive quadrature over the
-truncated domain).
+the bound states.  Everything here is closed-form: a bound state is the
+prefactor times the X_m polynomial in its Laguerre product form, scaled by
+the closed-form normalization constant, so no state needs an exact
+polynomial construction or a quadrature.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import integrate
 
-from .orthopoly import Polynomial, XmFamilySpec, _laguerre_or_zero, eval_poly, xm_laguerre
+from .orthopoly import (Polynomial, XmFamilySpec, _laguerre_or_zero, eval_poly,
+                        eval_xm_laguerre)
 
 
 def _frac(value) -> Fraction:
@@ -258,12 +259,6 @@ def level_spacing(model: ModelKind) -> float:
     return float(model.b * model.b) if isinstance(model, Case1Params) else 1.0
 
 
-@lru_cache(maxsize=None)
-def _state_poly(model: ModelKind, n: int) -> Polynomial:
-    spec = XmFamilySpec(model.m, model.alpha)
-    return xm_laguerre(n + model.m, spec).as_float()
-
-
 def pct_prefactor(model: ModelKind, x):
     """Wavefunction prefactor f(x) with psi_n = const * f * P_(n+m)(g).
 
@@ -287,52 +282,50 @@ def pct_prefactor(model: ModelKind, x):
     return _ret(x, out)
 
 
-def _raw_wavefunction(model: ModelKind, n: int, x):
-    pref = pct_prefactor(model, x)
-    g = np.exp(-float(model.b) * np.asarray(x, dtype=float)) \
-        if isinstance(model, Case1Params) else np.asarray(x, dtype=float) ** model.l
-    val = eval_poly(_state_poly(model, n), g)
-    out = pref * val
-    return _ret(x, out)
-
-
-@lru_cache(maxsize=None)
-def _norm_constant(model: ModelKind, n: int) -> float:
-    # Pad the certified domain by half again so the discarded tail mass is
-    # far below the quadrature tolerance.
-    lo, hi = default_domain(model, n)
-    lo, hi = 1.5 * lo, 1.5 * hi
-    out = integrate.quad(lambda t: _raw_wavefunction(model, n, t) ** 2,
-                         lo, hi, epsabs=1e-13, epsrel=1e-12, limit=300,
-                         full_output=1)
-    norm2, abserr = out[0], out[1]
-    if len(out) > 3 or abserr > 1e-9 * norm2:
-        raise RuntimeError(
-            f"normalization quadrature did not converge "
-            f"(value {norm2:.6e}, estimated error {abserr:.3e})")
-    return 1.0 / math.sqrt(norm2)
-
-
 def wavefunction(model: ModelKind, n: int, x):
-    """Analytic bound state psi_n(x), normalized to unit L2 by quadrature."""
+    """Analytic bound state psi_n(x), normalized to unit L2 in closed form.
+
+    psi_n = N_n * s * f(x) * P(g(x)), where f is ``pct_prefactor``, P is the
+    standard-scale X_m polynomial of degree n + m evaluated by its Laguerre
+    product form (``eval_xm_laguerre``), N_n is
+    ``norm_constant_closed_form`` and s is 1 in Case 1 and sqrt(l) in Case 2
+    (the Jacobian factor the closed-form constant leaves out).  The sign
+    makes the polynomial's leading coefficient positive.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _ret(x, _norm_constant(model, n) * _raw_wavefunction(model, n, x))
+    pref = pct_prefactor(model, x)
+    xa = np.asarray(x, dtype=float)
+    if isinstance(model, Case1Params):
+        g, s = np.exp(-float(model.b) * xa), 1.0
+    else:
+        g, s = xa ** model.l, math.sqrt(model.l)
+    spec = XmFamilySpec(model.m, model.alpha, "standard")
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = eval_xm_laguerre(n + model.m, spec, g)
+        psi = s * norm_constant_closed_form(model, n) * pref * poly
+    # Deep in the barrier the prefactor underflows to 0 where the polynomial
+    # may overflow; the state is 0 there.
+    psi = np.where(pref == 0.0, 0.0, psi)
+    if not np.all(np.isfinite(psi)):
+        raise RuntimeError(f"bound state n={n} overflows in floating point")
+    return _ret(x, psi)
 
 
 def norm_constant_closed_form(model: ModelKind, n: int) -> float:
     """Closed-form normalization constant N for the standard polynomial scale.
 
     N = sqrt(b * n! / ((n+m+alpha) * Gamma(n+alpha))) for Case 1 and the same
-    with b -> 1 for Case 2.  Exposed for the ratio cross-check against the
-    quadrature normalizer; the implementation always normalizes numerically.
+    with b -> 1 for Case 2.  ``wavefunction`` uses it directly (times sqrt(l)
+    in Case 2); the tests check it against a quadrature normalizer.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     af, m = float(model.alpha), model.m
     bf = float(model.b) if isinstance(model, Case1Params) else 1.0
-    return math.sqrt(bf * math.factorial(n)
-                     / ((n + m + af) * math.gamma(n + af)))
+    # n!/Gamma(n+alpha) via log-gamma: each factor alone overflows past n = 170
+    return math.sqrt(bf / (n + m + af)) * math.exp(
+        (math.lgamma(n + 1) - math.lgamma(n + af)) / 2)
 
 
 def pct_master_residual(model: ModelKind, n: int, x):

@@ -5,8 +5,10 @@ exact rational arithmetic whenever the parameter allows it.  The codimension-m
 exceptional (X_m) Laguerre family is constructed degree by degree as the
 one-dimensional nullspace of its defining second-order ODE, after clearing
 denominators, so membership can be certified by an exact zero residual
-polynomial.  Weights, inner products, and the residual operator itself are
-exposed for verification.
+polynomial; that construction is the exact reference.  Float values of a
+family member come from its closed form as a sum of two products of
+classical Laguerre polynomials.  Weights, inner products, and the residual
+operator itself are exposed for verification.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from typing import Union
 
 import numpy as np
 from scipy import integrate
+from scipy.special import eval_genlaguerre
 
 Scalar = Union[int, float, Fraction]
 
@@ -298,6 +301,33 @@ def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
         raise ValueError(f"nu must be >= m (family starts at degree m): "
                          f"got nu={nu}, m={spec.m}")
     return _xm_laguerre_cached(nu, spec)
+
+
+def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
+    """Float values at `g` of the degree-`nu` member ``xm_laguerre(nu, spec)``.
+
+    Uses the type-I product form (Gomez-Ullate, Kamran and Milson, J. Math.
+    Anal. Appl. 359 (2009) 352), with n = nu - m and a = alpha:
+
+        L_m^(a)(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_{n-1}^(a)(g),
+
+    whose leading coefficient is (-1)^n / (m! n!).  Each classical factor is
+    evaluated by its three-term recurrence, so the monomial expansion, which
+    cancels catastrophically at large g, is never formed.
+    """
+    if nu < spec.m:
+        raise ValueError(f"nu must be >= m (family starts at degree m): "
+                         f"got nu={nu}, m={spec.m}")
+    m, n, a = spec.m, nu - spec.m, float(spec.alpha)
+    ga = np.asarray(g, dtype=float)
+    out = eval_genlaguerre(m, a, -ga) * eval_genlaguerre(n, a - 1.0, ga)
+    if n > 0:
+        out = out + eval_genlaguerre(m, a - 1.0, -ga) * eval_genlaguerre(n - 1, a, ga)
+    scale = -1.0 if n % 2 else 1.0
+    if spec.convention == "monic":
+        scale *= math.factorial(m) * math.factorial(n)
+    out = scale * out
+    return float(out) if np.ndim(g) == 0 else out
 
 
 @lru_cache(maxsize=None)

@@ -143,19 +143,20 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> SpectrumResult:
 
 
 def align_sign(values: np.ndarray) -> np.ndarray:
-    """Flip sign so the first antinode (first local max of |v|) is positive."""
+    """Flip sign so the first antinode (first local max of |v|) is positive.
+
+    An antinode is an interior index whose magnitude is at least that of both
+    neighbours and above 1e-3 of the peak; without one, the peak is used.
+    """
     v = np.asarray(values, dtype=float)
     mags = np.abs(v)
     top = mags.max()
     if top == 0.0:
         return v
-    idx = None
-    for i in range(1, v.size - 1):
-        if mags[i] >= mags[i - 1] and mags[i] >= mags[i + 1] and mags[i] > 1e-3 * top:
-            idx = i
-            break
-    if idx is None:
-        idx = int(mags.argmax())
+    inner = mags[1:-1]
+    hits = np.flatnonzero((inner >= mags[:-2]) & (inner >= mags[2:])
+                          & (inner > 1e-3 * top))
+    idx = hits[0] + 1 if hits.size else int(mags.argmax())
     return -v if v[idx] < 0 else v
 
 

@@ -256,6 +256,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert header[0] == "n" and len(rows) == 4
 
 
+def test_unwritable_out_exits_four(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("", encoding="utf-8")
+    target = blocker / "spec.csv"  # its parent is a regular file
+    code, out, err = _run(capsys, ["spectrum", "--case", "1", "--nmax", "0",
+                                   "--out", str(target)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_outdir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PDMLAG_OUTDIR", str(tmp_path))
     code, out, _ = _run(capsys, ["spectrum", "--case", "1",

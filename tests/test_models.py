@@ -2,20 +2,24 @@
 
 Frozen expected values come from direct substitution into the closed forms
 (energies, small-x limits, the m=1 potential) and from the classical
-normalization integral evaluated in the g variable.
+normalization integral evaluated in the g variable.  The exact nullspace
+construction of the X_m polynomials and an adaptive-quadrature normalizer
+serve as independent references for the closed-form bound states.
 """
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from pdmlag.models import (Case1Params, Case2Params, _norm_constant,
-                           default_domain, density2d, energy, energy_fraction,
-                           g_map, mass, norm_constant_closed_form,
-                           pct_master_residual, pct_prefactor, susy_constant,
-                           v_eff, v_eff_m1_closed_form, wavefunction)
-from pdmlag.orthopoly import XmFamilySpec, eval_poly, xm_laguerre
+from pdmlag.models import (Case1Params, Case2Params, default_domain,
+                           density2d, energy, energy_fraction, g_map, mass,
+                           norm_constant_closed_form, pct_master_residual,
+                           pct_prefactor, susy_constant, v_eff,
+                           v_eff_m1_closed_form, wavefunction)
+from pdmlag.orthopoly import (XmFamilySpec, classical_laguerre, eval_poly,
+                              eval_xm_laguerre, xm_laguerre)
 from pdmlag.solver import Grid, quadrature
 
 
@@ -194,6 +198,29 @@ def test_case2_wavefunction_domain():
         wavefunction(p, 0, -0.5)
 
 
+def _quad_norm_constant(model, n: int) -> float:
+    """Reference normalizer of the monic-scale state, by adaptive quadrature.
+
+    Independent of the closed form: the polynomial comes from the exact
+    nullspace construction, and the norm from adaptive quadrature over the
+    certified domain padded by half again, so the discarded tail mass is far
+    below the quadrature tolerance.
+    """
+    poly = xm_laguerre(n + model.m, XmFamilySpec(model.m, model.alpha)).as_float()
+
+    def integrand(t):
+        g = (math.exp(-float(model.b) * t) if isinstance(model, Case1Params)
+             else t ** model.l)
+        return (pct_prefactor(model, t) * eval_poly(poly, g)) ** 2
+
+    lo, hi = default_domain(model, n)
+    out = integrate.quad(integrand, 1.5 * lo, 1.5 * hi, epsabs=1e-13,
+                         epsrel=1e-12, limit=300, full_output=1)
+    norm2, abserr = out[0], out[1]
+    assert len(out) == 3 and abserr <= 1e-9 * norm2, "quadrature did not converge"
+    return 1.0 / math.sqrt(norm2)
+
+
 def test_norm_constant_ratio_is_convention_constant():
     """The closed-form N applies to the 1/(m! n!)-leading polynomial scale.
 
@@ -206,7 +233,7 @@ def test_norm_constant_ratio_is_convention_constant():
     for model, expected in ((p1, 1.0), (p2, 1.0 / math.sqrt(p2.l))):
         for n in range(5):
             scale = math.factorial(model.m) * math.factorial(n)
-            ratio = norm_constant_closed_form(model, n) / (scale * _norm_constant(model, n))
+            ratio = norm_constant_closed_form(model, n) / (scale * _quad_norm_constant(model, n))
             assert ratio == pytest.approx(expected, rel=1e-9), (model, n)
 
 
@@ -219,6 +246,54 @@ def test_prefactor_carries_all_nonpolynomial_structure(model):
     ratio = (wavefunction(model, n, xs)
              / (pct_prefactor(model, xs) * eval_poly(poly, g_map(model, xs))))
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(7, 3)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_product_form_is_the_standard_xm_polynomial(m, alpha):
+    """(-1)^n [L_m^a(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_(n-1)^a(g)], exactly."""
+    for n in range(9):
+        prod = classical_laguerre(m, alpha).reflected() * classical_laguerre(n, alpha - 1)
+        if n > 0:
+            prod = prod + (classical_laguerre(m, alpha - 1).reflected()
+                           * classical_laguerre(n - 1, alpha))
+        expected = xm_laguerre(n + m, XmFamilySpec(m, alpha, "standard"))
+        assert ((-1) ** n * prod).coeffs == expected.coeffs, n
+
+
+@pytest.mark.parametrize("convention", ["standard", "monic"])
+@pytest.mark.parametrize("m, alpha", [(1, Fraction(2)), (2, Fraction(7, 3)),
+                                      (3, Fraction(2)), (4, Fraction(7, 3))])
+def test_closed_form_values_match_exact_evaluation(m, alpha, convention):
+    # The monomial expansion in floats is off by up to 5e-4 here at g = 50.
+    spec = XmFamilySpec(m, alpha, convention)
+    exact = xm_laguerre(30, spec)
+    for g in (Fraction(1, 2), Fraction(10), Fraction(50)):
+        want = float(eval_poly(exact, g))
+        assert eval_xm_laguerre(30, spec, float(g)) == pytest.approx(want, rel=1e-12), g
+
+
+@pytest.mark.parametrize("model", [Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+                                   Case1Params(Fraction(3, 2), Fraction(7, 3), 4),
+                                   Case2Params(1, 2, 2),
+                                   Case2Params(10, Fraction(16, 5), 6)])
+def test_high_levels_are_normalized_with_n_nodes(model):
+    # From n = 80 the left domain end reaches g where the polynomial
+    # overflows (the prefactor is 0 there); n = 200 is past where n!
+    # overflows a float.
+    for n in (16, 25, 40, 80, 200):
+        lo, hi = default_domain(model, n)
+        grid = Grid(lo, hi, 40001)
+        psi = wavefunction(model, n, grid.xs())
+        assert abs(quadrature(psi ** 2, grid) - 1.0) < 1e-10, n
+        assert _count_sign_changes(psi) == n
+
+
+def test_level_beyond_float_range_is_refused():
+    model = Case1Params(1, 2, 2)
+    lo, hi = default_domain(model, 500)
+    with pytest.raises(RuntimeError, match="overflows"):
+        wavefunction(model, 500, np.linspace(lo, hi, 4001))
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,37 @@ def test_solve_model_eigenvectors_match_analytic():
         assert np.max(np.abs(numeric - analytic)) < 1e-3, n
 
 
+def _align_sign_loop(values):
+    """Reference: the original per-index scan for the first antinode."""
+    v = np.asarray(values, dtype=float)
+    mags = np.abs(v)
+    top = mags.max()
+    if top == 0.0:
+        return v
+    idx = None
+    for i in range(1, v.size - 1):
+        if mags[i] >= mags[i - 1] and mags[i] >= mags[i + 1] and mags[i] > 1e-3 * top:
+            idx = i
+            break
+    if idx is None:
+        idx = int(mags.argmax())
+    return -v if v[idx] < 0 else v
+
+
+def test_align_sign_matches_reference_loop():
+    rng = np.random.default_rng(7)
+    ramp = np.linspace(-1.0, 2.0, 50)
+    cases = [rng.standard_normal(size) for size in (1, 2, 3, 10, 1000)]
+    cases += [np.zeros(8), ramp, -ramp, ramp[::-1], -ramp[::-1],
+              np.array([-1.0, -1.0, -1.0]), np.array([0.0, -2.0, -2.0, 0.0, 3.0, 0.0]),
+              np.array([0.0, 1e-5, 0.0, -3.0, -3.0, 0.0]),
+              np.array([-5.0, 2.0, 2.0, 2.0, -5.0]),
+              np.array([0.0, -1.0, 0.0, 1.0, 0.0]), np.array([2.0, -2.0])]
+    cases += [rng.integers(-2, 3, 40).astype(float) for _ in range(20)]
+    for v in cases:
+        assert align_sign(v).tobytes() == _align_sign_loop(v).tobytes(), v
+
+
 def test_solve_model_eigenvectors_orthogonal():
     res = solve_model(Case1Params(1, 2, 1), 3)
     for i in range(3):
