@@ -86,8 +86,11 @@ class RunConfig:
 
 def _parse_config_file(path: str) -> dict:
     """Flat key=value lines or a JSON object mirroring RunConfig fields."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     stripped = text.lstrip()
     raw = {}
     if stripped.startswith("{"):
@@ -215,14 +218,30 @@ def _metadata(command: str, cfg: RunConfig, model: ModelKind,
     return md
 
 
+def _fmt_column(values: np.ndarray) -> list:
+    """One float data column as `%.17g` strings; NaN or infinity is refused."""
+    if not np.isfinite(values).all():
+        raise RuntimeError("non-finite value in output")
+    return list(map("%.17g".__mod__, values.tolist()))
+
+
 def _render_table(cfg: RunConfig, metadata: dict, columns: list,
-                  rows: list) -> str:
+                  cells: list) -> str:
+    """Emit a table given as one list of formatted strings per column.
+
+    The JSON layout is the one `_json_value` gives a
+    {"metadata", "columns", "data"} document with one flat list per row.
+    """
+    rows = zip(*cells)
     if cfg.format == "json":
-        doc = {"metadata": metadata, "columns": columns,
-               "data": [list(r) for r in rows]}
-        return _json_value(doc, 0) + "\n"
+        data = "],\n    [".join(map(", ".join, rows))
+        return ("{\n"
+                f'  "metadata": {_json_value(metadata, 1)},\n'
+                f'  "columns": {_json_value(columns, 1)},\n'
+                f'  "data": [\n    [{data}]\n  ]\n'
+                "}\n")
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"
 
 
@@ -253,12 +272,11 @@ def _write_output(cfg: RunConfig, text: str) -> None:
 
 def _spectrum_grid(cfg: RunConfig, model: ModelKind, k: int) -> Grid:
     npoints = cfg.npoints if cfg.npoints is not None else 4001
-    if cfg.grid_lo is not None or cfg.grid_hi is not None:
-        lo, hi = default_domain(model, max(k - 1, 3))
-        lo = cfg.grid_lo if cfg.grid_lo is not None else lo
-        hi = cfg.grid_hi if cfg.grid_hi is not None else hi
-        return Grid(lo, hi, npoints)
     lo, hi = default_domain(model, max(k - 1, 3))
+    if cfg.grid_lo is not None:
+        lo = cfg.grid_lo
+    if cfg.grid_hi is not None:
+        hi = cfg.grid_hi
     return Grid(lo, hi, npoints)
 
 
@@ -267,16 +285,16 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     k = cfg.nmax + 1
     grid = _spectrum_grid(cfg, model, k)
     res = solve_model(model, k, grid)
-    rows = []
-    for n in range(k):
-        exact = energy(model, n)
-        numeric = float(res.eigenvalues[n])
-        abs_err = abs(numeric - exact)
-        rel_err = abs_err / abs(exact) if exact != 0.0 else abs_err
-        rows.append([n, exact, numeric, abs_err, rel_err])
+    exact = np.array([energy(model, n) for n in range(k)])
+    numeric = res.eigenvalues[:k]
+    abs_err = np.abs(numeric - exact)
+    rel_err = np.divide(abs_err, np.abs(exact), out=abs_err.copy(),
+                        where=exact != 0.0)
     columns = ["n", "E_analytic", "E_numeric", "abs_err", "rel_err"]
+    cells = [list(map(str, range(k)))]
+    cells += [_fmt_column(c) for c in (exact, numeric, abs_err, rel_err)]
     return _render_table(cfg, _metadata("spectrum", cfg, model, grid),
-                         columns, rows)
+                         columns, cells)
 
 
 def _profile_grid(cfg: RunConfig, model: ModelKind) -> Grid:
@@ -295,21 +313,14 @@ def cmd_profile(cfg: RunConfig) -> str:
     model = cfg.model()
     grid = _profile_grid(cfg, model)
     xs = grid.xs()
-    mvals = mass(model, xs)
-    vvals = v_eff(model, xs)
-    dens = [wavefunction(model, n, xs) ** 2 for n in range(3)]
+    data = [xs, mass(model, xs), v_eff(model, xs)]
+    data += [wavefunction(model, n, xs) ** 2 for n in range(3)]
     columns = ["x", "M", "V_eff", "psi0_sq", "psi1_sq", "psi2_sq"]
-    rows = [[xs[i], mvals[i], vvals[i], dens[0][i], dens[1][i], dens[2][i]]
-            for i in range(grid.npoints)]
     return _render_table(cfg, _metadata("profile", cfg, model, grid),
-                         columns, rows)
+                         columns, [_fmt_column(c) for c in data])
 
 
-def cmd_density2d(cfg: RunConfig) -> str:
-    model = cfg.model()
-    if not isinstance(model, Case2Params):
-        raise ValueError("density2d supports Case 2 only "
-                         "(the 2D figure is built on the half-line model)")
+def _density2d_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     npoints = cfg.npoints if cfg.npoints is not None else 201
     lo, hi = default_domain(model, max(cfg.n1, cfg.n2, 2))
     lo = hi / npoints
@@ -317,18 +328,27 @@ def cmd_density2d(cfg: RunConfig) -> str:
         lo = cfg.grid_lo
     if cfg.grid_hi is not None:
         hi = cfg.grid_hi
-    grid = Grid(lo, hi, npoints)
+    return Grid(lo, hi, npoints)
+
+
+def cmd_density2d(cfg: RunConfig) -> str:
+    model = cfg.model()
+    if not isinstance(model, Case2Params):
+        raise ValueError("density2d supports Case 2 only "
+                         "(the 2D figure is built on the half-line model)")
+    grid = _density2d_grid(cfg, model)
     xs = grid.xs()
     px = wavefunction(model, cfg.n1, xs) ** 2
     py = wavefunction(model, cfg.n2, xs) ** 2
-    rows = []
-    for i in range(npoints):
-        for j in range(npoints):
-            rows.append([xs[i], xs[j], px[i] * py[j]])
+    # row i * npoints + j is (x_i, x_j, px[i] * py[j]); x is formatted once
+    xcol = _fmt_column(xs)
+    cells = [[x for x in xcol for _ in range(grid.npoints)],
+             xcol * grid.npoints,
+             _fmt_column(np.outer(px, py).ravel())]
     md = _metadata("density2d", cfg, model, grid)
     md["parameters"]["n1"] = cfg.n1
     md["parameters"]["n2"] = cfg.n2
-    return _render_table(cfg, md, ["x", "y", "rho"], rows)
+    return _render_table(cfg, md, ["x", "y", "rho"], cells)
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +623,13 @@ def _check_density2d_integral():
 
 
 def _count_lobes(mesh: np.ndarray) -> int:
-    peak = mesh.max()
-    count = 0
-    for i in range(1, mesh.shape[0] - 1):
-        for j in range(1, mesh.shape[1] - 1):
-            window = mesh[i - 1:i + 2, j - 1:j + 2]
-            if mesh[i, j] == window.max() and mesh[i, j] > 1e-3 * peak \
-                    and np.sum(window == mesh[i, j]) == 1:
-                count += 1
-    return count
+    """Interior points that are the unique maximum of their 3x3 window and
+    exceed 1e-3 of the peak."""
+    windows = np.lib.stride_tricks.sliding_window_view(mesh, (3, 3))
+    centre = mesh[1:-1, 1:-1]
+    unique_max = ((windows.max(axis=(2, 3)) == centre)
+                  & ((windows == centre[..., None, None]).sum(axis=(2, 3)) == 1))
+    return int(np.count_nonzero(unique_max & (centre > 1e-3 * mesh.max())))
 
 
 def _check_density2d_lobes():

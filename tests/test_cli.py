@@ -9,7 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from pdmlag import cli
 from pdmlag.cli import main
+from pdmlag.models import energy, mass, v_eff, wavefunction
+from pdmlag.solver import solve_model
 
 
 def _run(capsys, argv):
@@ -144,15 +147,39 @@ def test_density2d_mesh(capsys):
     total = np.trapezoid(np.trapezoid(rho, xs, axis=1), xs)
     assert total == pytest.approx(1.0, abs=1e-4)
     # (n1+1)*(n2+1) = 6 lobes
-    peak = rho.max()
-    lobes = 0
-    for i in range(1, 160):
-        for j in range(1, 160):
-            window = rho[i - 1:i + 2, j - 1:j + 2]
-            if rho[i, j] == window.max() and rho[i, j] > 1e-3 * peak \
-                    and np.sum(window == rho[i, j]) == 1:
-                lobes += 1
-    assert lobes == 6
+    assert _reference_count_lobes(rho) == 6
+
+
+def _reference_count_lobes(mesh):
+    """The loop `cli._count_lobes` replaced: the reference it must match."""
+    peak = mesh.max()
+    count = 0
+    for i in range(1, mesh.shape[0] - 1):
+        for j in range(1, mesh.shape[1] - 1):
+            window = mesh[i - 1:i + 2, j - 1:j + 2]
+            if mesh[i, j] == window.max() and mesh[i, j] > 1e-3 * peak \
+                    and np.sum(window == mesh[i, j]) == 1:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 0), (1, 2)])
+def test_count_lobes_matches_reference_loop_on_verify_meshes(n1, n2):
+    _, px, py = cli._density2d_mesh(n1, n2)
+    mesh = np.outer(px, py)
+    assert cli._count_lobes(mesh) == _reference_count_lobes(mesh) \
+        == (n1 + 1) * (n2 + 1)
+
+
+def test_count_lobes_matches_reference_loop_on_tied_plateaus():
+    # values on a 0.1 lattice tie often; a flat plateau has no unique maximum
+    mesh = np.round(np.random.default_rng(7).random((23, 31)), 1)
+    mesh[4:6, 4:7] = 2.0
+    mesh[15:18, 20:23] = 0.0
+    mesh[16, 21] = 1e-3            # a unique local maximum below 1e-3 * peak
+    count = cli._count_lobes(mesh)
+    assert count == _reference_count_lobes(mesh) > 0
+    assert cli._count_lobes(np.ones((5, 5))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +232,11 @@ def test_byte_identical_reruns(capsys):
     _, first, _ = _run(capsys, argv_csv)
     _, second, _ = _run(capsys, argv_csv)
     assert first == second
+    argv_mesh = ["density2d", "--case", "2", "--eta", "1", "--n1", "1",
+                 "--npoints", "31", "--format", "json"]
+    _, first, _ = _run(capsys, argv_mesh)
+    _, second, _ = _run(capsys, argv_mesh)
+    assert first == second
 
 
 def test_config_file_key_value(tmp_path, capsys):
@@ -246,6 +278,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "wibble" in err
 
 
+def test_missing_config_exits_one(tmp_path, capsys):
+    missing = tmp_path / "nope.cfg"
+    code, out, err = _run(capsys, ["spectrum", "--config", str(missing)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read config {missing}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "nested" / "spec.csv"
     code, out, _ = _run(capsys, ["spectrum", "--case", "1",
@@ -274,3 +316,95 @@ def test_outdir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
                                  "--out", "sub/run.csv"])
     assert code == 0
     assert (tmp_path / "sub" / "run.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# table emission against the row-by-row reference
+
+def _reference_render(fmt, metadata, columns, rows):
+    """The row-based emitter the column-wise one replaced: one list per row,
+    `_fmt` per value, and the generic `_json_value` layout."""
+    if fmt == "json":
+        doc = {"metadata": metadata, "columns": columns,
+               "data": [list(r) for r in rows]}
+        return cli._json_value(doc, 0) + "\n"
+    lines = [",".join(columns)]
+    lines.extend(",".join(cli._fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_output(argv):
+    """What the row-based emitter wrote for ``main(argv)``."""
+    cfg = cli._resolve_config(cli._build_parser().parse_args(argv))
+    model = cfg.model()
+    if argv[0] == "spectrum":
+        k = cfg.nmax + 1
+        grid = cli._spectrum_grid(cfg, model, k)
+        res = solve_model(model, k, grid)
+        rows = []
+        for n in range(k):
+            exact = energy(model, n)
+            numeric = float(res.eigenvalues[n])
+            abs_err = abs(numeric - exact)
+            rel_err = abs_err / abs(exact) if exact != 0.0 else abs_err
+            rows.append([n, exact, numeric, abs_err, rel_err])
+        columns = ["n", "E_analytic", "E_numeric", "abs_err", "rel_err"]
+        md = cli._metadata("spectrum", cfg, model, grid)
+    elif argv[0] == "profile":
+        grid = cli._profile_grid(cfg, model)
+        xs = grid.xs()
+        mvals, vvals = mass(model, xs), v_eff(model, xs)
+        dens = [wavefunction(model, n, xs) ** 2 for n in range(3)]
+        rows = [[xs[i], mvals[i], vvals[i], dens[0][i], dens[1][i], dens[2][i]]
+                for i in range(grid.npoints)]
+        columns = ["x", "M", "V_eff", "psi0_sq", "psi1_sq", "psi2_sq"]
+        md = cli._metadata("profile", cfg, model, grid)
+    else:
+        grid = cli._density2d_grid(cfg, model)
+        xs = grid.xs()
+        px = wavefunction(model, cfg.n1, xs) ** 2
+        py = wavefunction(model, cfg.n2, xs) ** 2
+        rows = [[xs[i], xs[j], px[i] * py[j]]
+                for i in range(grid.npoints) for j in range(grid.npoints)]
+        columns = ["x", "y", "rho"]
+        md = cli._metadata("density2d", cfg, model, grid)
+        md["parameters"]["n1"] = cfg.n1
+        md["parameters"]["n2"] = cfg.n2
+    return _reference_render(cfg.format, md, columns, rows)
+
+
+_CASE1 = ["--case", "1", "--b", "3/2", "--alpha", "7/3", "--m", "2"]
+_CASE2 = ["--case", "2", "--eta", "1", "--m", "2"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"] + _CASE1 + ["--nmax", "5"],
+    ["spectrum"] + _CASE2 + ["--nmax", "5"],
+    ["spectrum"] + _CASE1 + ["--preset", "susy-zero", "--nmax", "2"],
+    ["profile"] + _CASE1 + ["--npoints", "301"],
+    ["profile"] + _CASE2 + ["--npoints", "301"],
+    ["density2d"] + _CASE2 + ["--n1", "1", "--n2", "2", "--npoints", "41"],
+], ids=["spectrum-case1", "spectrum-case2", "spectrum-susy-zero",
+        "profile-case1", "profile-case2", "density2d-case2"])
+def test_emission_matches_row_reference(capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert out == _reference_output(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile"] + _CASE2 + ["--npoints", "101"],
+    ["density2d"] + _CASE2 + ["--npoints", "21", "--format", "json"],
+])
+def test_non_finite_data_exits_three(capsys, monkeypatch, argv):
+    def poisoned(model, n, x):
+        psi = wavefunction(model, n, x)
+        psi[len(psi) // 2] = np.nan
+        return psi
+    monkeypatch.setattr(cli, "wavefunction", poisoned)
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: non-finite value in output\n"
