@@ -17,8 +17,8 @@ from .orthopoly import (Polynomial, XmFamilySpec, classical_laguerre,
                         eval_poly, eval_xm_laguerre, xm_inner_product,
                         xm_laguerre, xm_ode_residual, xm_weight)
 from .solver import (DiscretizedOperator, Grid, SpectrumResult,
-                     convergence_order, discretize, eigen_lowest, quadrature,
-                     solve_model)
+                     convergence_order, discretize, eigen_lowest,
+                     lowest_eigenvalues, quadrature, solve_model)
 from .susy import (PartnerModel, SuperpotentialFn, apply_A, apply_A_dagger,
                    partner_model, partner_potential, partner_route_residual,
                    partner_wavefunction, shape_invariance_residual,
@@ -37,5 +37,6 @@ __all__ = [
     "partner_route_residual", "shape_invariance_residual", "apply_A",
     "apply_A_dagger", "partner_wavefunction",
     "Grid", "DiscretizedOperator", "SpectrumResult", "discretize",
-    "eigen_lowest", "solve_model", "convergence_order", "quadrature",
+    "eigen_lowest", "lowest_eigenvalues", "solve_model", "convergence_order",
+    "quadrature",
 ]

@@ -26,8 +26,8 @@ from .models import (Case1Params, Case2Params, ModelKind, default_domain,
                      energy, energy_fraction, mass, pct_master_residual,
                      susy_constant, v_eff, v_eff_m1_closed_form, wavefunction)
 from .orthopoly import XmFamilySpec, xm_inner_product, xm_laguerre, xm_ode_residual
-from .solver import (Grid, align_sign, convergence_order, discretize,
-                     eigen_lowest, quadrature, solve_model)
+from .solver import (Grid, _model_operator, align_sign, convergence_order,
+                     discretize, lowest_eigenvalues, quadrature)
 from .susy import (apply_A, apply_A_dagger, partner_model,
                    partner_route_residual, partner_wavefunction,
                    shape_invariance_residual)
@@ -284,9 +284,8 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     model = cfg.model()
     k = cfg.nmax + 1
     grid = _spectrum_grid(cfg, model, k)
-    res = solve_model(model, k, grid)
+    numeric = lowest_eigenvalues(_model_operator(model, k, grid), k)
     exact = np.array([energy(model, n) for n in range(k)])
-    numeric = res.eigenvalues[:k]
     abs_err = np.abs(numeric - exact)
     rel_err = np.divide(abs_err, np.abs(exact), out=abs_err.copy(),
                         where=exact != 0.0)
@@ -433,7 +432,7 @@ def _corrupted_spectrum(model: ModelKind, k: int, delta: float):
     grid = Grid(lo, hi, 4001)
     op = discretize(lambda t: mass(model, t),
                     lambda t: v_eff(model, t) + delta, grid)
-    return eigen_lowest(op, k).eigenvalues
+    return lowest_eigenvalues(op, k)
 
 
 def _check_oracle_case1(delta: float):
@@ -544,10 +543,10 @@ def _check_partner_spectrum():
     worst = 0.0
     for model in (Case1Params.susy_zero(1, 2, 1), Case2Params.susy_zero(1, 2, 2)):
         pm = partner_model(model)
-        res = solve_model(pm.comparison, 3)
+        vals = lowest_eigenvalues(_model_operator(pm.comparison, 3), 3)
         for n in range(3):
             exact = energy(model, n + 1)
-            worst = max(worst, abs(res.eigenvalues[n] + float(pm.r_shift)
+            worst = max(worst, abs(vals[n] + float(pm.r_shift)
                                    - exact) / abs(exact))
     return worst, 1e-3
 
@@ -556,7 +555,7 @@ def _check_ho_spectrum():
     # h^2 error on E_3 = 7 forces h <= ~2.5e-3 to clear the 1e-5 target
     grid = Grid(-10.0, 10.0, 12001)
     op = discretize(lambda t: np.ones_like(t), lambda t: t ** 2, grid)
-    vals = eigen_lowest(op, 4).eigenvalues
+    vals = lowest_eigenvalues(op, 4)
     worst = float(np.max(np.abs(vals - (2.0 * np.arange(4) + 1.0))))
     return worst, 1e-5
 

@@ -2,10 +2,11 @@
 
 The kinetic term is discretized in flux (conservation) form with 1/M sampled
 at grid midpoints, which keeps the matrix exactly symmetric and 2nd-order
-accurate; boundaries are Dirichlet.  Eigenpairs come from Sturm bisection
-plus inverse iteration on the tridiagonal matrix.  Everything here is
-independent of the closed-form machinery so it can serve as an oracle for
-it.
+accurate; boundaries are Dirichlet.  Eigenvalues come from Sturm bisection
+on the tridiagonal matrix; eigenvectors come from inverse iteration, and only
+where a caller asks for them (`eigen_lowest`, `solve_model`).  Everything
+here is independent of the closed-form machinery so it can serve as an oracle
+for it.
 """
 from __future__ import annotations
 
@@ -94,12 +95,14 @@ class SpectrumResult:
     grid: Optional[Grid] = None
 
 
-def _sample(fn: Callable, pts: np.ndarray) -> np.ndarray:
-    vals = fn(pts)
-    out = np.asarray(vals, dtype=float)
-    if out.shape != pts.shape:
-        out = np.array([float(fn(t)) for t in pts])
-    return out
+def _sample(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
+    """Evaluate a vectorised coefficient once on `pts`; a scalar broadcasts."""
+    out = np.asarray(fn(pts), dtype=float)
+    try:
+        return np.broadcast_to(out, pts.shape)
+    except ValueError:
+        raise ValueError(f"{name} returned shape {out.shape}, "
+                         f"expected {pts.shape} or a scalar") from None
 
 
 def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOperator:
@@ -107,11 +110,11 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
     xs = grid.xs()
     h = grid.h
     mid = 0.5 * (xs[:-1] + xs[1:])
-    mvals = _sample(massfn, mid)
+    mvals = _sample(massfn, mid, "mass")
     if not np.all(np.isfinite(mvals)) or np.any(mvals <= 0):
         bad = mid[~(np.isfinite(mvals) & (mvals > 0))][0]
         raise ValueError(f"mass is not positive and finite at midpoint x={bad}")
-    vvals = _sample(potfn, xs[1:-1])
+    vvals = _sample(potfn, xs[1:-1], "potential")
     if not np.all(np.isfinite(vvals)):
         bad = xs[1:-1][~np.isfinite(vvals)][0]
         raise ValueError(f"potential is not finite at node x={bad}")
@@ -121,18 +124,36 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
     return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid)
 
 
-def eigen_lowest(op: DiscretizedOperator, k: int) -> SpectrumResult:
-    """Lowest k eigenpairs by Sturm bisection and inverse iteration."""
+def _bisect_lowest(op: DiscretizedOperator, k: int, eigvals_only: bool):
+    """LAPACK bisection for the lowest k eigenvalues (plus vectors if asked)."""
     n = op.size
     if not isinstance(k, int) or k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k!r}")
     try:
-        vals, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i",
-                                      select_range=(0, k - 1), tol=_BISECT_TOL)
+        out = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=eigvals_only,
+                               select="i", select_range=(0, k - 1),
+                               tol=_BISECT_TOL)
     except LinAlgError as exc:
-        raise RuntimeError(f"eigenpair extraction failed: {exc}") from exc
+        raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
+    vals = out if eigvals_only else out[0]
     if np.any(np.diff(vals) <= 0):
         raise RuntimeError("eigenvalues are not strictly increasing")
+    return out
+
+
+def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
+    """Lowest k eigenvalues, ascending, by Sturm bisection alone.
+
+    The values are those `eigen_lowest` returns, without the cost of
+    computing eigenvectors.
+    """
+    return _bisect_lowest(op, k, eigvals_only=True)
+
+
+def eigen_lowest(op: DiscretizedOperator, k: int) -> SpectrumResult:
+    """Lowest k eigenpairs: values by Sturm bisection, vectors by inverse
+    iteration."""
+    vals, vecs = _bisect_lowest(op, k, eigvals_only=False)
     residuals = np.empty(k)
     for j in range(k):
         v = vecs[:, j]
@@ -165,6 +186,17 @@ def _auto_grid(model: ModelKind, k: int, npoints: int = 4001) -> Grid:
     return Grid(lo, hi, npoints)
 
 
+def _model_operator(model: ModelKind, k: int,
+                    grid: Optional[Grid] = None) -> DiscretizedOperator:
+    """The model's M and V_eff discretized on `grid` (default: auto), with
+    room for k interior eigenpairs."""
+    if grid is None:
+        grid = _auto_grid(model, k)
+    if k > grid.npoints - 2:
+        raise ValueError(f"k must be at most npoints-2 = {grid.npoints - 2}")
+    return discretize(lambda t: mass(model, t), lambda t: v_eff(model, t), grid)
+
+
 def solve_model(model: ModelKind, k: int, grid: Optional[Grid] = None) -> SpectrumResult:
     """Numeric spectrum of the model's M and V_eff on a (default: auto) grid.
 
@@ -174,11 +206,8 @@ def solve_model(model: ModelKind, k: int, grid: Optional[Grid] = None) -> Spectr
     node sits one spacing from it and the x^(-l) barrier is never sampled
     at x = 0.
     """
-    if grid is None:
-        grid = _auto_grid(model, k)
-    if k > grid.npoints - 2:
-        raise ValueError(f"k must be at most npoints-2 = {grid.npoints - 2}")
-    op = discretize(lambda t: mass(model, t), lambda t: v_eff(model, t), grid)
+    op = _model_operator(model, k, grid)
+    grid = op.grid
     res = eigen_lowest(op, k)
     full = np.zeros((grid.npoints, k))
     for j in range(k):
@@ -218,7 +247,7 @@ def convergence_order(model, level: int, base_points: int = 251) -> float:
     for j in range(level + 1):
         grid = Grid(lo, hi, (base_points - 1) * 2 ** j + 1)
         op = discretize(massfn, potfn, grid)
-        lowest.append(eigen_lowest(op, 1).eigenvalues[0])
+        lowest.append(lowest_eigenvalues(op, 1)[0])
     diffs = np.diff(np.asarray(lowest))
     orders = []
     for j in range(diffs.size - 1):

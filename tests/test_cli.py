@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import pdmlag.solver
 from pdmlag import cli
 from pdmlag.cli import main
 from pdmlag.models import energy, mass, v_eff, wavefunction
@@ -61,6 +62,32 @@ def test_spectrum_json_format(capsys):
     assert doc["metadata"]["parameters"]["alpha"] == "2"
     assert len(doc["data"]) == 2
     assert doc["data"][0][1] == pytest.approx(2.0)  # (alpha+1)/2 + m/alpha
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--case", "1", "--b", "3/2", "--alpha", "7/3", "--m", "2",
+     "--nmax", "9"],
+    ["spectrum", "--case", "2", "--eta", "3", "--alpha", "19/7", "--m", "4",
+     "--nmax", "9", "--format", "json"],
+], ids=["case1", "case2"])
+def test_spectrum_computes_no_eigenvectors(capsys, monkeypatch, argv):
+    expected = _reference_output(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum asked for eigenvectors")
+    for module in (pdmlag.solver, cli):
+        for name in ("eigen_lowest", "solve_model"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert out == expected
+
+
+def test_spectrum_too_few_points_exits_one(capsys):
+    code, out, err = _run(capsys, ["spectrum", "--npoints", "16", "--nmax", "20"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: k must be at most npoints-2 = 14\n"
 
 
 def test_invalid_alpha_exits_one(capsys):

@@ -6,14 +6,17 @@ these units (eigenvalues 2n+1).  The position-dependent-mass models are
 then checked against their closed-form linear spectra.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pdmlag.models import Case1Params, Case2Params, energy, wavefunction
-from pdmlag.solver import (DiscretizedOperator, Grid, align_sign,
-                           convergence_order, discretize, eigen_lowest,
-                           quadrature, solve_model)
+from pdmlag.models import (Case1Params, Case2Params, default_domain, energy,
+                           wavefunction)
+from pdmlag.solver import (DiscretizedOperator, Grid, _model_operator,
+                           align_sign, convergence_order, discretize,
+                           eigen_lowest, lowest_eigenvalues, quadrature,
+                           solve_model)
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +64,22 @@ def test_discretize_rejects_bad_coefficients():
                    lambda x: np.where(x > 0.5, np.inf, 0.0), grid)
 
 
+def test_discretize_broadcasts_scalar_coefficients():
+    grid = Grid(0.0, math.pi, 101)
+    op = discretize(lambda x: 1.0, lambda x: 0.0, grid)
+    ref = discretize(lambda x: np.ones_like(x), lambda x: np.zeros_like(x), grid)
+    assert np.array_equal(op.diag, ref.diag)
+    assert np.array_equal(op.offdiag, ref.offdiag)
+
+
+def test_discretize_rejects_wrong_shape_coefficients():
+    grid = Grid(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match="mass returned shape"):
+        discretize(lambda x: np.ones(x.size + 1), lambda x: np.zeros_like(x), grid)
+    with pytest.raises(ValueError, match="potential returned shape"):
+        discretize(lambda x: np.ones_like(x), lambda x: np.zeros((x.size, 2)), grid)
+
+
 def test_eigen_lowest_two_by_two():
     # [[2, -1], [-1, 2]] has eigenvalues 1 and 3
     grid = Grid(0.0, 3.0, 16)
@@ -77,6 +96,42 @@ def test_eigen_lowest_k_bounds():
         eigen_lowest(op, 0)
     with pytest.raises(ValueError):
         eigen_lowest(op, 3)
+
+
+def test_lowest_eigenvalues_k_bounds_match_eigen_lowest():
+    op = DiscretizedOperator(diag=np.array([2.0, 2.0]),
+                             offdiag=np.array([-1.0]))
+    for k in (0, 3, -1, 1.0):
+        with pytest.raises(ValueError) as vals_only:
+            lowest_eigenvalues(op, k)
+        with pytest.raises(ValueError) as pairs:
+            eigen_lowest(op, k)
+        assert str(vals_only.value) == str(pairs.value), k
+
+
+def _assert_values_only_identical(op, k):
+    vals = lowest_eigenvalues(op, k)
+    assert vals.shape == (k,)
+    assert np.array_equal(vals, eigen_lowest(op, k).eigenvalues)
+
+
+def test_lowest_eigenvalues_identical_on_harmonic_oscillator():
+    # the 12001-point operator of the `solver-ho-spectrum` verify check
+    grid = Grid(-10.0, 10.0, 12001)
+    op = discretize(lambda x: np.ones_like(x), lambda x: x ** 2, grid)
+    _assert_values_only_identical(op, 4)
+
+
+@pytest.mark.parametrize("npoints", [4001, 40001])
+@pytest.mark.parametrize("model", [
+    Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+    # the x^(-l) barrier puts ~7e34 on the diagonal at 40001 points
+    Case2Params(3, Fraction(19, 7), 4),
+], ids=["case1", "case2"])
+def test_lowest_eigenvalues_identical_on_models(model, npoints):
+    k = 10
+    lo, hi = default_domain(model, k - 1)
+    _assert_values_only_identical(_model_operator(model, k, Grid(lo, hi, npoints)), k)
 
 
 def test_eigen_lowest_residuals_small():
