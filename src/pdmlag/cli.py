@@ -674,6 +674,11 @@ _CHECKS = [
 
 def cmd_verify(cfg: RunConfig) -> tuple:
     """Run every registered invariant check; returns (report text, all_pass)."""
+    # The library imports these on first use; load them before the timed
+    # battery so no check's runtime_s includes an import.
+    import scipy.integrate  # noqa: F401
+    import scipy.linalg  # noqa: F401
+
     delta = cfg.corrupt_veff
     checks = []
     failed = 0

@@ -7,8 +7,10 @@ one-dimensional nullspace of its defining second-order ODE, after clearing
 denominators, so membership can be certified by an exact zero residual
 polynomial; that construction is the exact reference.  Float values of a
 family member come from its closed form as a sum of two products of
-classical Laguerre polynomials.  Weights, inner products, and the residual
-operator itself are exposed for verification.
+classical Laguerre polynomials, each evaluated in numpy by the recurrence
+scipy.special uses, so importing this module loads no scipy submodule.
+Weights, inner products, and the residual operator itself are exposed for
+verification; the inner product loads scipy.integrate when first called.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import integrate
-from scipy.special import eval_genlaguerre
 
 Scalar = Union[int, float, Fraction]
 
@@ -150,6 +150,50 @@ def classical_laguerre(n: int, alpha: Scalar) -> Polynomial:
         nxt = Polynomial((2 * k + 1 + a, -one)) * curr - (k + a) * prev
         curr, prev = nxt * (one / (k + 1)), curr
     return curr
+
+
+def _binom_int(n: float, k: int) -> float:
+    """Binomial coefficient C(n, k) for real n > 0 and integer k >= 0.
+
+    The multiplicative loop of scipy.special.binom, with its rescaling of
+    large partial numerators and its reduction k -> n - k for integer n.
+    scipy switches to a beta function once the reduced k reaches 20; this
+    loop does not, and agrees with it there to about 1e-13 relative.
+    """
+    kx = float(k)
+    if n == math.floor(n) and kx > n / 2:
+        kx = n - kx
+    num = den = 1.0
+    for i in range(1, 1 + int(kx)):
+        num *= i + n - kx
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
+def _eval_genlaguerre(n: int, alpha: float, x):
+    """Float values of L_n^(alpha) at the points `x`, for integer n >= 0.
+
+    Runs the recurrence scipy.special.eval_genlaguerre uses for an integer
+    degree, in the same operation order, vectorised over the points: it
+    tracks p_k = L_k^(alpha)(x) / C(k + alpha, k) and the step d_k =
+    p_k - p_(k-1), and scales by the binomial at the end.  Degree 1 is the
+    closed form 1 + alpha - x, as in scipy.
+    """
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + alpha + 1
+    nx = -x
+    d = nx / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        c = k + alpha + 1
+        d = nx / c * p + (k / c) * d
+        p = d + p
+    return _binom_int(n + alpha, n) * p
 
 
 def _laguerre_or_zero(n: int, alpha) -> Polynomial:
@@ -312,17 +356,18 @@ def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
         L_m^(a)(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_{n-1}^(a)(g),
 
     whose leading coefficient is (-1)^n / (m! n!).  Each classical factor is
-    evaluated by its three-term recurrence, so the monomial expansion, which
-    cancels catastrophically at large g, is never formed.
+    evaluated in numpy by the recurrence scipy.special.eval_genlaguerre runs
+    for an integer degree, so the monomial expansion, which cancels
+    catastrophically at large g, is never formed.
     """
     if nu < spec.m:
         raise ValueError(f"nu must be >= m (family starts at degree m): "
                          f"got nu={nu}, m={spec.m}")
     m, n, a = spec.m, nu - spec.m, float(spec.alpha)
     ga = np.asarray(g, dtype=float)
-    out = eval_genlaguerre(m, a, -ga) * eval_genlaguerre(n, a - 1.0, ga)
+    out = _eval_genlaguerre(m, a, -ga) * _eval_genlaguerre(n, a - 1.0, ga)
     if n > 0:
-        out = out + eval_genlaguerre(m, a - 1.0, -ga) * eval_genlaguerre(n - 1, a, ga)
+        out = out + _eval_genlaguerre(m, a - 1.0, -ga) * _eval_genlaguerre(n - 1, a, ga)
     scale = -1.0 if n % 2 else 1.0
     if spec.convention == "monic":
         scale *= math.factorial(m) * math.factorial(n)
@@ -348,10 +393,13 @@ def xm_weight(spec: XmFamilySpec, g):
 def xm_inner_product(nu1: int, nu2: int, spec: XmFamilySpec) -> float:
     """Weighted inner product of two family members over (0, inf).
 
-    Computed by adaptive quadrature after the substitution g = t/(1-t);
-    raises RuntimeError with the achieved error estimate if the quadrature
-    does not reach its target.
+    Computed by adaptive quadrature (scipy.integrate.quad, imported here
+    because only verification calls this) after the substitution
+    g = t/(1-t); raises RuntimeError with the achieved error estimate if the
+    quadrature does not reach its target.
     """
+    from scipy import integrate
+
     if nu1 < spec.m or nu2 < spec.m:
         raise ValueError("both degrees must be >= m")
     p1 = xm_laguerre(nu1, spec).as_float()

@@ -4,9 +4,11 @@ The kinetic term is discretized in flux (conservation) form with 1/M sampled
 at grid midpoints, which keeps the matrix exactly symmetric and 2nd-order
 accurate; boundaries are Dirichlet.  Eigenvalues come from Sturm bisection
 on the tridiagonal matrix; eigenvectors come from inverse iteration, and only
-where a caller asks for them (`eigen_lowest`, `solve_model`).  Everything
-here is independent of the closed-form machinery so it can serve as an oracle
-for it.
+where a caller asks for them (`eigen_lowest`, `solve_model`).  Both come
+from scipy.linalg, which is imported on the first solve, so building grids and
+operators or integrating on a grid loads no scipy submodule.  Everything here
+is independent of the closed-form machinery so it can serve as an oracle for
+it.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .models import Case2Params, ModelKind, default_domain, mass, v_eff
 
@@ -126,6 +126,8 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
 
 def _bisect_lowest(op: DiscretizedOperator, k: int, eigvals_only: bool):
     """LAPACK bisection for the lowest k eigenvalues (plus vectors if asked)."""
+    from scipy.linalg import eigh_tridiagonal
+
     n = op.size
     if not isinstance(k, int) or k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k!r}")
@@ -133,7 +135,7 @@ def _bisect_lowest(op: DiscretizedOperator, k: int, eigvals_only: bool):
         out = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=eigvals_only,
                                select="i", select_range=(0, k - 1),
                                tol=_BISECT_TOL)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
     vals = out if eigvals_only else out[0]
     if np.any(np.diff(vals) <= 0):
@@ -219,13 +221,19 @@ def solve_model(model: ModelKind, k: int, grid: Optional[Grid] = None) -> Spectr
 
 
 def quadrature(values, grid: Grid) -> float:
-    """Composite Simpson integral on the grid (trapezoid for even counts)."""
+    """Composite Simpson integral on the grid (trapezoid for even counts).
+
+    Both rules sum in the order scipy.integrate.simpson and
+    scipy.integrate.trapezoid do on a uniform grid, so the values are theirs
+    bit for bit.
+    """
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.npoints,):
         raise ValueError(f"expected {grid.npoints} samples, got shape {vals.shape}")
+    h = grid.h
     if grid.npoints % 2 == 1:
-        return float(integrate.simpson(vals, dx=grid.h))
-    return float(integrate.trapezoid(vals, dx=grid.h))
+        return float(np.sum(vals[0:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2]) * (h / 3.0))
+    return float(np.sum(h * (vals[1:] + vals[:-1]) / 2.0))
 
 
 def convergence_order(model, level: int, base_points: int = 251) -> float:

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from pdmlag.orthopoly import (Polynomial, XmFamilySpec, classical_laguerre,
-                              eval_poly, xm_inner_product, xm_laguerre,
-                              xm_ode_residual, xm_weight)
+from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _eval_genlaguerre,
+                              classical_laguerre, eval_poly, xm_inner_product,
+                              xm_laguerre, xm_ode_residual, xm_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +27,25 @@ def test_classical_laguerre_matches_scipy(n, alpha):
     xs = np.linspace(-4.0, 6.0, 13)
     expected = eval_genlaguerre(n, alpha, xs)
     np.testing.assert_allclose(eval_poly(p, xs), expected, rtol=1e-12, atol=1e-12)
+
+
+# Both signs of the argument: eval_xm_laguerre evaluates its m-factors at -g.
+_PORT_XS = np.concatenate([np.linspace(-100.0, 300.0, 401),
+                           -np.logspace(-8.0, 2.0, 41), np.logspace(-8.0, 2.0, 41)])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 4 / 3, 2.0, 7 / 3, 19 / 7, 3.0, 5.0])
+def test_eval_genlaguerre_port_matches_scipy(alpha):
+    # Below degree 20 scipy runs the same recurrence and binomial loop, so the
+    # values are equal bit for bit; from 20 on scipy's binomial switches to a
+    # beta function, and only the constant scale factor may differ.
+    for n in range(20):
+        assert np.array_equal(_eval_genlaguerre(n, alpha, _PORT_XS),
+                              eval_genlaguerre(n, alpha, _PORT_XS)), n
+    for n in range(20, 201):
+        np.testing.assert_allclose(_eval_genlaguerre(n, alpha, _PORT_XS),
+                                   eval_genlaguerre(n, alpha, _PORT_XS),
+                                   rtol=1e-12, atol=0, err_msg=f"n={n}")
 
 
 def test_classical_laguerre_small_cases():

@@ -256,6 +256,21 @@ def test_quadrature_even_point_count():
     assert quadrature(xs, grid) == pytest.approx(0.5, abs=1e-5)
 
 
+@pytest.mark.parametrize("npoints", [17, 18, 2001, 200001])
+def test_quadrature_matches_scipy_rules(npoints):
+    from scipy import integrate
+
+    grid = Grid(-1.25, 3.5, npoints)
+    rng = np.random.default_rng(npoints)
+    for scale in (1.0, 1e-8, 1e12):
+        vals = scale * rng.standard_normal(npoints)
+        if npoints % 2:
+            want = integrate.simpson(vals, dx=grid.h)
+        else:
+            want = integrate.trapezoid(vals, dx=grid.h)
+        assert quadrature(vals, grid) == float(want)
+
+
 def test_quadrature_shape_mismatch():
     grid = Grid(0.0, 1.0, 101)
     with pytest.raises(ValueError):
