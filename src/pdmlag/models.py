@@ -14,22 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
-from .orthopoly import (Polynomial, XmFamilySpec, _laguerre_or_zero, eval_poly,
-                        eval_xm_laguerre)
+from .orthopoly import XmFamilySpec, eval_poly, eval_xm_laguerre, laguerre_data
 
 
 def _frac(value) -> Fraction:
     """Coerce int/float/str/Fraction to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float, str, Fraction)):
         return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
@@ -130,32 +124,6 @@ def susy_constant(model: ModelKind) -> Fraction:
     if isinstance(model, Case1Params):
         return _susy_vc(model.b * model.b, model.alpha, model.m)
     return _susy_vc(Fraction(1), model.alpha, model.m)
-
-
-class LaguerreData(NamedTuple):
-    """Float-coefficient Laguerre factors evaluated as functions of g.
-
-    h  = L_m^(alpha-1)(-g)      h1 = L_{m-1}^(alpha)(-g)
-    h2 = L_{m-2}^(alpha+1)(-g)  q1 = L_{m-1}^(alpha+1)(-g)
-    q2 = L_{m-2}^(alpha+2)(-g)  ha = L_m^(alpha)(-g)
-    """
-
-    h: Polynomial
-    h1: Polynomial
-    h2: Polynomial
-    q1: Polynomial
-    q2: Polynomial
-    ha: Polynomial
-
-
-@lru_cache(maxsize=None)
-def laguerre_data(m: int, alpha: Fraction) -> LaguerreData:
-    def refl(n, a):
-        return _laguerre_or_zero(n, a).reflected().as_float()
-
-    return LaguerreData(h=refl(m, alpha - 1), h1=refl(m - 1, alpha),
-                        h2=refl(m - 2, alpha + 1), q1=refl(m - 1, alpha + 1),
-                        q2=refl(m - 2, alpha + 2), ha=refl(m, alpha))
 
 
 def _scalar_in(x) -> bool:

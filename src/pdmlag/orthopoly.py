@@ -1,13 +1,15 @@
 """Classical and exceptional (X_m) Laguerre polynomials.
 
-Generalized Laguerre polynomials are built by the three-term recurrence in
-exact rational arithmetic whenever the parameter allows it.  The codimension-m
-exceptional (X_m) Laguerre family is constructed degree by degree as the
-one-dimensional nullspace of its defining second-order ODE, after clearing
-denominators, so membership can be certified by an exact zero residual
-polynomial; that construction is the exact reference.  Float values of a
-family member come from its closed form as a sum of two products of
-classical Laguerre polynomials, each evaluated in numpy by the recurrence
+Everything exact here is in rational arithmetic: every parameter is an int,
+Fraction or float, and a float is taken at its exact binary value.
+Generalized Laguerre polynomials are built by the three-term recurrence.  The
+codimension-m exceptional (X_m) Laguerre family is built from its type-I
+product form, a sum of two products of classical Laguerre polynomials
+(Gomez-Ullate, Kamran and Milson, J. Math. Anal. Appl. 359 (2009) 352).
+Membership is certified separately by an exact zero residual in the
+denominator-cleared ODE, whose operator is assembled from the ODE
+coefficients.  Float values of a family member come from the same product
+form with each classical factor evaluated in numpy by the recurrence
 scipy.special uses, so importing this module loads no scipy submodule.
 Weights, inner products, and the residual operator itself are exposed for
 verification; the inner product loads scipy.integrate when first called.
@@ -18,31 +20,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 Scalar = Union[int, float, Fraction]
-
-# Floats whose exact binary value has a denominator up to this bound are
-# treated as rational inputs (covers 1.5, 2.0, 2.25, ...); anything else
-# falls back to floating-point construction.
-_EXACT_DENOM_LIMIT = 4096
 
 # Beyond this point the e^{-g} factor has underflowed to zero while powers of
 # g may still overflow, so mapped semi-infinite integrands are cut off.
 _QUAD_G_CUTOFF = 800.0
 
 
-def _exact_scalar(value: Scalar) -> Union[Fraction, float]:
-    """Return `value` as a Fraction when it is (near-)rational, else a float."""
-    if isinstance(value, (int, Fraction)):
+def _exact_scalar(value: Scalar) -> Fraction:
+    """Return `value` as an exact Fraction; a float keeps its binary value."""
+    if isinstance(value, (int, float, Fraction)):
         return Fraction(value)
-    if isinstance(value, float):
-        as_frac = Fraction(value)
-        if as_frac.denominator <= _EXACT_DENOM_LIMIT:
-            return as_frac
-        return value
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
 
 
@@ -135,20 +127,19 @@ def eval_poly(p: Polynomial, x):
 def classical_laguerre(n: int, alpha: Scalar) -> Polynomial:
     """Generalized Laguerre polynomial L_n^(alpha) via the three-term recurrence.
 
-    Exact (Fraction coefficients) when `alpha` is rational; float otherwise.
+    Coefficients are exact Fractions.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     a = _exact_scalar(alpha)
-    one = Fraction(1) if isinstance(a, Fraction) else 1.0
-    prev = Polynomial((one,))
+    prev = Polynomial((Fraction(1),))
     if n == 0:
         return prev
-    curr = Polynomial((one + a, -one))
+    curr = Polynomial((1 + a, Fraction(-1)))
     for k in range(1, n):
         # (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}
-        nxt = Polynomial((2 * k + 1 + a, -one)) * curr - (k + a) * prev
-        curr, prev = nxt * (one / (k + 1)), curr
+        nxt = Polynomial((2 * k + 1 + a, -1)) * curr - (k + a) * prev
+        curr, prev = nxt * Fraction(1, k + 1), curr
     return curr
 
 
@@ -203,12 +194,39 @@ def _laguerre_or_zero(n: int, alpha) -> Polynomial:
     return classical_laguerre(n, alpha)
 
 
+class LaguerreData(NamedTuple):
+    """Float-coefficient Laguerre factors evaluated as functions of g.
+
+    h  = L_m^(alpha-1)(-g)      h1 = L_{m-1}^(alpha)(-g)
+    h2 = L_{m-2}^(alpha+1)(-g)  q1 = L_{m-1}^(alpha+1)(-g)
+    q2 = L_{m-2}^(alpha+2)(-g)  ha = L_m^(alpha)(-g)
+    """
+
+    h: Polynomial
+    h1: Polynomial
+    h2: Polynomial
+    q1: Polynomial
+    q2: Polynomial
+    ha: Polynomial
+
+
+@lru_cache(maxsize=None)
+def laguerre_data(m: int, alpha: Fraction) -> LaguerreData:
+    def refl(n, a):
+        return _laguerre_or_zero(n, a).reflected().as_float()
+
+    return LaguerreData(h=refl(m, alpha - 1), h1=refl(m - 1, alpha),
+                        h2=refl(m - 2, alpha + 1), q1=refl(m - 1, alpha + 1),
+                        q2=refl(m - 2, alpha + 2), ha=refl(m, alpha))
+
+
 @dataclass(frozen=True)
 class XmFamilySpec:
     """Parameters of an X_m (codimension-m) exceptional Laguerre family.
 
-    `convention` fixes the scale of the returned polynomials; the sign always
-    makes the leading coefficient positive.
+    `alpha` is stored as an exact Fraction (an int, Fraction or float is
+    converted exactly).  `convention` fixes the scale of the returned
+    polynomials; the sign always makes the leading coefficient positive.
 
     - "monic": unit leading coefficient (default).
     - "standard": leading coefficient 1/(m! * n!) with n = degree - m; this is
@@ -217,10 +235,11 @@ class XmFamilySpec:
     """
 
     m: int
-    alpha: Scalar
+    alpha: Fraction
     convention: str = "monic"
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _exact_scalar(self.alpha))
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         if not self.alpha > 1:
@@ -229,122 +248,49 @@ class XmFamilySpec:
             raise ValueError(f"unknown convention {self.convention!r}")
 
 
-def _ode_operator(p: Polynomial, param, m: int, alpha) -> Polynomial:
-    """Denominator-cleared X_m-Laguerre ODE operator applied to `p`.
+def xm_ode_residual(p: Polynomial, nu: int, spec: XmFamilySpec) -> Polynomial:
+    """Residual of `p` in the denominator-cleared X_m ODE with parameter `nu`.
 
-    Returns g*h*p'' + [(alpha+1-g)*h - 2*g*h1]*p' + [param*h - 2*alpha*h1]*p
+    Returns g*h*p'' + [(alpha+1-g)*h - 2*g*h1]*p' + [nu*h - 2*alpha*h1]*p
     with h = L_m^(alpha-1)(-g) and h1 = L_{m-1}^(alpha)(-g); the zero
-    polynomial certifies that `p` solves the ODE with that parameter.
+    polynomial certifies that `p` solves the ODE with that parameter.  The
+    operator is assembled from the ODE coefficients, not from the product
+    form ``xm_laguerre`` uses, so a zero residual is an independent check.
     """
-    one = Fraction(1) if isinstance(alpha, Fraction) else 1.0
+    m, alpha = spec.m, spec.alpha
     h = _laguerre_or_zero(m, alpha - 1).reflected()
     h1 = _laguerre_or_zero(m - 1, alpha).reflected()
-    g = Polynomial((0 * one, one))
+    g = Polynomial((0, 1))
     dp = p.derivative()
     return (g * h * dp.derivative()
-            + (Polynomial((alpha + one, -one)) * h - 2 * g * h1) * dp
-            + (param * h - 2 * alpha * h1) * p)
-
-
-def xm_ode_residual(p: Polynomial, nu: int, spec: XmFamilySpec) -> Polynomial:
-    """Residual of `p` in the denominator-cleared X_m ODE with parameter `nu`."""
-    return _ode_operator(p, nu, spec.m, _exact_scalar(spec.alpha))
-
-
-def _fraction_nullspace(rows: list, ncols: int) -> list:
-    """Nullspace basis of a matrix of Fractions (rows of length ncols)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        basis.append(vec)
-    return basis
+            + (Polynomial((alpha + 1, -1)) * h - 2 * g * h1) * dp
+            + (nu * h - 2 * alpha * h1) * p)
 
 
 @lru_cache(maxsize=None)
-def _xm_laguerre_cached(nu: int, spec: XmFamilySpec) -> Polynomial:
-    m, a = spec.m, _exact_scalar(spec.alpha)
-    ncols = nu + 1
-    if isinstance(a, Fraction):
-        one = Fraction(1)
-        cols = []
-        for j in range(ncols):
-            basis = Polynomial((0 * one,) * j + (one,))
-            image = _ode_operator(basis, nu, m, a)
-            cs = list(image.coeffs) + [Fraction(0)] * (nu + m + 1 - len(image.coeffs))
-            cols.append(cs)
-        rows = [[cols[j][i] for j in range(ncols)] for i in range(nu + m + 1)]
-        null = _fraction_nullspace(rows, ncols)
-        if len(null) != 1:
-            raise ValueError(
-                f"ODE nullspace has dimension {len(null)}, expected 1: "
-                f"inconsistent (nu={nu}, m={m}, alpha={spec.alpha})")
-        poly = Polynomial(tuple(null[0]))
-    else:
-        cols = []
-        for j in range(ncols):
-            basis = Polynomial((0.0,) * j + (1.0,))
-            image = _ode_operator(basis, nu, m, a)
-            cs = list(image.coeffs) + [0.0] * (nu + m + 1 - len(image.coeffs))
-            cols.append([float(c) for c in cs])
-        mat = np.array(cols, dtype=float).T
-        _, svals, vt = np.linalg.svd(mat)
-        nullity = int(np.sum(svals < 1e-12 * svals[0]))
-        if nullity != 1:
-            raise ValueError(
-                f"ODE nullspace has dimension {nullity}, expected 1: "
-                f"inconsistent (nu={nu}, m={m}, alpha={spec.alpha})")
-        vec = vt[-1]
-        resid = np.linalg.norm(mat @ vec)
-        if resid > 1e-10 * np.linalg.norm(mat):
-            raise RuntimeError(
-                f"floating nullspace residual {resid:.3e} exceeds threshold")
-        poly = Polynomial(tuple(vec))
-    if poly.degree != nu:
-        raise ValueError(
-            f"nullspace polynomial has degree {poly.degree}, expected {nu}: "
-            f"inconsistent (nu={nu}, m={m}, alpha={spec.alpha})")
-    lead = poly.coeffs[-1]
-    if spec.convention == "monic":
-        target = Fraction(1) if isinstance(a, Fraction) else 1.0
-    else:
-        nfac = math.factorial(m) * math.factorial(nu - m)
-        target = Fraction(1, nfac) if isinstance(a, Fraction) else 1.0 / nfac
-    return poly * (target / lead)
-
-
 def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
     """Degree-`nu` member of the X_m-Laguerre family described by `spec`.
 
-    The family starts at degree m, so `nu >= spec.m` is required.  The result
-    is the unique (up to scale) degree-nu polynomial solving the family ODE
-    with parameter nu, normalized per ``spec.convention``.
+    The family starts at degree m, so `nu >= spec.m` is required.  With
+    n = nu - m and a = alpha the member is, exactly in Fractions,
+
+        (-1)^n [L_m^(a)(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_{n-1}^(a)(g)]
+
+    (L_{-1} = 0), whose leading coefficient is 1/(m! n!): the "standard"
+    convention.  The "monic" member is m! n! times it.  It is the unique
+    (up to scale) degree-nu polynomial solving the family ODE with
+    parameter nu.
     """
     if nu < spec.m:
         raise ValueError(f"nu must be >= m (family starts at degree m): "
                          f"got nu={nu}, m={spec.m}")
-    return _xm_laguerre_cached(nu, spec)
+    m, n, a = spec.m, nu - spec.m, spec.alpha
+    poly = (classical_laguerre(m, a).reflected() * classical_laguerre(n, a - 1)
+            + classical_laguerre(m, a - 1).reflected() * _laguerre_or_zero(n - 1, a))
+    scale = (-1) ** n
+    if spec.convention == "monic":
+        scale *= math.factorial(m) * math.factorial(n)
+    return poly * scale
 
 
 def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
@@ -375,17 +321,12 @@ def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
     return float(out) if np.ndim(g) == 0 else out
 
 
-@lru_cache(maxsize=None)
-def _weight_denominator(spec: XmFamilySpec) -> Polynomial:
-    return _laguerre_or_zero(spec.m, _exact_scalar(spec.alpha) - 1).reflected().as_float()
-
-
 def xm_weight(spec: XmFamilySpec, g):
     """Orthogonality weight g^alpha * e^(-g) / L_m^(alpha-1)(-g)^2 at g > 0."""
     garr = np.asarray(g, dtype=float)
     if np.any(garr <= 0):
         raise ValueError("weight is defined for g > 0 only")
-    denom = eval_poly(_weight_denominator(spec), garr)
+    denom = eval_poly(laguerre_data(spec.m, spec.alpha).h, garr)
     out = garr ** float(spec.alpha) * np.exp(-garr) / denom ** 2
     return float(out) if np.isscalar(g) else out
 
@@ -404,7 +345,7 @@ def xm_inner_product(nu1: int, nu2: int, spec: XmFamilySpec) -> float:
         raise ValueError("both degrees must be >= m")
     p1 = xm_laguerre(nu1, spec).as_float()
     p2 = p1 if nu2 == nu1 else xm_laguerre(nu2, spec).as_float()
-    denom = _weight_denominator(spec)
+    denom = laguerre_data(spec.m, spec.alpha).h
     alpha = float(spec.alpha)
 
     def integrand(t):

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .models import (Case1Params, Case2Params, ModelKind, laguerre_data,
+from .models import (Case1Params, Case2Params, ModelKind, _ret, _scalar_in,
                      mass, susy_constant, v_eff, wavefunction)
-from .orthopoly import eval_poly
+from .orthopoly import eval_poly, laguerre_data
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,6 @@ def partner_model(model: ModelKind) -> PartnerModel:
     comparison = replace(comparison, vc=susy_constant(comparison) + offset)
     shift = model.b * model.b if isinstance(model, Case1Params) else Fraction(1)
     return PartnerModel(base=model, comparison=comparison, r_shift=shift)
-
-
-def _scalar_in(x) -> bool:
-    return np.ndim(x) == 0
-
-
-def _ret(x, out):
-    return float(out) if _scalar_in(x) else out
 
 
 def _ratio_s(model: ModelKind, g):

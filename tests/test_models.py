@@ -2,9 +2,10 @@
 
 Frozen expected values come from direct substitution into the closed forms
 (energies, small-x limits, the m=1 potential) and from the classical
-normalization integral evaluated in the g variable.  The exact nullspace
-construction of the X_m polynomials and an adaptive-quadrature normalizer
-serve as independent references for the closed-form bound states.
+normalization integral evaluated in the g variable.  The X_m polynomials
+as the ODE's unique solution (the nullspace oracle of test_orthopoly) and
+an adaptive-quadrature normalizer serve as independent references for the
+closed-form bound states.
 """
 import math
 from fractions import Fraction
@@ -21,6 +22,7 @@ from pdmlag.models import (Case1Params, Case2Params, default_domain,
 from pdmlag.orthopoly import (XmFamilySpec, classical_laguerre, eval_poly,
                               eval_xm_laguerre, xm_laguerre)
 from pdmlag.solver import Grid, quadrature
+from test_orthopoly import xm_nullspace_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +203,9 @@ def test_case2_wavefunction_domain():
 def _quad_norm_constant(model, n: int) -> float:
     """Reference normalizer of the monic-scale state, by adaptive quadrature.
 
-    Independent of the closed form: the polynomial comes from the exact
-    nullspace construction, and the norm from adaptive quadrature over the
+    Independent of the closed-form constant: the polynomial is the exact
+    monic X_m member (``xm_laguerre``, checked against the nullspace oracle
+    in test_orthopoly), and the norm comes from adaptive quadrature over the
     certified domain padded by half again, so the discarded tail mass is far
     below the quadrature tolerance.
     """
@@ -257,7 +260,7 @@ def test_product_form_is_the_standard_xm_polynomial(m, alpha):
         if n > 0:
             prod = prod + (classical_laguerre(m, alpha - 1).reflected()
                            * classical_laguerre(n - 1, alpha))
-        expected = xm_laguerre(n + m, XmFamilySpec(m, alpha, "standard"))
+        expected = xm_nullspace_oracle(n + m, XmFamilySpec(m, alpha, "standard"))
         assert ((-1) ** n * prod).coeffs == expected.coeffs, n
 
 

@@ -1,20 +1,26 @@
 """Tests for classical and exceptional (X_m) Laguerre polynomials.
 
-The independent oracle for the X_m family is the factored product form
-L_m^(a)(-x) L_n^(a-1)(x) + L_m^(a-1)(-x) L_{n-1}^(a)(x)  (n = nu - m,
-L_{-1} = 0), built here from the classical recurrence in exact rational
-arithmetic and compared coefficient-by-coefficient.
+The independent oracle for the X_m family is the uniqueness of its ODE
+solution: the degree-nu member spans the one-dimensional nullspace of the
+denominator-cleared ODE operator acting on polynomials of degree <= nu.
+That nullspace is found here by Gauss-Jordan elimination in Fractions and
+compared coefficient-by-coefficient with the product form the package
+builds.
 """
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _eval_genlaguerre,
-                              classical_laguerre, eval_poly, xm_inner_product,
-                              xm_laguerre, xm_ode_residual, xm_weight)
+                              classical_laguerre, eval_poly, eval_xm_laguerre,
+                              xm_inner_product, xm_laguerre, xm_ode_residual,
+                              xm_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +82,80 @@ def test_polynomial_algebra():
 # ---------------------------------------------------------------------------
 # X_m construction
 
+def _fraction_nullspace(rows: list, ncols: int) -> list:
+    """Nullspace basis of a matrix of Fractions (rows of length ncols)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -mat[pr][fc]
+        basis.append(vec)
+    return basis
+
+
+def _ode_matrix(nu: int, spec: XmFamilySpec) -> list:
+    """Rows of the ODE operator with parameter nu on the monomials 1..g^nu."""
+    nrows = nu + spec.m + 1
+    cols = []
+    for j in range(nu + 1):
+        image = xm_ode_residual(Polynomial((0,) * j + (1,)), nu, spec)
+        cols.append(list(image.coeffs) + [Fraction(0)] * (nrows - len(image.coeffs)))
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
+@lru_cache(maxsize=None)
+def _xm_nullspace(nu: int, m: int, alpha: Fraction) -> list:
+    return _fraction_nullspace(_ode_matrix(nu, XmFamilySpec(m, alpha)), nu + 1)
+
+
+def xm_nullspace_oracle(nu: int, spec: XmFamilySpec) -> Polynomial:
+    """The degree-nu X_m member as the ODE's unique polynomial solution.
+
+    Asserts that the nullspace is one-dimensional and its polynomial has
+    degree nu, then scales it to the leading coefficient of
+    ``spec.convention``: 1 (monic) or 1/(m! n!) (standard).
+    """
+    null = _xm_nullspace(nu, spec.m, spec.alpha)
+    assert len(null) == 1, f"nullspace dimension {len(null)} at nu={nu}, {spec}"
+    poly = Polynomial(tuple(null[0]))
+    assert poly.degree == nu, f"nullspace degree {poly.degree} at nu={nu}, {spec}"
+    lead = Fraction(1)
+    if spec.convention == "standard":
+        lead = Fraction(1, math.factorial(spec.m) * math.factorial(nu - spec.m))
+    return poly * (lead / poly.coeffs[-1])
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3, 2), Fraction(7, 3),
+                                   Fraction(19, 7)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_xm_laguerre_equals_nullspace_oracle(m, alpha):
+    for convention in ("monic", "standard"):
+        spec = XmFamilySpec(m, alpha, convention)
+        for nu in range(m, m + 9):
+            assert xm_laguerre(nu, spec).coeffs == xm_nullspace_oracle(nu, spec).coeffs, \
+                f"nu={nu}, {spec}"
+
+
 def test_xm_lowest_member_is_monic_shift():
     # nu = m member, monic scale: x + alpha + 1 for m = 1
     p = xm_laguerre(1, XmFamilySpec(1, Fraction(2)))
@@ -107,7 +187,7 @@ def test_xm_matches_product_form_exactly(m):
     spec = XmFamilySpec(m, alpha, convention="standard")
     for nu in range(m, m + 5):
         n = nu - m
-        built = xm_laguerre(nu, spec)
+        built = xm_nullspace_oracle(nu, spec)
         oracle = _product_form(nu, m, alpha)
         if n % 2 == 1:
             oracle = -1 * oracle
@@ -145,9 +225,10 @@ def test_xm_ode_residual_detects_wrong_polynomial():
     assert not res.is_zero
 
 
-def test_xm_float_alpha_falls_back_to_svd():
-    # a float alpha that is not an exact dyadic of small denominator takes
-    # the floating-point nullspace path; result must track the exact one
+def test_xm_float_alpha_is_built_exactly():
+    # a float alpha that is not a dyadic of small denominator is taken at its
+    # exact binary value, so the member is exact and its residual is zero;
+    # it still tracks the alpha = 2 member
     spec = XmFamilySpec(2, 2.0 + 1e-7)
     p = xm_laguerre(4, spec)
     exact = xm_laguerre(4, XmFamilySpec(2, Fraction(2)))
@@ -157,6 +238,45 @@ def test_xm_float_alpha_falls_back_to_svd():
     res = xm_ode_residual(p, 4, spec)
     worst = max((abs(float(c)) for c in res.coeffs), default=0.0)
     assert worst < 1e-8
+
+
+def test_xm_spec_stores_alpha_exactly():
+    assert XmFamilySpec(2, 2.5).alpha == Fraction(5, 2)
+    assert XmFamilySpec(2, 3).alpha == Fraction(3)
+    assert XmFamilySpec(2, 2.0 + 1e-7).alpha == Fraction(2.0 + 1e-7)
+    assert isinstance(XmFamilySpec(2, 3).alpha, Fraction)
+    with pytest.raises(TypeError):
+        XmFamilySpec(2, "7/3")
+
+
+@st.composite
+def _xm_members(draw):
+    """(nu, spec) with m <= 6, n <= 12 and non-dyadic alpha = p/q, q <= 9."""
+    q = draw(st.integers(3, 9))
+    # 1 < alpha <= 6, and a denominator that is not a power of two in lowest
+    # terms, so alpha has no exact binary float
+    alpha = draw(st.integers(q + 1, 6 * q).map(lambda p: Fraction(p, q)).filter(
+        lambda a: a.denominator & (a.denominator - 1) != 0))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 12))
+    spec = XmFamilySpec(m, alpha, draw(st.sampled_from(["monic", "standard"])))
+    return m + n, spec
+
+
+@settings(max_examples=300)
+@given(_xm_members())
+def test_xm_members_are_exact_ode_solutions(member):
+    nu, spec = member
+    p = xm_laguerre(nu, spec)
+    assert xm_ode_residual(p, nu, spec).is_zero
+    assert p.degree == nu
+    n = nu - spec.m
+    lead = 1 if spec.convention == "monic" else Fraction(
+        1, math.factorial(spec.m) * math.factorial(n))
+    assert p.coeffs[-1] == lead
+    for g in (Fraction(1, 2), Fraction(5), Fraction(20)):
+        want = float(eval_poly(p, g))
+        assert eval_xm_laguerre(nu, spec, float(g)) == pytest.approx(want, rel=1e-12), g
 
 
 # ---------------------------------------------------------------------------
