@@ -5,6 +5,15 @@ Subcommands: ``spectrum`` (analytic vs numeric eigenvalues), ``profile``
 meshes), and ``verify`` (the full invariant battery as a JSON report).
 Numbers are printed with 17 significant digits so identical configurations
 yield byte-identical files.
+
+Table data is formatted a column at a time by `emit.format_column`, which
+gives exactly the bytes of ``'%.17g' % x`` from vectorised integer digits
+and hands the rare values it cannot decide (near-ties, subnormals, the ends
+of the float range) to ``'%.17g'`` itself.  Every column is checked for NaN
+and infinity before the first byte is written; the table is then streamed
+to its destination in chunks of at most `_CHUNK_ROWS` rows, so it is never
+built whole.  Metadata and the `verify` report go through `_fmt` and
+`_json_value`.
 """
 from __future__ import annotations
 
@@ -16,12 +25,12 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, emit
 from .models import (Case1Params, Case2Params, ModelKind, default_domain,
                      energy, energy_fraction, mass, pct_master_residual,
                      susy_constant, v_eff, v_eff_m1_closed_form, wavefunction)
@@ -128,11 +137,16 @@ def _coerce(key: str, value):
         if key in _INT_KEYS:
             return int(value)
         if key in _FRACTION_KEYS:
-            return Fraction(str(value))
+            frac = Fraction(str(value))
+            float(frac)                     # OverflowError beyond ~1.8e308
+            return frac
         if key in _FLOAT_KEYS:
             return float(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid value for {key}: {value!r} ({exc})") from None
+    except OverflowError:
+        raise ValueError(f"invalid value for {key}: {value!r} "
+                         "(too large for a float)") from None
     if key == "format":
         value = str(value)
         if value not in ("csv", "json"):
@@ -218,31 +232,62 @@ def _metadata(command: str, cfg: RunConfig, model: ModelKind,
     return md
 
 
-def _fmt_column(values: np.ndarray) -> list:
-    """One float data column as `%.17g` strings; NaN or infinity is refused."""
-    if not np.isfinite(values).all():
+def _check_finite(*arrays) -> None:
+    """Refuse NaN or infinity anywhere in the data, before any output."""
+    if not all(np.isfinite(a).all() for a in arrays):
         raise RuntimeError("non-finite value in output")
-    return list(map("%.17g".__mod__, values.tolist()))
 
 
-def _render_table(cfg: RunConfig, metadata: dict, columns: list,
-                  cells: list) -> str:
-    """Emit a table given as one list of formatted strings per column.
+def _fmt_column(values: np.ndarray) -> np.ndarray:
+    """One data column as NUL-padded ASCII slots: `str` of an integer,
+    `'%.17g'` of a float (see `emit`)."""
+    if values.dtype.kind == "i":
+        return values.astype("S").view(np.uint8).reshape(len(values), -1)
+    return emit.format_column(values)
 
-    The JSON layout is the one `_json_value` gives a
-    {"metadata", "columns", "data"} document with one flat list per row.
+
+def _column_cells(data: list):
+    """Row-range formatter over whole columns; a non-finite value is
+    refused now, not when its chunk is written."""
+    _check_finite(*data)
+    return lambda start, stop: [_fmt_column(c[start:stop]) for c in data]
+
+
+_CHUNK_ROWS = 8192
+
+
+def _render_table(cfg: RunConfig, metadata: dict, columns: list, nrows: int,
+                  cells) -> Iterator[str]:
+    """Yield the table as text, at most `_CHUNK_ROWS` data rows per chunk.
+
+    `cells(start, stop)` gives rows [start, stop) as one slot array per
+    column (`_fmt_column`); each chunk is joined by `emit.join_rows`, so
+    the whole table never exists at once.  The JSON layout is the one
+    `_json_value` gives a {"metadata", "columns", "data"} document with one
+    flat list per row.
     """
-    rows = zip(*cells)
-    if cfg.format == "json":
-        data = "],\n    [".join(map(", ".join, rows))
-        return ("{\n"
-                f'  "metadata": {_json_value(metadata, 1)},\n'
-                f'  "columns": {_json_value(columns, 1)},\n'
-                f'  "data": [\n    [{data}]\n  ]\n'
-                "}\n")
-    lines = [",".join(columns)]
-    lines.extend(map(",".join, rows))
-    return "\n".join(lines) + "\n"
+    json_format = cfg.format == "json"
+    if json_format:
+        yield ("{\n"
+               f'  "metadata": {_json_value(metadata, 1)},\n'
+               f'  "columns": {_json_value(columns, 1)},\n'
+               '  "data": [\n')
+        head, sep, tail = [b"    ["], b", ", b"],\n"
+    else:
+        yield ",".join(columns) + "\n"
+        head, sep, tail = [], b",", b"\n"
+    for start in range(0, nrows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, nrows)
+        parts = list(head)
+        for slots in cells(start, stop):
+            parts += [slots, sep]
+        parts[-1] = tail
+        text = emit.join_rows(parts).decode("ascii")
+        if json_format and stop == nrows:
+            text = text[:-2] + "\n"        # no comma after the last row
+        yield text
+    if json_format:
+        yield "  ]\n}\n"
 
 
 def _output_path(cfg: RunConfig) -> Optional[str]:
@@ -255,16 +300,17 @@ def _output_path(cfg: RunConfig) -> Optional[str]:
     return path
 
 
-def _write_output(cfg: RunConfig, text: str) -> None:
+def _write_output(cfg: RunConfig, chunks: Iterable[str]) -> None:
+    """Write the text chunks in order to --out or stdout."""
     path = _output_path(cfg)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +326,7 @@ def _spectrum_grid(cfg: RunConfig, model: ModelKind, k: int) -> Grid:
     return Grid(lo, hi, npoints)
 
 
-def cmd_spectrum(cfg: RunConfig) -> str:
+def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
     model = cfg.model()
     k = cfg.nmax + 1
     grid = _spectrum_grid(cfg, model, k)
@@ -290,10 +336,9 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     rel_err = np.divide(abs_err, np.abs(exact), out=abs_err.copy(),
                         where=exact != 0.0)
     columns = ["n", "E_analytic", "E_numeric", "abs_err", "rel_err"]
-    cells = [list(map(str, range(k)))]
-    cells += [_fmt_column(c) for c in (exact, numeric, abs_err, rel_err)]
+    cells = _column_cells([np.arange(k), exact, numeric, abs_err, rel_err])
     return _render_table(cfg, _metadata("spectrum", cfg, model, grid),
-                         columns, cells)
+                         columns, k, cells)
 
 
 def _profile_grid(cfg: RunConfig, model: ModelKind) -> Grid:
@@ -308,7 +353,7 @@ def _profile_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     return Grid(lo, hi, npoints)
 
 
-def cmd_profile(cfg: RunConfig) -> str:
+def cmd_profile(cfg: RunConfig) -> Iterator[str]:
     model = cfg.model()
     grid = _profile_grid(cfg, model)
     xs = grid.xs()
@@ -316,7 +361,7 @@ def cmd_profile(cfg: RunConfig) -> str:
     data += [wavefunction(model, n, xs) ** 2 for n in range(3)]
     columns = ["x", "M", "V_eff", "psi0_sq", "psi1_sq", "psi2_sq"]
     return _render_table(cfg, _metadata("profile", cfg, model, grid),
-                         columns, [_fmt_column(c) for c in data])
+                         columns, grid.npoints, _column_cells(data))
 
 
 def _density2d_grid(cfg: RunConfig, model: ModelKind) -> Grid:
@@ -330,7 +375,7 @@ def _density2d_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     return Grid(lo, hi, npoints)
 
 
-def cmd_density2d(cfg: RunConfig) -> str:
+def cmd_density2d(cfg: RunConfig) -> Iterator[str]:
     model = cfg.model()
     if not isinstance(model, Case2Params):
         raise ValueError("density2d supports Case 2 only "
@@ -339,15 +384,20 @@ def cmd_density2d(cfg: RunConfig) -> str:
     xs = grid.xs()
     px = wavefunction(model, cfg.n1, xs) ** 2
     py = wavefunction(model, cfg.n2, xs) ** 2
-    # row i * npoints + j is (x_i, x_j, px[i] * py[j]); x is formatted once
-    xcol = _fmt_column(xs)
-    cells = [[x for x in xcol for _ in range(grid.npoints)],
-             xcol * grid.npoints,
-             _fmt_column(np.outer(px, py).ravel())]
+    # px, py >= 0, so every product px[i] * py[j] is finite iff the largest is
+    _check_finite(xs, px, py, px.max() * py.max())
+    npoints = grid.npoints
+    xcol = _fmt_column(xs)                  # x is formatted once
+
+    def cells(start, stop):
+        # row i * npoints + j is (x_i, x_j, px[i] * py[j])
+        i, j = np.divmod(np.arange(start, stop), npoints)
+        return [xcol[i], xcol[j], _fmt_column(px[i] * py[j])]
+
     md = _metadata("density2d", cfg, model, grid)
     md["parameters"]["n1"] = cfg.n1
     md["parameters"]["n2"] = cfg.n2
-    return _render_table(cfg, md, ["x", "y", "rho"], cells)
+    return _render_table(cfg, md, ["x", "y", "rho"], npoints ** 2, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -769,16 +819,17 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         if args.command == "spectrum":
-            text = cmd_spectrum(cfg)
+            chunks = cmd_spectrum(cfg)
         elif args.command == "profile":
-            text = cmd_profile(cfg)
+            chunks = cmd_profile(cfg)
         elif args.command == "density2d":
-            text = cmd_density2d(cfg)
+            chunks = cmd_density2d(cfg)
         else:
             text, ok = cmd_verify(cfg)
+            chunks = [text]
             status = 0 if ok else 2
         try:
-            _write_output(cfg, text)
+            _write_output(cfg, chunks)
         except OSError as exc:
             print(f"error: cannot write {_output_path(cfg) or 'stdout'}: {exc}",
                   file=sys.stderr)

@@ -219,7 +219,10 @@ def energy_fraction(model: ModelKind, n: int) -> Fraction:
 
 def energy(model: ModelKind, n: int) -> float:
     """Analytic eigenvalue E_n (equispaced: b^2 steps for Case 1, 1 for Case 2)."""
-    return float(energy_fraction(model, n))
+    try:
+        return float(energy_fraction(model, n))
+    except OverflowError:
+        raise ValueError(f"E_{n} is too large for a float") from None
 
 
 def level_spacing(model: ModelKind) -> float:

@@ -3,8 +3,10 @@
 All invocations go through ``main(argv)`` directly so exit codes, stdout,
 stderr, and file outputs are exercised exactly as a shell user sees them.
 """
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +97,23 @@ def test_invalid_alpha_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "alpha must be > 1" in err
+
+
+@pytest.mark.parametrize("command", ["profile", "spectrum"])
+@pytest.mark.parametrize("key", ["alpha", "b", "vc"])
+def test_parameter_beyond_float_range_exits_one(capsys, command, key):
+    code, out, err = _run(capsys, [command, "--case", "1", f"--{key}", "1e400"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: invalid value for {key}: '1e400' (too large for a float)\n"
+
+
+def test_energy_beyond_float_range_exits_one(capsys):
+    # b is a float, but E_n = b^2 (n + ...) is not
+    code, out, err = _run(capsys, ["profile", "--case", "1", "--b", "1e200"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: E_3 is too large for a float\n"
 
 
 def test_vc_and_preset_conflict(tmp_path, capsys):
@@ -412,8 +431,12 @@ _CASE2 = ["--case", "2", "--eta", "1", "--m", "2"]
     ["profile"] + _CASE1 + ["--npoints", "301"],
     ["profile"] + _CASE2 + ["--npoints", "301"],
     ["density2d"] + _CASE2 + ["--n1", "1", "--n2", "2", "--npoints", "41"],
+    # 10201 and 20001 rows: more than one chunk of _CHUNK_ROWS
+    ["density2d"] + _CASE2 + ["--n1", "1", "--n2", "2", "--npoints", "101"],
+    ["profile"] + _CASE1 + ["--npoints", "20001"],
 ], ids=["spectrum-case1", "spectrum-case2", "spectrum-susy-zero",
-        "profile-case1", "profile-case2", "density2d-case2"])
+        "profile-case1", "profile-case2", "density2d-case2",
+        "density2d-chunks", "profile-chunks"])
 def test_emission_matches_row_reference(capsys, argv, fmt):
     argv = argv + ["--format", fmt]
     code, out, err = _run(capsys, argv)
@@ -421,11 +444,22 @@ def test_emission_matches_row_reference(capsys, argv, fmt):
     assert out == _reference_output(argv)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_text_only_stdout_matches_out_file(tmp_path, capsys, monkeypatch, fmt):
+    argv = (["density2d"] + _CASE2
+            + ["--n1", "1", "--n2", "2", "--npoints", "101", "--format", fmt])
+    assert main(argv + ["--out", str(tmp_path / "mesh")]) == 0
+    stdout = io.StringIO()                  # no .buffer: text writes only
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.getvalue() == (tmp_path / "mesh").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv", [
     ["profile"] + _CASE2 + ["--npoints", "101"],
     ["density2d"] + _CASE2 + ["--npoints", "21", "--format", "json"],
 ])
-def test_non_finite_data_exits_three(capsys, monkeypatch, argv):
+def test_non_finite_data_exits_three(tmp_path, capsys, monkeypatch, argv):
     def poisoned(model, n, x):
         psi = wavefunction(model, n, x)
         psi[len(psi) // 2] = np.nan
@@ -435,3 +469,9 @@ def test_non_finite_data_exits_three(capsys, monkeypatch, argv):
     assert code == 3
     assert out == ""
     assert err == "error: non-finite value in output\n"
+    # with --out the refusal comes before the file is opened
+    path = tmp_path / "data.txt"
+    code, out, err = _run(capsys, argv + ["--out", str(path)])
+    assert code == 3
+    assert err == "error: non-finite value in output\n"
+    assert not path.exists()
