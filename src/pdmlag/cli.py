@@ -9,11 +9,11 @@ yield byte-identical files.
 Table data is formatted a column at a time by `emit.format_column`, which
 gives exactly the bytes of ``'%.17g' % x`` from vectorised integer digits
 and hands the rare values it cannot decide (near-ties, subnormals, the ends
-of the float range) to ``'%.17g'`` itself.  Every column is checked for NaN
-and infinity before the first byte is written; the table is then streamed
-to its destination in chunks of at most `_CHUNK_ROWS` rows, so it is never
-built whole.  Metadata and the `verify` report go through `_fmt` and
-`_json_value`.
+of the float range), and short columns whole, to ``'%.17g'`` itself.  Every
+column is checked for NaN and infinity before the first byte is written;
+the table is then streamed to its destination in chunks of at most
+`_CHUNK_ROWS` rows, so it is never built whole.  Metadata and the `verify`
+report go through `_fmt` and `_json_value`.
 """
 from __future__ import annotations
 
@@ -788,6 +788,26 @@ def _add_common(sub: argparse.ArgumentParser, with_model: bool = True) -> None:
                      help="number of grid points")
 
 
+_DATA_COMMANDS = {"spectrum": cmd_spectrum, "profile": cmd_profile,
+                  "density2d": cmd_density2d}
+
+
+def _build_table(command: str, cfg: RunConfig) -> Iterator[str]:
+    """Compute a data command's table, to be streamed by `_write_output`.
+
+    A floating-point overflow, invalid operation or division by zero while
+    the data is computed means the parameters or grid take the model out of
+    the range of doubles; it is refused as invalid input (ValueError, exit
+    1) before any numpy warning is printed.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _DATA_COMMANDS[command](cfg)
+    except FloatingPointError as exc:
+        raise ValueError(f"the model leaves double precision at these "
+                         f"parameters and grid ({exc})") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdmlag",
@@ -818,16 +838,12 @@ def main(argv=None) -> int:
     status = 0
     try:
         cfg = _resolve_config(args)
-        if args.command == "spectrum":
-            chunks = cmd_spectrum(cfg)
-        elif args.command == "profile":
-            chunks = cmd_profile(cfg)
-        elif args.command == "density2d":
-            chunks = cmd_density2d(cfg)
-        else:
+        if args.command == "verify":
             text, ok = cmd_verify(cfg)
             chunks = [text]
             status = 0 if ok else 2
+        else:
+            chunks = _build_table(args.command, cfg)
         try:
             _write_output(cfg, chunks)
         except OSError as exc:

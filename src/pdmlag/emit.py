@@ -22,6 +22,11 @@ carry into an 18th digit), every non-zero value outside [1e-280, 1e290]
 (subnormals and the ends of the range, where 10**p or the Dekker split would
 leave the normal range) and every non-finite one.
 
+*Short columns.*  The vectorised path costs about 80 us per call whatever
+the length, and ``'%.17g'`` about 1 us per value, so a column of at most
+`_SHORT` values (the crossover measured near 150) is formatted by ``'%.17g'``
+value by value into the same slots.  The route depends on the length alone.
+
 *Layout* follows ``%g``: fixed notation iff -4 <= X < 17, trailing zeros and
 a bare point stripped, and an exponent with a sign and at least two digits.
 Each value's bytes are gathered from a 28-byte source row (its 17 digits,
@@ -45,6 +50,7 @@ _TINY, _HUGE = 1e-280, 1e290   # |x| outside this range takes the fallback
 _TIE = 1e-6                    # fractions within this of 1/2 take the fallback
 _SPLIT = 134217729.0           # 2**27 + 1, Dekker's splitting constant
 _E16, _E17 = 10 ** 16, 10 ** 17
+_SHORT = 128                   # columns up to this length skip vectorising
 
 WIDTH = 24   # the longest output is "-d." + 16 digits + "e-ddd"
 
@@ -132,6 +138,9 @@ def format_column(values) -> np.ndarray:
     """``'%.17g'`` of each value as a (len, WIDTH) uint8 array, NUL-padded."""
     x = np.asarray(values, dtype=np.float64).ravel()
     n = len(x)
+    if n <= _SHORT:
+        texts = [("%.17g" % v).encode("ascii") for v in x.tolist()]
+        return np.array(texts, dtype=f"S{WIDTH}").view(np.uint8).reshape(n, WIDTH)
     a = np.abs(x)
     fast = (a >= _TINY) & (a <= _HUGE)
     a = np.where(fast, a, 1.0)              # placeholders are overwritten below

@@ -353,14 +353,16 @@ def default_domain(model: ModelKind, n_max: int) -> tuple:
 
     Endpoints are pushed outward until V_eff there exceeds
     E(n_max) + 25 * (level spacing); Case 2 is truncated to [0, hi] (the
-    half-line origin is kept as a Dirichlet endpoint).
+    half-line origin is kept as a Dirichlet endpoint).  A barrier that
+    stays below the threshold out to |x| = 1e6 raises ValueError.
     """
     thr = energy(model, n_max) + 25.0 * level_spacing(model)
     hi = 1.0
     while v_eff(model, hi) <= thr:
         hi *= 2.0
         if hi > 1e6:
-            raise RuntimeError("domain expansion failed on the right")
+            raise ValueError("domain expansion failed on the right: V_eff stays "
+                             "below the level threshold out to x = 1e6")
     if isinstance(model, Case2Params):
         return 0.0, hi
     # The right tail of Case 1 decays only like exp(-(alpha+1) b x) (the
@@ -374,5 +376,6 @@ def default_domain(model: ModelKind, n_max: int) -> tuple:
     while v_eff(model, lo) <= thr:
         lo *= 2.0
         if lo < -1e6:
-            raise RuntimeError("domain expansion failed on the left")
+            raise ValueError("domain expansion failed on the left: V_eff stays "
+                             "below the level threshold out to x = -1e6")
     return lo, hi

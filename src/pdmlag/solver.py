@@ -9,11 +9,22 @@ from scipy.linalg, which is imported on the first solve, so building grids and
 operators or integrating on a grid loads no scipy submodule.  Everything here
 is independent of the closed-form machinery so it can serve as an oracle for
 it.
+
+Large grids are warm-started.  When an operator built by `discretize` has at
+least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
+same problem is first solved on the coarse grids `_COARSE_POINTS` over the
+same interval; Richardson extrapolation of their h^2 error predicts each
+fine-grid level, and bisection then runs only inside a window around each
+prediction.  Sturm counts certify that window j holds exactly level j, so a
+warm value carries the plain path's guarantee: the midpoint of a bisection
+interval no wider than `_BISECT_TOL` that holds the eigenvalue.  It differs
+from the plain path's value by at most that width.  Whatever cannot be
+certified falls back to plain index bisection, with the plain path's errors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +34,19 @@ from .models import Case2Params, ModelKind, default_domain, mass, v_eff
 # LAPACK fall back to a norm-relative tolerance, which is useless when the
 # x^(-l) barrier puts ~1e20 on the diagonal but the physics lives at O(1).
 _BISECT_TOL = 1e-12
+
+# Warm start (see `_bisect_lowest`).  Measured against the plain path, it
+# breaks even at about 16001 points for 10 levels and at about 32009 points
+# for 40 levels; grids of 12001 points or fewer, which are all that `verify`
+# and the CLI defaults use, keep the plain path.
+_WARM_MIN = 32009
+_COARSE_POINTS = (1001, 2001, 4001)
+_WARM_MAX_K = _COARSE_POINTS[0] - 2
+# Relative floor of a window's half-width, and how a window that holds no
+# value is widened: by this factor, at most `_WIDENINGS` times.
+_WINDOW_FLOOR = 1e-9
+_WIDEN = 100.0
+_WIDENINGS = 2
 
 
 @dataclass(frozen=True)
@@ -61,6 +85,10 @@ class DiscretizedOperator:
     diag: np.ndarray
     offdiag: np.ndarray
     grid: Optional[Grid] = None
+    # (massfn, potfn) when built by `discretize`; they let the solver
+    # rediscretize the same problem on coarse grids (the warm start)
+    coefficients: Optional[Tuple[Callable, Callable]] = field(default=None,
+                                                              repr=False)
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=float)
@@ -121,20 +149,143 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
     a = 1.0 / mvals
     diag = (a[:-1] + a[1:]) / h ** 2 + vvals
     offdiag = -a[1:-1] / h ** 2
-    return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid)
+    return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid,
+                               coefficients=(massfn, potfn))
+
+
+def _index_bisect(op: DiscretizedOperator, k: int, eigvals_only: bool):
+    """The plain path: LAPACK index bisection for levels 0..k-1 (plus
+    inverse-iteration vectors if asked)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=eigvals_only,
+                            select="i", select_range=(0, k - 1),
+                            tol=_BISECT_TOL)
+
+
+def _predicted_windows(op: DiscretizedOperator, k: int):
+    """Centres and half-widths of k windows, each predicted to hold one of
+    the fine grid's lowest k eigenvalues.
+
+    The levels on the grids `_COARSE_POINTS` are fitted to E(h) = E* + c h^2
+    pairwise and extrapolated to the fine spacing; the finer pair gives the
+    centre, and four times the pairs' disagreement (at least `_WINDOW_FLOOR`
+    relative) the half-width.
+    """
+    massfn, potfn = op.coefficients
+    grid = op.grid
+    h2, levels = [], []
+    for npoints in _COARSE_POINTS:
+        coarse = Grid(grid.lo, grid.hi, npoints)
+        levels.append(_index_bisect(discretize(massfn, potfn, coarse), k, True))
+        h2.append(coarse.h ** 2)
+    pred = [levels[i + 1] + (levels[i] - levels[i + 1]) / (h2[i] - h2[i + 1])
+            * (grid.h ** 2 - h2[i + 1]) for i in (0, 1)]
+    half = np.maximum(4.0 * np.abs(pred[0] - pred[1]),
+                      _WINDOW_FLOOR * np.maximum(1.0, np.abs(pred[1])))
+    return pred[1], half
+
+
+def _warm_values(op: DiscretizedOperator, k: int):
+    """The lowest k eigenvalues bisected inside predicted windows, with the
+    block index of each and the block splitting `stein` needs.
+
+    Returns None when a coarse grid fails or the windows cannot be
+    certified: each must hold exactly one value (an empty one is widened),
+    they must be disjoint and ascending, and exactly k eigenvalues may lie
+    between the Gershgorin lower bound and the top of the last window.
+    Callers ignore floating-point errors here: an overflow shows as a
+    non-finite window or bound, which is refused.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    try:
+        centre, half = _predicted_windows(op, k)
+    except (ValueError, ArithmeticError, RuntimeError):
+        return None
+    if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(half))):
+        return None
+    d, e = op.diag, op.offdiag
+    # stebz(d, e, 1, vl, vu, ...) bisects the eigenvalues in (vl, vu] (LAPACK
+    # RANGE='V'; il and iu are unused) and returns how many there are
+    stebz, = get_lapack_funcs(("stebz",), (d, e))
+    vals = np.empty(k)
+    blocks = np.empty(k, dtype=np.int32)
+    for j in range(k):
+        for _ in range(_WIDENINGS + 1):
+            m, w, iblock, isplit, info = stebz(
+                d, e, 1, centre[j] - half[j], centre[j] + half[j], 1, 1,
+                _BISECT_TOL, "E")
+            if info or m:
+                break
+            half[j] *= _WIDEN
+        if info or m != 1:
+            return None
+        vals[j], blocks[j] = w[0], iblock[0]
+    lower, upper = centre - half, centre + half
+    if np.any(upper[:-1] > lower[1:]):
+        return None
+    # Gershgorin: no eigenvalue lies below min(d) - 2 max|e|, less a margin
+    # for rounding
+    dmin, emax = float(d.min()), max(float(e.max()), -float(e.min()))
+    eps = np.finfo(float).eps
+    floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
+    if not np.isfinite(floor):
+        return None
+    m, _, _, _, info = stebz(d, e, 1, floor, upper[-1], 1, 1, np.inf, "E")
+    if info or m != k:
+        return None
+    return vals, blocks, isplit
+
+
+def _inverse_iteration(op: DiscretizedOperator, vals: np.ndarray,
+                       blocks: np.ndarray, isplit: np.ndarray) -> np.ndarray:
+    """Eigenvectors for ascending `vals` by one `stein` call, which takes
+    them grouped by block (the order `eigh_tridiagonal` hands it)."""
+    from scipy.linalg import get_lapack_funcs
+
+    stein, = get_lapack_funcs(("stein",), (op.diag, op.offdiag))
+    order = np.argsort(blocks, kind="stable")
+    iblock = np.zeros(op.size, dtype=blocks.dtype)   # stein takes length n
+    iblock[:order.size] = blocks[order]
+    v, info = stein(op.diag, op.offdiag, vals[order], iblock, isplit)
+    if info:
+        raise RuntimeError(f"tridiagonal eigensolve failed: inverse iteration "
+                           f"returned info={info}")
+    vecs = np.empty_like(v)
+    vecs[:, order] = v
+    return vecs
 
 
 def _bisect_lowest(op: DiscretizedOperator, k: int, eigvals_only: bool):
-    """LAPACK bisection for the lowest k eigenvalues (plus vectors if asked)."""
-    from scipy.linalg import eigh_tridiagonal
+    """Lowest k eigenvalues by LAPACK bisection (plus vectors if asked).
 
+    The plain path bisects levels 0..k-1 by index over the whole spectrum.
+    An operator from `discretize` on at least `_WARM_MIN` points, asked for
+    at most `_WARM_MAX_K` levels, is warm-started instead: its values are
+    bisected to the same `_BISECT_TOL` inside windows predicted from the
+    coarse grids `_COARSE_POINTS` and certified by Sturm counts
+    (`_warm_values`), and its vectors come from one `stein` call on those
+    values, as `eigh_tridiagonal` makes it.  So `lowest_eigenvalues` and
+    `eigen_lowest` return the same values on either path.  A warm value
+    lies within `_BISECT_TOL` of the plain one; when the windows cannot be
+    certified, the plain path runs, and its results and errors are returned.
+    """
     n = op.size
     if not isinstance(k, int) or k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k!r}")
+    warm = None
+    if (op.coefficients is not None and op.grid is not None
+            and op.grid.npoints >= _WARM_MIN and k <= _WARM_MAX_K):
+        with np.errstate(all="ignore"):
+            warm = _warm_values(op, k)
     try:
-        out = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=eigvals_only,
-                               select="i", select_range=(0, k - 1),
-                               tol=_BISECT_TOL)
+        if warm is None:
+            out = _index_bisect(op, k, eigvals_only)
+        elif eigvals_only:
+            out = warm[0]
+        else:
+            out = warm[0], _inverse_iteration(op, *warm)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
     vals = out if eigvals_only else out[0]

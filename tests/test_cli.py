@@ -116,6 +116,21 @@ def test_energy_beyond_float_range_exits_one(capsys):
     assert err == "error: E_3 is too large for a float\n"
 
 
+@pytest.mark.filterwarnings("error")       # a numpy warning fails the test
+@pytest.mark.parametrize("key", ["alpha", "vc"])
+@pytest.mark.parametrize("command", ["spectrum", "profile", "density2d"])
+def test_large_finite_parameter_exits_one(tmp_path, capsys, command, key):
+    # 1e300 is a float, but the model overflows double precision
+    case = "2" if command == "density2d" else "1"
+    path = tmp_path / "data.csv"
+    code, out, err = _run(capsys, [command, "--case", case, f"--{key}", "1e300",
+                                   "--out", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert not path.exists()
+
+
 def test_vc_and_preset_conflict(tmp_path, capsys):
     # both flags at once are rejected by the parser itself
     with pytest.raises(SystemExit):

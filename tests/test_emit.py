@@ -42,6 +42,15 @@ def test_matches_percent_on_any_finite_floats(values):
     _assert_matches_percent(values)
 
 
+def test_matches_percent_on_either_side_of_the_short_column_cutoff():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -1e300, 1e-5, 1e16, 0.1, 123456789.0]
+    for n in range(emit._SHORT + 2):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        values[:len(special)] = special[:n]
+        _assert_matches_percent(values)
+
+
 def test_matches_percent_on_random_bit_patterns():
     rng = np.random.default_rng(20240517)
     values = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64,

@@ -2,8 +2,9 @@
 
 Importing the package, and emitting closed-form data (`profile`,
 `density2d`), loads none of them; the finite-difference solver loads
-scipy.linalg on its first solve.  Each case runs in a fresh interpreter,
-because this test process has imported all of scipy already.
+scipy.linalg on its first solve, on the plain and the warm-started path
+alike.  Each case runs in a fresh interpreter, because this test process
+has imported all of scipy already.
 """
 import json
 import os
@@ -57,7 +58,10 @@ def test_closed_form_commands_load_no_scipy_submodule(argv, tmp_path):
 
 
 def test_spectrum_loads_only_scipy_linalg(tmp_path):
-    codes, loaded = _run([["spectrum"] + _MODEL2 + ["--out", "spectrum.csv"]],
+    # the default grid takes plain bisection; 40001 points the warm start
+    codes, loaded = _run([["spectrum"] + _MODEL2 + ["--out", "spectrum.csv"],
+                          ["spectrum"] + _MODEL2 + ["--npoints", "40001",
+                                                    "--out", "fine.csv"]],
                          tmp_path)
-    assert codes == [0]
+    assert codes == [0, 0]
     assert loaded == {"scipy.linalg"}

@@ -10,7 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdmlag import solver
 from pdmlag.models import (Case1Params, Case2Params, default_domain, energy,
                            wavefunction)
 from pdmlag.solver import (DiscretizedOperator, Grid, _model_operator,
@@ -132,6 +135,132 @@ def test_lowest_eigenvalues_identical_on_models(model, npoints):
     k = 10
     lo, hi = default_domain(model, k - 1)
     _assert_values_only_identical(_model_operator(model, k, Grid(lo, hi, npoints)), k)
+
+
+# ---------------------------------------------------------------------------
+# warm start: windows predicted from coarse grids, certified by Sturm counts
+
+def _index_bisection(op, k):
+    """Reference: the plain index bisection over the whole spectrum."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
+                            select_range=(0, k - 1), tol=1e-12)
+
+
+def _model_op(model, k, npoints):
+    lo, hi = default_domain(model, k - 1)
+    return _model_operator(model, k, Grid(lo, hi, npoints))
+
+
+_rational = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@st.composite
+def _warm_problems(draw):
+    alpha = 1 + draw(_rational)
+    m = draw(st.integers(1, 4))
+    if draw(st.sampled_from((1, 2))) == 1:
+        model = Case1Params(draw(_rational), alpha, m)
+    else:
+        model = Case2Params(draw(st.integers(0, 3)), alpha, m)
+    return model, draw(st.integers(1, 12)), draw(st.integers(32009, 40001))
+
+
+@settings(max_examples=12)
+@given(_warm_problems())
+def test_warm_start_matches_index_bisection(problem):
+    model, k, npoints = problem
+    op = _model_op(model, k, npoints)
+    assert solver._warm_values(op, k) is not None, "fell back"
+    ref = _index_bisection(op, k)
+    vals = lowest_eigenvalues(op, k)
+    assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
+    assert np.array_equal(vals, eigen_lowest(op, k).eigenvalues)
+
+
+def _shift_up_one_level(predict):
+    def shifted(op, k):
+        centre, half = predict(op, k + 1)
+        return centre[1:], half[1:]
+    return shifted
+
+
+def _coarse_grid_raises(discretize_fn):
+    def failing(massfn, potfn, grid):
+        if grid.npoints == 2001:
+            raise ValueError("potential is not finite at node x=0")
+        return discretize_fn(massfn, potfn, grid)
+    return failing
+
+
+def _zero_width(predict):
+    def zero(op, k):
+        centre, half = predict(op, k)
+        return centre, np.zeros_like(half)
+    return zero
+
+
+def _level_one_repeats_level_zero(predict):
+    def repeated(op, k):
+        centre, half = predict(op, k)
+        centre[1], half[1] = centre[0], half[0]
+        return centre, half
+    return repeated
+
+
+@pytest.mark.parametrize("name, breaker", [
+    ("_predicted_windows", _shift_up_one_level),
+    ("discretize", _coarse_grid_raises),
+    ("_predicted_windows", _zero_width),
+    ("_predicted_windows", _level_one_repeats_level_zero),
+], ids=["shifted-predictions", "coarse-grid-raises", "zero-width-window",
+        "overlapping-windows"])
+def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker):
+    k = 10
+    op = _model_op(Case2Params(3, Fraction(19, 7), 4), k, 40001)
+    ref = _index_bisection(op, k)
+    monkeypatch.setattr(solver, name, breaker(getattr(solver, name)))
+    index_solved = []
+    index_bisect = solver._index_bisect
+
+    def recording(solved, kk, eigvals_only):
+        index_solved.append(solved.size)
+        return index_bisect(solved, kk, eigvals_only)
+
+    monkeypatch.setattr(solver, "_index_bisect", recording)
+    assert np.array_equal(lowest_eigenvalues(op, k), ref)
+    assert np.array_equal(eigen_lowest(op, k).eigenvalues, ref)
+    assert index_solved.count(op.size) == 2      # both through the fallback
+
+
+def test_warm_start_widens_an_empty_window(monkeypatch):
+    # each window moved three half-widths off and narrowed 100-fold is empty
+    # until widened twice
+    k = 10
+    op = _model_op(Case1Params(Fraction(3, 2), Fraction(7, 3), 2), k, 40001)
+    predict = solver._predicted_windows
+
+    def off_centre(op, k):
+        centre, half = predict(op, k)
+        return centre + 3 * half, half / 100
+    monkeypatch.setattr(solver, "_predicted_windows", off_centre)
+    assert solver._warm_values(op, k) is not None
+    ref = _index_bisection(op, k)
+    vals = lowest_eigenvalues(op, k)
+    assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
+
+
+def test_hand_built_operator_takes_plain_path(monkeypatch):
+    k = 10
+    op = _model_op(Case1Params(Fraction(3, 2), Fraction(7, 3), 2), k, 40001)
+    hand = DiscretizedOperator(diag=op.diag, offdiag=op.offdiag, grid=op.grid)
+
+    def no_windows(op, k):
+        raise AssertionError("warm start on a hand-built operator")
+
+    monkeypatch.setattr(solver, "_predicted_windows", no_windows)
+    assert np.array_equal(lowest_eigenvalues(hand, k), _index_bisection(hand, k))
 
 
 def test_eigen_lowest_residuals_small():
