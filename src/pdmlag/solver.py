@@ -38,15 +38,15 @@ _BISECT_TOL = 1e-12
 # Warm start (see `_bisect_lowest`).  Measured against the plain path, it
 # breaks even at about 16001 points for 10 levels and at about 32009 points
 # for 40 levels; grids of 12001 points or fewer, which are all that `verify`
-# and the CLI defaults use, keep the plain path.
+# and the CLI defaults use, keep the plain path.  Beyond 40 levels it gains
+# less (60 levels: 0.99-1.05 of the plain time at 32009 points), and from
+# about 80 levels the 1001-point grid no longer resolves the top levels, so
+# the windows overlap and the plain path runs after the coarse solves.
 _WARM_MIN = 32009
+_WARM_MAX_K = 40
 _COARSE_POINTS = (1001, 2001, 4001)
-_WARM_MAX_K = _COARSE_POINTS[0] - 2
-# Relative floor of a window's half-width, and how a window that holds no
-# value is widened: by this factor, at most `_WIDENINGS` times.
+# Relative floor of a window's half-width.
 _WINDOW_FLOOR = 1e-9
-_WIDEN = 100.0
-_WIDENINGS = 2
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,10 @@ def _warm_values(op: DiscretizedOperator, k: int):
     block index of each and the block splitting `stein` needs.
 
     Returns None when a coarse grid fails or the windows cannot be
-    certified: each must hold exactly one value (an empty one is widened),
-    they must be disjoint and ascending, and exactly k eigenvalues may lie
-    between the Gershgorin lower bound and the top of the last window.
+    certified.  The cheap checks come before any bisection on the fine
+    grid: the windows must be disjoint and ascending, and exactly k
+    eigenvalues may lie between the Gershgorin lower bound and the top of
+    the last window.  Then each window must hold exactly one value.
     Callers ignore floating-point errors here: an overflow shows as a
     non-finite window or bound, which is refused.
     """
@@ -203,28 +204,16 @@ def _warm_values(op: DiscretizedOperator, k: int):
         centre, half = _predicted_windows(op, k)
     except (ValueError, ArithmeticError, RuntimeError):
         return None
-    if not (np.all(np.isfinite(centre)) and np.all(np.isfinite(half))):
+    lower, upper = centre - half, centre + half
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        return None
+    if np.any(upper[:-1] > lower[1:]):
         return None
     d, e = op.diag, op.offdiag
     # stebz(d, e, 1, vl, vu, ...) bisects the eigenvalues in (vl, vu] (LAPACK
-    # RANGE='V'; il and iu are unused) and returns how many there are
+    # RANGE='V'; il and iu are unused) and returns how many there are; with
+    # an infinite tolerance it only counts them
     stebz, = get_lapack_funcs(("stebz",), (d, e))
-    vals = np.empty(k)
-    blocks = np.empty(k, dtype=np.int32)
-    for j in range(k):
-        for _ in range(_WIDENINGS + 1):
-            m, w, iblock, isplit, info = stebz(
-                d, e, 1, centre[j] - half[j], centre[j] + half[j], 1, 1,
-                _BISECT_TOL, "E")
-            if info or m:
-                break
-            half[j] *= _WIDEN
-        if info or m != 1:
-            return None
-        vals[j], blocks[j] = w[0], iblock[0]
-    lower, upper = centre - half, centre + half
-    if np.any(upper[:-1] > lower[1:]):
-        return None
     # Gershgorin: no eigenvalue lies below min(d) - 2 max|e|, less a margin
     # for rounding
     dmin, emax = float(d.min()), max(float(e.max()), -float(e.min()))
@@ -235,6 +224,14 @@ def _warm_values(op: DiscretizedOperator, k: int):
     m, _, _, _, info = stebz(d, e, 1, floor, upper[-1], 1, 1, np.inf, "E")
     if info or m != k:
         return None
+    vals = np.empty(k)
+    blocks = np.empty(k, dtype=np.int32)
+    for j in range(k):
+        m, w, iblock, isplit, info = stebz(d, e, 1, lower[j], upper[j], 1, 1,
+                                           _BISECT_TOL, "E")
+        if info or m != 1:
+            return None
+        vals[j], blocks[j] = w[0], iblock[0]
     return vals, blocks, isplit
 
 

@@ -201,6 +201,19 @@ def _zero_width(predict):
     return zero
 
 
+def _level_three_window_empty(predict):
+    # level 3's window moved into the middle of the gap above it, a quarter
+    # of the gap wide: the windows stay disjoint and the count certificate
+    # holds, but that window holds no value
+    def empty(op, k):
+        centre, half = predict(op, k)
+        ref = _index_bisection(op, k)
+        gap = ref[4] - ref[3]
+        centre[3], half[3] = ref[3] + gap / 2, gap / 8
+        return centre, half
+    return empty
+
+
 def _level_one_repeats_level_zero(predict):
     def repeated(op, k):
         centre, half = predict(op, k)
@@ -213,9 +226,10 @@ def _level_one_repeats_level_zero(predict):
     ("_predicted_windows", _shift_up_one_level),
     ("discretize", _coarse_grid_raises),
     ("_predicted_windows", _zero_width),
+    ("_predicted_windows", _level_three_window_empty),
     ("_predicted_windows", _level_one_repeats_level_zero),
 ], ids=["shifted-predictions", "coarse-grid-raises", "zero-width-window",
-        "overlapping-windows"])
+        "empty-window", "overlapping-windows"])
 def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker):
     k = 10
     op = _model_op(Case2Params(3, Fraction(19, 7), 4), k, 40001)
@@ -234,21 +248,34 @@ def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker):
     assert index_solved.count(op.size) == 2      # both through the fallback
 
 
-def test_warm_start_widens_an_empty_window(monkeypatch):
-    # each window moved three half-widths off and narrowed 100-fold is empty
-    # until widened twice
-    k = 10
-    op = _model_op(Case1Params(Fraction(3, 2), Fraction(7, 3), 2), k, 40001)
-    predict = solver._predicted_windows
+@pytest.mark.parametrize("breaker, sturm_calls", [
+    (_level_one_repeats_level_zero, 0),   # refused before any Sturm count
+    (_shift_up_one_level, 1),             # refused by the count certificate
+], ids=["overlapping-windows", "shifted-predictions"])
+def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
+                                                       sturm_calls):
+    import scipy.linalg
 
-    def off_centre(op, k):
-        centre, half = predict(op, k)
-        return centre + 3 * half, half / 100
-    monkeypatch.setattr(solver, "_predicted_windows", off_centre)
-    assert solver._warm_values(op, k) is not None
-    ref = _index_bisection(op, k)
-    vals = lowest_eigenvalues(op, k)
-    assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
+    k = 10
+    op = _model_op(Case2Params(3, Fraction(19, 7), 4), k, 40001)
+    monkeypatch.setattr(solver, "_predicted_windows",
+                        breaker(solver._predicted_windows))
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
+    calls = []
+
+    def counting(names, arrays):
+        funcs = get_lapack_funcs(names, arrays)
+        if names != ("stebz",):
+            return funcs
+
+        def stebz(*args):
+            calls.append(args[-2])             # the tolerance
+            return funcs[0](*args)
+        return (stebz,)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    assert solver._warm_values(op, k) is None
+    assert calls == [np.inf] * sturm_calls
 
 
 def test_hand_built_operator_takes_plain_path(monkeypatch):
