@@ -344,8 +344,8 @@ def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
 def _profile_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     npoints = cfg.npoints if cfg.npoints is not None else 2001
     lo, hi = default_domain(model, max(cfg.nmax, 2))
-    if isinstance(model, Case2Params):
-        lo = hi / npoints  # keep the x^(-l) barrier off the sampled points
+    if model.pct_map.lo > -math.inf:
+        lo = hi / npoints  # keep the barrier at a finite end off the samples
     if cfg.grid_lo is not None:
         lo = cfg.grid_lo
     if cfg.grid_hi is not None:
@@ -377,7 +377,7 @@ def _density2d_grid(cfg: RunConfig, model: ModelKind) -> Grid:
 
 def cmd_density2d(cfg: RunConfig) -> Iterator[str]:
     model = cfg.model()
-    if not isinstance(model, Case2Params):
+    if model.pct_map.lo == -math.inf:
         raise ValueError("density2d supports Case 2 only "
                          "(the 2D figure is built on the half-line model)")
     grid = _density2d_grid(cfg, model)
@@ -457,8 +457,7 @@ def _check_pct_case2():
 def _orthonormality_worst(model: ModelKind) -> float:
     lo, hi = default_domain(model, 4)
     pad = 0.25 * (hi - lo)
-    grid = Grid(lo if isinstance(model, Case2Params) else lo - pad,
-                hi + pad, 4001)
+    grid = Grid(lo if model.pct_map.lo > -math.inf else lo - pad, hi + pad, 4001)
     xs = grid.xs()
     psis = [wavefunction(model, n, xs) for n in range(5)]
     worst = 0.0
@@ -637,7 +636,7 @@ def _check_profile_normalization():
 
 def _count_nodes(model: ModelKind, n: int) -> int:
     lo, hi = default_domain(model, n)
-    if isinstance(model, Case2Params):
+    if model.pct_map.lo > -math.inf:
         lo = hi / 4000
     xs = np.linspace(lo, hi, 4000)
     vals = wavefunction(model, n, xs)

@@ -1,20 +1,23 @@
 """Analytic engine for the two solvable position-dependent-mass families.
 
-Case 1 uses an exponential mass M(x) = e^(-b x) on the whole line; Case 2
-uses a power-law mass M(x) = l^2 x^(l-2) (l = 2*eta + 2) on the half line.
-Both are mapped by the change of variable g(x) onto the X_m-Laguerre
-equation, which fixes the effective potential, the equispaced spectrum, and
-the bound states.  Everything here is closed-form: a bound state is the
-prefactor times the X_m polynomial in its Laguerre product form, scaled by
-the closed-form normalization constant, so no state needs an exact
-polynomial construction or a quadrature.
+Both families are one point canonical transformation (PCT) of the
+X_m-Laguerre equation: a change of variable g(x) and a mass M(x) with
+g'^2/(M g) = C constant.  Case 1 has M = g = e^(-b x) on the whole line
+(C = b^2), Case 2 M = l^2 x^(l-2), g = x^l on the half line (l = 2*eta + 2,
+C = 1).  A params class supplies only its map (``pct_map``); the effective
+potential, the equispaced spectrum, the closed-form bound states and the
+superpotential of ``susy`` are derived from it once, for both families.
+Each family's hand-derived potential is kept only as the reference that
+``pct_master_residual`` checks ``v_eff`` against.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from functools import cached_property, lru_cache
+from typing import Callable, Union
 
 import numpy as np
 
@@ -23,14 +26,63 @@ from .orthopoly import XmFamilySpec, eval_poly, eval_xm_laguerre, laguerre_data
 
 def _frac(value) -> Fraction:
     """Coerce int/float/str/Fraction to an exact Fraction."""
-    if isinstance(value, (int, float, str, Fraction)):
+    if isinstance(value, (numbers.Rational, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError unless it is a non-bool integer >= least."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _susy_vc(b2: Fraction, alpha: Fraction, m: int) -> Fraction:
     """Additive constant that places the ground level exactly at zero."""
     return -b2 * (2 * m + alpha + alpha * alpha) / (2 * alpha)
+
+
+@dataclass(frozen=True)
+class PctMap:
+    """A family's point canonical transformation.
+
+    ``g``, ``log_g`` and ``mass`` take sample points x to g(x), log g(x) and
+    M(x).  The derivatives enter through their log-derivative ratios, and a
+    ratio of derivative order k is a constant times t^k with t = g^tau
+    (t = 1 in Case 1, t = 1/x in Case 2).  The constants are d1 = g'/g,
+    d2 = g''/g', d3 = g'''/g', e1 = M'/M and e2 = M''/M in those units, so
+    M = d1^2 t^2 g / C.  ``c`` is C = g'^2/(M g) and ``lo`` the left end of
+    the domain.  ``k_g`` is the Schwarzian-and-mass term K(x) times g: as
+    every ratio carries t^k and t^2/M = C/(d1^2 g), K is a constant over g.
+    """
+
+    g: Callable
+    log_g: Callable
+    mass: Callable
+    d1: Fraction
+    d2: Fraction
+    d3: Fraction
+    e1: Fraction
+    e2: Fraction
+    tau: Fraction
+    c: Fraction
+    lo: float
+    k_g: float = field(init=False)
+
+    def __post_init__(self):
+        # K = [3 (g''/g')^2/4 - (g'''/g')/2 + (M''/M)/2 - 3 (M'/M)^2/4] / M
+        k = (3 * self.d2 ** 2 - 2 * self.d3 + 2 * self.e2 - 3 * self.e1 ** 2) / 4
+        object.__setattr__(self, "k_g", float(self.c * k / self.d1 ** 2))
+
+
+@lru_cache(maxsize=64)
+def _exponential_map(b: Fraction) -> PctMap:
+    bf = float(b)
+    return PctMap(g=lambda x: np.exp(-bf * x), log_g=lambda x: -bf * x,
+                  mass=lambda x: np.exp(-bf * x), d1=-b, d2=-b, d3=b * b,
+                  e1=-b, e2=b * b, tau=Fraction(0), c=b * b, lo=-math.inf)
 
 
 @dataclass(frozen=True)
@@ -46,12 +98,11 @@ class Case1Params:
         object.__setattr__(self, "b", _frac(self.b))
         object.__setattr__(self, "alpha", _frac(self.alpha))
         object.__setattr__(self, "vc", _frac(self.vc))
+        object.__setattr__(self, "m", _integer(self.m, "m", 1))
         if self.b <= 0:
             raise ValueError(f"b must be > 0, got {self.b}")
         if self.alpha <= 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
 
     @property
     def lam(self) -> Fraction:
@@ -63,6 +114,18 @@ class Case1Params:
         """Scale constant C = b^2 (so that lam * C = -b)."""
         return self.b * self.b
 
+    @cached_property
+    def pct_map(self) -> PctMap:
+        """g = M = e^(-b x): every ratio is constant, C = b^2, x > -inf."""
+        return _exponential_map(self.b)
+
+    def _v_eff_closed_form(self, x):
+        """Hand-derived V_eff, the reference of ``pct_master_residual``."""
+        bf, af = float(self.b), float(self.alpha)
+        g = np.exp(-bf * x)
+        return (bf * bf / 4.0 * ((af * af - 1.0) * np.exp(bf * x) + g)
+                + bf * bf * _bracket(self, g) * g + float(self.vc))
+
     @classmethod
     def susy_zero(cls, b, alpha, m: int) -> "Case1Params":
         """Instance with vc chosen so the ground-state energy is exactly 0."""
@@ -70,13 +133,22 @@ class Case1Params:
         return cls(b, alpha, m, _susy_vc(b * b, alpha, m))
 
 
+@lru_cache(maxsize=64)
+def _power_map(l: int) -> PctMap:
+    return PctMap(g=lambda x: x ** l, log_g=lambda x: l * np.log(x),
+                  mass=lambda x: float(l * l) * x ** (l - 2), d1=Fraction(l),
+                  d2=Fraction(l - 1), d3=Fraction((l - 1) * (l - 2)),
+                  e1=Fraction(l - 2), e2=Fraction((l - 2) * (l - 3)),
+                  tau=Fraction(-1, l), c=Fraction(1), lo=0.0)
+
+
 @dataclass(frozen=True)
 class Case2Params:
     """Power-law-mass model: M(x) = l^2 x^(l-2), g(x) = x^l on x > 0.
 
-    l = 2*eta + 2 is always an even integer; nu = 2*eta/(2*eta+1) is the
-    mass-deformation label, and c = l^2, kappa = 1 are carried as nominal
-    bookkeeping constants.
+    l = 2*eta + 2 is always an even integer and C = g'^2/(M g) = 1;
+    nu = 2*eta/(2*eta+1) is the mass-deformation label, and c = l^2,
+    kappa = 1 are carried as nominal bookkeeping constants.
     """
 
     eta: int
@@ -87,12 +159,10 @@ class Case2Params:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _frac(self.alpha))
         object.__setattr__(self, "vc", _frac(self.vc))
-        if not isinstance(self.eta, int) or self.eta < 0:
-            raise ValueError(f"eta must be a non-negative integer, got {self.eta!r}")
+        object.__setattr__(self, "eta", _integer(self.eta, "eta", 0))
+        object.__setattr__(self, "m", _integer(self.m, "m", 1))
         if self.alpha <= 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
 
     @property
     def nu(self) -> Fraction:
@@ -110,6 +180,18 @@ class Case2Params:
     def kappa(self) -> int:
         return 1
 
+    @cached_property
+    def pct_map(self) -> PctMap:
+        """g = x^l, M = l^2 x^(l-2): ratios c/x^k (t = 1/x), C = 1, x > 0."""
+        return _power_map(self.l)
+
+    def _v_eff_closed_form(self, x):
+        """Hand-derived V_eff, the reference of ``pct_master_residual``."""
+        l, af = self.l, float(self.alpha)
+        g, inv = x ** l, x ** (-l)
+        return (0.25 * ((af * af - 1.0) * inv + g) + _bracket(self, g) * g
+                + (2 * l - 1) / (4.0 * l * l) * inv + float(self.vc))
+
     @classmethod
     def susy_zero(cls, eta: int, alpha, m: int) -> "Case2Params":
         """Instance with vc chosen so the ground-state energy is exactly 0."""
@@ -121,38 +203,33 @@ ModelKind = Union[Case1Params, Case2Params]
 
 def susy_constant(model: ModelKind) -> Fraction:
     """The vc value for which the model's ground level sits exactly at 0."""
-    if isinstance(model, Case1Params):
-        return _susy_vc(model.b * model.b, model.alpha, model.m)
-    return _susy_vc(Fraction(1), model.alpha, model.m)
-
-
-def _scalar_in(x) -> bool:
-    return np.ndim(x) == 0
+    return _susy_vc(model.pct_map.c, model.alpha, model.m)
 
 
 def _ret(x, out):
-    return float(out) if _scalar_in(x) else out
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def _points(model: ModelKind, x, closed: bool = False):
+    """The model's map and x as floats, inside the domain (its end if closed)."""
+    pm = model.pct_map
+    xa = np.asarray(x, dtype=float)
+    if pm.lo > -math.inf and np.any(xa < pm.lo if closed else xa <= pm.lo):
+        sign = ">=" if closed else ">"
+        raise ValueError(f"the model is defined for x {sign} {pm.lo} only")
+    return pm, xa
 
 
 def mass(model: ModelKind, x):
     """Position-dependent mass M(x); strictly positive on the domain."""
-    xa = np.asarray(x, dtype=float)
-    if isinstance(model, Case1Params):
-        return _ret(x, np.exp(-float(model.b) * xa))
-    if np.any(xa <= 0):
-        raise ValueError("Case 2 mass is defined for x > 0 only")
-    l = model.l
-    return _ret(x, float(l * l) * xa ** (l - 2))
+    pm, xa = _points(model, x)
+    return _ret(x, pm.mass(xa))
 
 
 def g_map(model: ModelKind, x):
     """Change of variable g(x) mapping the model onto the X_m equation."""
-    xa = np.asarray(x, dtype=float)
-    if isinstance(model, Case1Params):
-        return _ret(x, np.exp(-float(model.b) * xa))
-    if np.any(xa <= 0):
-        raise ValueError("Case 2 map is defined for x > 0 only")
-    return _ret(x, xa ** model.l)
+    pm, xa = _points(model, x)
+    return _ret(x, pm.g(xa))
 
 
 def _bracket(model: ModelKind, g):
@@ -168,24 +245,17 @@ def _bracket(model: ModelKind, g):
 
 
 def v_eff(model: ModelKind, x):
-    """Full m-dependent effective potential, including the constant vc."""
-    xa = np.asarray(x, dtype=float)
-    af = float(model.alpha)
-    vcf = float(model.vc)
-    if isinstance(model, Case1Params):
-        bf = float(model.b)
-        g = np.exp(-bf * xa)
-        out = (bf * bf / 4.0 * ((af * af - 1.0) * np.exp(bf * xa) + g)
-               + bf * bf * _bracket(model, g) * g + vcf)
-        return _ret(x, out)
-    if np.any(xa <= 0):
-        raise ValueError("Case 2 potential is defined for x > 0 only")
-    l = model.l
-    g = xa ** l
-    inv = xa ** (-l)
-    extra = (2 * l - 1) / (4.0 * l * l)
-    out = (0.25 * ((af * af - 1.0) * inv + g)
-           + _bracket(model, g) * g + extra * inv + vcf)
+    """Effective potential vc + C [(alpha^2-1)/(4g) + g/4 + g B(g)] + K(x).
+
+    B is ``_bracket`` and K = ``PctMap.k_g``/g the Schwarzian-and-mass term
+    (0 for Case 1), folded into the 1/g coefficient.
+    """
+    pm, xa = _points(model, x)
+    g = pm.g(xa)
+    af, cf = float(model.alpha), float(pm.c)
+    inv_coeff = cf * (af * af - 1.0) / 4.0 + pm.k_g
+    out = (inv_coeff / g + cf * g * (0.25 + _bracket(model, g))
+           + float(model.vc))
     return _ret(x, out)
 
 
@@ -208,13 +278,10 @@ def v_eff_m1_closed_form(p: Case1Params, x):
 
 
 def energy_fraction(model: ModelKind, n: int) -> Fraction:
-    """Exact analytic eigenvalue as a Fraction."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    """Exact analytic eigenvalue C (n + (alpha+1)/2 + m/alpha) + vc."""
+    n = _integer(n, "n", 0)
     base = n + Fraction(model.alpha + 1, 2) + Fraction(model.m) / model.alpha
-    if isinstance(model, Case1Params):
-        return model.b * model.b * base + model.vc
-    return base + model.vc
+    return model.pct_map.c * base + model.vc
 
 
 def energy(model: ModelKind, n: int) -> float:
@@ -226,57 +293,57 @@ def energy(model: ModelKind, n: int) -> float:
 
 
 def level_spacing(model: ModelKind) -> float:
-    """Constant gap between consecutive analytic eigenvalues."""
-    return float(model.b * model.b) if isinstance(model, Case1Params) else 1.0
+    """Constant gap C between consecutive analytic eigenvalues."""
+    return float(model.pct_map.c)
+
+
+def _prefactor(model: ModelKind, pm: PctMap, xa):
+    """g and sqrt(g^alpha e^(-g) |g'|)/h(g), |g'| = |d1| g^(1+tau), at xa.
+
+    One exponential of the log-sum is 0, not NaN, where a factor alone
+    overflows against e^(-g/2) = 0; callers silence those warnings.
+    """
+    log_g, g = pm.log_g(xa), pm.g(xa)
+    h = eval_poly(laguerre_data(model.m, model.alpha).h, g)
+    a = (float(model.alpha + 1 + pm.tau) * log_g + math.log(abs(pm.d1))) / 2.0
+    a = a - np.log(h)
+    # a - g/2 is rounded at the scale of g/2 (1e-13 relative in the tails),
+    # so its rounding error (TwoSum) is restored to first order.
+    s = a - g / 2.0
+    back = s - a
+    err = (a - (s - back)) + (-g / 2.0 - back)
+    # err is NaN only where s = -inf (x at a finite domain end, or g = inf)
+    # and exp(s) = 0; fmax turns it into -1, which keeps the product 0.
+    return g, np.exp(s) * (1.0 + np.fmax(err, -1.0))
 
 
 def pct_prefactor(model: ModelKind, x):
-    """Wavefunction prefactor f(x) with psi_n = const * f * P_(n+m)(g).
+    """Prefactor f with psi_n = N_n * f * P_(n+m)(g), Jacobian included.
 
-    f is sqrt(M/g') * exp(half the antiderivative of the ODE's first-order
-    coefficient), carried out in closed form; constant factors are dropped.
+    f = sqrt(g^alpha e^(-g) |g'|)/h(g), h = L_m^(alpha-1)(-g): f^2 is the
+    X_m weight times |dg/dx|.
     """
-    xa = np.asarray(x, dtype=float)
-    data = laguerre_data(model.m, model.alpha)
-    af = float(model.alpha)
-    if isinstance(model, Case1Params):
-        bf = float(model.b)
-        g = np.exp(-bf * xa)
-        out = np.exp(-((af + 1.0) * bf * xa + g) / 2.0) / eval_poly(data.h, g)
-        return _ret(x, out)
-    if np.any(xa < 0):
-        raise ValueError("Case 2 wavefunctions are defined for x >= 0 only")
-    l = model.l
-    g = xa ** l
-    expo = (l * (1.0 + af) - 1.0) / 2.0
-    out = xa ** expo * np.exp(-g / 2.0) / eval_poly(data.h, g)
-    return _ret(x, out)
+    pm, xa = _points(model, x, closed=True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _ret(x, _prefactor(model, pm, xa)[1])
 
 
 def wavefunction(model: ModelKind, n: int, x):
     """Analytic bound state psi_n(x), normalized to unit L2 in closed form.
 
-    psi_n = N_n * s * f(x) * P(g(x)), where f is ``pct_prefactor``, P is the
-    standard-scale X_m polynomial of degree n + m evaluated by its Laguerre
-    product form (``eval_xm_laguerre``), N_n is
-    ``norm_constant_closed_form`` and s is 1 in Case 1 and sqrt(l) in Case 2
-    (the Jacobian factor the closed-form constant leaves out).  The sign
-    makes the polynomial's leading coefficient positive.
+    psi_n = N_n * f(x) * P(g(x)) with f = ``pct_prefactor``, P the
+    standard-scale X_m polynomial of degree n + m in its Laguerre product
+    form (``eval_xm_laguerre``, leading coefficient positive) and N_n =
+    ``norm_constant_closed_form``.  psi_n is 0 where f is, even if g or P
+    overflows there; a non-finite value elsewhere raises RuntimeError.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    pref = pct_prefactor(model, x)
-    xa = np.asarray(x, dtype=float)
-    if isinstance(model, Case1Params):
-        g, s = np.exp(-float(model.b) * xa), 1.0
-    else:
-        g, s = xa ** model.l, math.sqrt(model.l)
+    n = _integer(n, "n", 0)
+    pm, xa = _points(model, x, closed=True)
     spec = XmFamilySpec(model.m, model.alpha, "standard")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g, pref = _prefactor(model, pm, xa)
         poly = eval_xm_laguerre(n + model.m, spec, g)
-        psi = s * norm_constant_closed_form(model, n) * pref * poly
-    # Deep in the barrier the prefactor underflows to 0 where the polynomial
-    # may overflow; the state is 0 there.
+        psi = norm_constant_closed_form(model, n) * pref * poly
     psi = np.where(pref == 0.0, 0.0, psi)
     if not np.all(np.isfinite(psi)):
         raise RuntimeError(f"bound state n={n} overflows in floating point")
@@ -286,58 +353,42 @@ def wavefunction(model: ModelKind, n: int, x):
 def norm_constant_closed_form(model: ModelKind, n: int) -> float:
     """Closed-form normalization constant N for the standard polynomial scale.
 
-    N = sqrt(b * n! / ((n+m+alpha) * Gamma(n+alpha))) for Case 1 and the same
-    with b -> 1 for Case 2.  ``wavefunction`` uses it directly (times sqrt(l)
-    in Case 2); the tests check it against a quadrature normalizer.
+    N = sqrt(n! / ((n+m+alpha) * Gamma(n+alpha))) for both families, as
+    ``pct_prefactor`` carries the Jacobian; the tests check it against a
+    quadrature normalizer.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n = _integer(n, "n", 0)
     af, m = float(model.alpha), model.m
-    bf = float(model.b) if isinstance(model, Case1Params) else 1.0
     # n!/Gamma(n+alpha) via log-gamma: each factor alone overflows past n = 170
-    return math.sqrt(bf / (n + m + af)) * math.exp(
+    return math.sqrt(1.0 / (n + m + af)) * math.exp(
         (math.lgamma(n + 1) - math.lgamma(n + af)) / 2)
 
 
 def pct_master_residual(model: ModelKind, n: int, x):
-    """Defect of the analytic data in the change-of-variable master identity.
+    """Defect of ``v_eff`` against the family's hand-derived potential.
 
-    Evaluates [E_n - V_eff(x)] minus the closed-form right-hand side built
-    from g, M, and the X_m equation coefficients Q and R (with parameter
-    n + m); identically zero when every formula is consistent.
+    The transformation's master identity is E_n - V_eff = C g (R - Q'/2 -
+    Q^2/4) - K, with Q = (alpha+1)/g - 1 - 2u and R = (n + m - 2 alpha u)/g
+    the X_m equation's coefficients in g (u = h'/h) and K the
+    Schwarzian-and-mass term.  The result is the sum of two defects that
+    vanish when every formula is consistent: the hand-derived closed form
+    V_hand minus the production ``v_eff``, and (E_n - vc) - C [(alpha^2-1)/(4g)
+    + g/4 + g B(g) + g (R - Q'/2 - Q^2/4)], the identity with K taken out.
     """
-    xa = np.asarray(x, dtype=float)
+    pm, xa = _points(model, x)
+    g = pm.g(xa)
     data = laguerre_data(model.m, model.alpha)
     af = float(model.alpha)
-    p = n + model.m
-    if isinstance(model, Case1Params):
-        bf = float(model.b)
-        g = np.exp(-bf * xa)
-        g1, g2, g3 = -bf * g, bf * bf * g, -bf ** 3 * g
-        mm, m1, m2 = g, -bf * g, bf * bf * g
-    else:
-        if np.any(xa <= 0):
-            raise ValueError("Case 2 identity is defined for x > 0 only")
-        l = model.l
-        g = xa ** l
-        g1 = l * xa ** (l - 1)
-        g2 = l * (l - 1) * xa ** (l - 2)
-        g3 = l * (l - 1) * (l - 2) * xa ** (l - 3)
-        mm = float(l * l) * xa ** (l - 2)
-        m1 = float(l * l * (l - 2)) * xa ** (l - 3)
-        m2 = float(l * l * (l - 2) * (l - 3)) * xa ** (l - 4)
-    hv = eval_poly(data.h, g)
-    h1v = eval_poly(data.h1, g)
-    h2v = eval_poly(data.h2, g)
+    hv, h1v, h2v = (eval_poly(p, g) for p in (data.h, data.h1, data.h2))
     u = h1v / hv
     du = (h2v * hv - h1v * h1v) / hv ** 2
     q = (af + 1.0) / g - 1.0 - 2.0 * u
     dq = -(af + 1.0) / g ** 2 - 2.0 * du
-    r = (p - 2.0 * af * u) / g
-    rhs = (g3 / (2.0 * mm * g1) - 3.0 / (4.0 * mm) * (g2 / g1) ** 2
-           + g1 ** 2 / mm * (r - dq / 2.0 - q ** 2 / 4.0)
-           - m2 / (2.0 * mm ** 2) + 3.0 * m1 ** 2 / (4.0 * mm ** 3))
-    out = (energy(model, n) - v_eff(model, x)) - rhs
+    r = (n + model.m - 2.0 * af * u) / g
+    xm_defect = (float(energy_fraction(model, n) - model.vc) - float(pm.c) * (
+        (af * af - 1.0) / (4.0 * g) + g / 4.0 + g * _bracket(model, g)
+        + g * (r - dq / 2.0 - q ** 2 / 4.0)))
+    out = model._v_eff_closed_form(xa) - v_eff(model, xa) + xm_defect
     return _ret(x, out)
 
 
@@ -351,31 +402,32 @@ def density2d(model: ModelKind, n1: int, n2: int, x, y):
 def default_domain(model: ModelKind, n_max: int) -> tuple:
     """Truncated domain (lo, hi) certified by the potential barrier.
 
-    Endpoints are pushed outward until V_eff there exceeds
-    E(n_max) + 25 * (level spacing); Case 2 is truncated to [0, hi] (the
-    half-line origin is kept as a Dirichlet endpoint).  A barrier that
+    Endpoints are pushed outward, past the well, until V_eff there exceeds
+    E(n_max) + 25 * (level spacing); a finite left end of the model's domain
+    (Case 2's origin) is kept as a Dirichlet endpoint.  A barrier that
     stays below the threshold out to |x| = 1e6 raises ValueError.
     """
+    pm = model.pct_map
     thr = energy(model, n_max) + 25.0 * level_spacing(model)
-    hi = 1.0
-    while v_eff(model, hi) <= thr:
+    hi = _past_barrier(model, thr, 1.0, "right")
+    # Where g -> 0 at the right end (Case 1) the tail decays only like
+    # g^((alpha+1)/2), as the barrier grows just like 1/g; so also require
+    # g(hi)^alpha <= e^-16, which certifies truncation effects below ~1e-7.
+    while pm.d1 < 0 and float(model.alpha) * pm.log_g(hi) > -16.0:
         hi *= 2.0
-        if hi > 1e6:
-            raise ValueError("domain expansion failed on the right: V_eff stays "
-                             "below the level threshold out to x = 1e6")
-    if isinstance(model, Case2Params):
-        return 0.0, hi
-    # The right tail of Case 1 decays only like exp(-(alpha+1) b x) (the
-    # barrier there grows just exponentially), so the height criterion alone
-    # leaves visible tail mass; additionally require alpha*b*hi >= 16, which
-    # certifies Dirichlet truncation effects below ~1e-7.
-    bf, af = float(model.b), float(model.alpha)
-    while af * bf * hi < 16.0:
-        hi *= 2.0
-    lo = -1.0
-    while v_eff(model, lo) <= thr:
-        lo *= 2.0
-        if lo < -1e6:
-            raise ValueError("domain expansion failed on the left: V_eff stays "
-                             "below the level threshold out to x = -1e6")
-    return lo, hi
+    if pm.lo > -math.inf:
+        return pm.lo, hi
+    return _past_barrier(model, thr, -1.0, "left"), hi
+
+
+def _past_barrier(model: ModelKind, thr: float, x: float, side: str) -> float:
+    """First of x, 2x, 4x, ... (|x| <= 1e6) where V_eff exceeds thr and has
+    risen since the previous point, so that the end lies past the well."""
+    v_in, v = v_eff(model, x / 2.0), v_eff(model, x)
+    while v <= thr or v < v_in:
+        x *= 2.0
+        if abs(x) > 1e6:
+            raise ValueError(f"domain expansion failed on the {side}: V_eff "
+                             "stays below the level threshold out to |x| = 1e6")
+        v_in, v = v, v_eff(model, x)
+    return x

@@ -114,8 +114,10 @@ def eval_poly(p: Polynomial, x):
     exact coefficients give an exact result.
     """
     if isinstance(x, np.ndarray):
-        acc = np.zeros(x.shape, dtype=float)
-        for c in reversed(p.coeffs):
+        # Start from the leading coefficient, not 0 * x: that is NaN at x = inf.
+        top = float(p.coeffs[-1]) if p.coeffs else 0.0
+        acc = np.full(x.shape, top)
+        for c in reversed(p.coeffs[:-1]):
             acc = acc * x + float(c)
         return acc
     acc = 0

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .models import Case2Params, ModelKind, default_domain, mass, v_eff
+from .models import ModelKind, default_domain, mass, v_eff
 
 # Absolute bisection tolerance for eigenvalues.  The default (0.0) lets
 # LAPACK fall back to a norm-relative tolerance, which is useless when the

@@ -1,21 +1,22 @@
 """Supersymmetric layer: superpotentials, ladder operators, partner models.
 
-The ground state factorizes H - E_0 = A^dagger A with
-A = (1/sqrt(M)) d/dx + W and W = -(1/sqrt(M)) psi_0'/psi_0.  Both model
-families are shape invariant: the partner potential is the alpha -> alpha+1
-member of the same family shifted by a constant (b^2 for the exponential
-mass, 1 for the power-law mass), so partner eigenstates are base eigenstates
+The ground state factorizes H - E_0 = A^dagger A with A = (1/sqrt(M)) d/dx
++ W and W = -(1/sqrt(M)) psi_0'/psi_0; W, W', 1/sqrt(M) and the partner's
+curvature term come from the model's map (``models.PctMap``).  Both families
+are shape invariant: the partner potential is the alpha -> alpha+1 member of
+the same family shifted by C, so partner eigenstates are base eigenstates
 with alpha raised by one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .models import (Case1Params, Case2Params, ModelKind, _ret, _scalar_in,
-                     mass, susy_constant, v_eff, wavefunction)
+from .models import (ModelKind, PctMap, _points, _ret, susy_constant, v_eff,
+                     wavefunction)
 from .orthopoly import eval_poly, laguerre_data
 
 
@@ -48,8 +49,7 @@ def partner_model(model: ModelKind) -> PartnerModel:
     offset = model.vc - susy_constant(model)
     comparison = replace(model, alpha=model.alpha + 1, vc=0)
     comparison = replace(comparison, vc=susy_constant(comparison) + offset)
-    shift = model.b * model.b if isinstance(model, Case1Params) else Fraction(1)
-    return PartnerModel(base=model, comparison=comparison, r_shift=shift)
+    return PartnerModel(base=model, comparison=comparison, r_shift=model.pct_map.c)
 
 
 def _ratio_s(model: ModelKind, g):
@@ -70,62 +70,29 @@ def _ratio_s_deriv(model: ModelKind, g):
             - (q2v * hav - q1v * q1v) / hav ** 2)
 
 
-def _case2_coeff2(model: Case2Params) -> float:
-    l, af = model.l, float(model.alpha)
-    return (1.0 - l * (af + 1.0)) / (2.0 * l)
+def _w1(model: ModelKind, pm: PctMap) -> float:
+    """w1 = alpha/2 + d2/(2 d1), the 1/sqrt(g) coefficient of s W/sqrt(C)."""
+    return float(model.alpha / 2 + pm.d2 / (2 * pm.d1))
 
 
 def superpotential(model: ModelKind, x):
-    """Closed-form superpotential W(x) of the ground-state factorization."""
-    xa = np.asarray(x, dtype=float)
-    af = float(model.alpha)
-    if isinstance(model, Case1Params):
-        bf = float(model.b)
-        g = np.exp(-bf * xa)
-        s = _ratio_s(model, g)
-        out = bf / 2.0 * ((1.0 + af) * np.exp(bf * xa / 2.0)
-                          - np.exp(-bf * xa / 2.0) * (1.0 + 2.0 * s))
-        return _ret(x, out)
-    if np.any(xa <= 0):
-        raise ValueError("Case 2 superpotential is defined for x > 0 only")
-    l = model.l
-    g = xa ** l
-    s = _ratio_s(model, g)
-    out = (0.5 + s) * xa ** (l / 2.0) + _case2_coeff2(model) * xa ** (-l / 2.0)
+    """Closed-form superpotential W = -(1/sqrt(M)) (log psi_0)'.
+
+    psi_0 ~ sqrt(g^alpha e^(-g) |g'|) L_m^alpha(-g)/h(g) gives (log psi_0)' =
+    g' [alpha/(2g) - 1/2 - S(g)] + g''/(2g'); as g'/sqrt(M) = s sqrt(C g)
+    (s = sign g') and (g''/g')/sqrt(M) = s d2 sqrt(C)/(d1 sqrt(g)),
+    W = s sqrt(C) [(1/2 + S) sqrt(g) - w1/sqrt(g)].
+    """
+    pm, xa = _points(model, x)
+    g = pm.g(xa)
+    root = np.sqrt(g)
+    scale = math.copysign(math.sqrt(pm.c), pm.d1)
+    out = scale * ((0.5 + _ratio_s(model, g)) * root - _w1(model, pm) / root)
     return _ret(x, out)
 
 
-def _superpotential_derivative(model: ModelKind, x):
-    """Analytic dW/dx (chain rule through g; no numerical differentiation)."""
-    xa = np.asarray(x, dtype=float)
-    af = float(model.alpha)
-    if isinstance(model, Case1Params):
-        bf = float(model.b)
-        g = np.exp(-bf * xa)
-        s = _ratio_s(model, g)
-        ds = _ratio_s_deriv(model, g)
-        out = (bf * bf / 4.0 * ((1.0 + af) * np.exp(bf * xa / 2.0)
-                                + np.exp(-bf * xa / 2.0) * (1.0 + 2.0 * s))
-               + bf * bf * g * np.exp(-bf * xa / 2.0) * ds)
-        return _ret(x, out)
-    if np.any(xa <= 0):
-        raise ValueError("Case 2 superpotential is defined for x > 0 only")
-    l = model.l
-    g = xa ** l
-    s = _ratio_s(model, g)
-    ds = _ratio_s_deriv(model, g)
-    out = (ds * l * xa ** (l - 1) * xa ** (l / 2.0)
-           + (0.5 + s) * (l / 2.0) * xa ** (l / 2.0 - 1.0)
-           - _case2_coeff2(model) * (l / 2.0) * xa ** (-l / 2.0 - 1.0))
-    return _ret(x, out)
-
-
-def _inv_sqrt_mass(model: ModelKind, x):
-    xa = np.asarray(x, dtype=float)
-    if isinstance(model, Case1Params):
-        return np.exp(float(model.b) * xa / 2.0)
-    l = model.l
-    return xa ** (1.0 - l / 2.0) / l
+def _inv_sqrt_mass(model: ModelKind, xa):
+    return 1.0 / np.sqrt(model.pct_map.mass(xa))
 
 
 def superpotential_from_groundstate(model: ModelKind, x):
@@ -134,15 +101,10 @@ def superpotential_from_groundstate(model: ModelKind, x):
     Independent of the closed form in ``superpotential``: the only shared
     ingredient is the analytic ground state itself.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(model, Case2Params):
-        if np.any(xa <= 0):
-            raise ValueError("Case 2 superpotential is defined for x > 0 only")
-        # Scale the step with x: near the origin the log-derivative behaves
-        # like 1/x, so a proportional step keeps the stencil error flat.
-        h = 1e-3 * xa
-    else:
-        h = 1e-3 * np.maximum(1.0, np.abs(xa))
+    pm, xa = _points(model, np.atleast_1d(x))
+    # Near a finite domain end the log-derivative behaves like 1/x, so a
+    # step proportional to the distance keeps the stencil error flat.
+    h = 1e-3 * (xa - pm.lo if pm.lo > -math.inf else np.maximum(1.0, np.abs(xa)))
 
     def logpsi(pts):
         return np.log(np.abs(wavefunction(model, 0, pts)))
@@ -150,20 +112,21 @@ def superpotential_from_groundstate(model: ModelKind, x):
     dlog = (logpsi(xa - 2 * h) - 8.0 * logpsi(xa - h)
             + 8.0 * logpsi(xa + h) - logpsi(xa + 2 * h)) / (12.0 * h)
     out = -_inv_sqrt_mass(model, xa) * dlog
-    return _ret(x, out if not _scalar_in(x) else out[0])
+    return _ret(x, out[0] if np.ndim(x) == 0 else out)
 
 
 def _v2_route(model: ModelKind, x):
-    """Partner potential via W: V + 2 W'/sqrt(M) - (1/sqrt(M)) (1/sqrt(M))''."""
-    xa = np.asarray(x, dtype=float)
-    if isinstance(model, Case1Params):
-        bf = float(model.b)
-        curvature = bf * bf / 4.0 * np.exp(bf * xa)
-    else:
-        l = model.l
-        curvature = (l - 2) / (4.0 * l) * xa ** (-float(l))
-    out = (v_eff(model, x) + 2.0 * _superpotential_derivative(model, x)
-           * _inv_sqrt_mass(model, xa) - curvature)
+    """Partner potential via W: V + 2 W'/sqrt(M) - (1/sqrt(M)) (1/sqrt(M))''.
+
+    Through g'/sqrt(M) = s sqrt(C g), W'/sqrt(M) = C [g S' + (1/2 + S)/2 +
+    w1/(2g)]; the curvature term is C (3 e1^2/4 - e2/2)/(d1^2 g).
+    """
+    pm, xa = _points(model, x)
+    g = pm.g(xa)
+    curvature = float((3 * pm.e1 ** 2 - 2 * pm.e2) / (4 * pm.d1 ** 2))
+    dw = (g * _ratio_s_deriv(model, g) + (0.5 + _ratio_s(model, g)) / 2.0
+          + _w1(model, pm) / (2.0 * g))
+    out = v_eff(model, xa) + float(pm.c) * (2.0 * dw - curvature / g)
     return _ret(x, out)
 
 
@@ -208,30 +171,25 @@ def _derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _grid_geometry(model: ModelKind, grid):
-    """Grid abscissas plus W and 1/sqrt(M) sampled with half-line safety.
-
-    On Case 2 grids that touch x <= 0 (the Dirichlet origin) those entries
-    are masked; callers zero the corresponding output components.
+def _grid_geometry(model: ModelKind, psi, grid):
+    """psi as floats, W and 1/sqrt(M) on the grid, and the mask of points
+    inside the domain; callers zero the output at a finite domain end
+    (Case 2's Dirichlet origin).
     """
+    f = np.asarray(psi, dtype=float)
+    if f.size != grid.npoints:
+        raise ValueError("psi length does not match the grid")
     xs = grid.xs()
-    if isinstance(model, Case2Params):
-        valid = xs > 0
-    else:
-        valid = np.ones_like(xs, dtype=bool)
-    w = np.zeros_like(xs)
-    inv = np.zeros_like(xs)
+    valid = xs > model.pct_map.lo
+    w, inv = np.zeros_like(xs), np.zeros_like(xs)
     w[valid] = superpotential(model, xs[valid])
     inv[valid] = _inv_sqrt_mass(model, xs[valid])
-    return w, inv, valid
+    return f, w, inv, valid
 
 
 def apply_A(model: ModelKind, psi, grid) -> np.ndarray:
     """Lowering operator on grid samples: (A psi)(x) = psi'/sqrt(M) + W psi."""
-    f = np.asarray(psi, dtype=float)
-    if f.size != grid.npoints:
-        raise ValueError("psi length does not match the grid")
-    w, inv, valid = _grid_geometry(model, grid)
+    f, w, inv, valid = _grid_geometry(model, psi, grid)
     out = inv * _derivative(f, grid.h) + w * f
     out[~valid] = 0.0
     return out
@@ -239,10 +197,7 @@ def apply_A(model: ModelKind, psi, grid) -> np.ndarray:
 
 def apply_A_dagger(model: ModelKind, psi, grid) -> np.ndarray:
     """Raising operator on grid samples: (A+ psi)(x) = -(psi/sqrt(M))' + W psi."""
-    f = np.asarray(psi, dtype=float)
-    if f.size != grid.npoints:
-        raise ValueError("psi length does not match the grid")
-    w, inv, valid = _grid_geometry(model, grid)
+    f, w, inv, valid = _grid_geometry(model, psi, grid)
     out = -_derivative(inv * f, grid.h) + w * f
     out[~valid] = 0.0
     return out

@@ -8,6 +8,7 @@ an adaptive-quadrature normalizer serve as independent references for the
 closed-form bound states.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -228,16 +229,16 @@ def test_norm_constant_ratio_is_convention_constant():
     """The closed-form N applies to the 1/(m! n!)-leading polynomial scale.
 
     Rebased to that scale, N over the quadrature normalizer is exactly 1 for
-    the exponential-mass family and 1/sqrt(l) for the power-law one (the
-    closed form drops a Jacobian factor sqrt(l)), independent of n.
+    both families, independent of n: the prefactor carries the Jacobian
+    |g'| (b e^(-b x), l x^(l-1)), so N is the constant of the weighted norm
+    in g alone.
     """
-    p1 = Case1Params(1, 2, 1)
-    p2 = Case2Params(1, 2, 2)
-    for model, expected in ((p1, 1.0), (p2, 1.0 / math.sqrt(p2.l))):
+    for model in (Case1Params(1, 2, 1), Case1Params(Fraction(3, 2), 2, 1),
+                  Case2Params(1, 2, 2)):
         for n in range(5):
             scale = math.factorial(model.m) * math.factorial(n)
             ratio = norm_constant_closed_form(model, n) / (scale * _quad_norm_constant(model, n))
-            assert ratio == pytest.approx(expected, rel=1e-9), (model, n)
+            assert ratio == pytest.approx(1.0, rel=1e-9), (model, n)
 
 
 @pytest.mark.parametrize("model", [Case1Params(1, 2, 2), Case2Params(1, 2, 1)])
@@ -360,3 +361,57 @@ def test_default_domain_certifies_barrier():
     lo2, hi2 = default_domain(Case2Params(1, 2, 1), 3)
     assert lo2 == 0.0
     assert v_eff(Case2Params(1, 2, 1), hi2) > energy(Case2Params(1, 2, 1), 3) + 25.0
+
+
+@pytest.mark.parametrize("model", [Case2Params(0, 12, 1),
+                                   Case1Params(Fraction(1, 9), 13, 1)])
+def test_default_domain_reaches_past_the_well(model):
+    # The barrier at x = 1 (Case 2) or x = -1 (Case 1) already clears the
+    # threshold here, on the near side of the well.
+    lo, hi = default_domain(model, 3)
+    grid = Grid(hi / 20001 if lo == 0.0 else lo, hi, 20001)
+    xs = grid.xs()
+    v = v_eff(model, xs)
+    assert 0 < np.argmin(v) < xs.size - 1
+    for n in range(4):
+        assert abs(quadrature(wavefunction(model, n, xs) ** 2, grid) - 1) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# edges of floating point and integer arguments
+
+@pytest.mark.parametrize("model, xs", [
+    (Case1Params(1, 2, 2), np.linspace(-800.0, -700.0, 101)),   # g overflows
+    (Case2Params(10, 2, 2), np.geomspace(1e9, 1e10, 101)),      # x^32.5 overflows
+    (Case2Params(0, 2, 2), np.geomspace(1e149, 1e160, 101)),    # g overflows
+])
+def test_states_are_zero_where_a_factor_overflows(model, xs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(pct_prefactor(model, xs) == 0.0)
+        for n in (0, 3):
+            assert np.all(wavefunction(model, n, xs) == 0.0)
+
+
+def test_integer_parameters_accept_numpy_and_reject_bool():
+    p = Case1Params(1, 2, np.int64(2))
+    assert p.m == 2 and type(p.m) is int
+    q = Case2Params(np.int64(1), 2, np.int32(1))
+    assert (q.eta, q.m) == (1, 1) and type(q.eta) is int
+    assert energy(p, np.int64(3)) == energy(p, 3)
+    assert Case1Params(np.int64(3), np.int64(2), 1).b == 3
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            Case1Params(1, 2, bad)
+        with pytest.raises(ValueError):
+            Case2Params(bad, 2, 1)
+
+
+@pytest.mark.parametrize("n", [1.5, True, -1])
+def test_level_index_must_be_a_non_negative_integer(n):
+    model = Case1Params(1, 2, 1)
+    for fn in (energy, energy_fraction, norm_constant_closed_form):
+        with pytest.raises(ValueError):
+            fn(model, n)
+    with pytest.raises(ValueError):
+        wavefunction(model, n, np.linspace(-1.0, 1.0, 5))
