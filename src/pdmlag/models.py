@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -114,7 +114,7 @@ class Case1Params:
         """Scale constant C = b^2 (so that lam * C = -b)."""
         return self.b * self.b
 
-    @cached_property
+    @property
     def pct_map(self) -> PctMap:
         """g = M = e^(-b x): every ratio is constant, C = b^2, x > -inf."""
         return _exponential_map(self.b)
@@ -180,7 +180,7 @@ class Case2Params:
     def kappa(self) -> int:
         return 1
 
-    @cached_property
+    @property
     def pct_map(self) -> PctMap:
         """g = x^l, M = l^2 x^(l-2): ratios c/x^k (t = 1/x), C = 1, x > 0."""
         return _power_map(self.l)

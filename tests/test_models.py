@@ -8,6 +8,7 @@ an adaptive-quadrature normalizer serve as independent references for the
 closed-form bound states.
 """
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -405,6 +406,12 @@ def test_integer_parameters_accept_numpy_and_reject_bool():
             Case1Params(1, 2, bad)
         with pytest.raises(ValueError):
             Case2Params(bad, 2, 1)
+
+
+def test_models_carry_no_state_and_pickle_after_use():
+    for model in (Case1Params(Fraction(3, 2), 2, 1), Case2Params(1, 2, 1)):
+        v_eff(model, 1.0)
+        assert pickle.loads(pickle.dumps(model)) == model
 
 
 @pytest.mark.parametrize("n", [1.5, True, -1])
