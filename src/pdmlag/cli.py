@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -807,7 +808,10 @@ def _build_table(command: str, cfg: RunConfig) -> Iterator[str]:
                          f"parameters and grid ({exc})") from None
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="pdmlag",
         description="Exactly solvable position-dependent-mass models with "

@@ -18,12 +18,20 @@ fine-grid level, and bisection then runs only inside a window around each
 prediction.  Sturm counts certify that window j holds exactly level j, so a
 warm value carries the plain path's guarantee: the midpoint of a bisection
 interval no wider than `_BISECT_TOL` that holds the eigenvalue.  It differs
-from the plain path's value by at most that width.  Whatever cannot be
-certified falls back to plain index bisection, with the plain path's errors.
+from the plain path's value by at most that width.  A window found empty is
+widened about its centre, clear of its neighbours, a few times before the
+solve gives up; whatever cannot be certified falls back to plain index
+bisection, with the plain path's errors.  The warm start calls LAPACK
+`dstebz` through ctypes, which releases the GIL, so the coarse solves and
+the windows are bisected on up to one thread per available CPU; each result
+depends only on its own inputs, so the values do not depend on the number
+of threads.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -47,6 +55,15 @@ _WARM_MAX_K = 40
 _COARSE_POINTS = (1001, 2001, 4001)
 # Relative floor of a window's half-width.
 _WINDOW_FLOOR = 1e-9
+# A window that holds no value is widened about its centre by this factor, at
+# most `_WIDEN_TRIES` times.  The rounding in the fine matrix, which grows
+# like 1/h^2, can put a level past the floor: at 200001 points the lowest
+# level has been seen 1.1e-9 to 1.9e-9 relative from its prediction.
+_WIDEN_FACTOR = 4.0
+_WIDEN_TRIES = 3
+# Threads for the warm start's bisections (never more than there are calls).
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -163,22 +180,126 @@ def _index_bisect(op: DiscretizedOperator, k: int, eigvals_only: bool):
                             tol=_BISECT_TOL)
 
 
+@cache
+def _dstebz():
+    """LAPACK `dstebz`, bound once through the function pointer that
+    `scipy.linalg.cython_lapack` exports: the LAPACK scipy.linalg calls.
+
+    A ctypes call releases the GIL, so bisections on separate threads run
+    at the same time; scipy's own `stebz` wrapper holds it.
+    """
+    import ctypes
+    from scipy.linalg import cython_lapack
+
+    api = ctypes.pythonapi
+    capsule = cython_lapack.__pyx_capi__["dstebz"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    char = ctypes.c_char_p
+    num = ctypes.POINTER(ctypes.c_int)
+    dbl = ctypes.POINTER(ctypes.c_double)
+    doubles = np.ctypeslib.ndpointer(np.double, ndim=1, flags="C")
+    ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C")
+    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK
+    # INFO
+    return ctypes.CFUNCTYPE(None, char, char, num, dbl, dbl, num, num, dbl,
+                            doubles, doubles, num, num, doubles, ints, ints,
+                            doubles, ints, num)(address)
+
+
+class _Workspace:
+    """The arrays `dstebz` writes, for matrices of up to n rows.  Each
+    thread needs its own."""
+
+    def __init__(self, n: int):
+        self.w = np.empty(n)
+        self.iblock = np.empty(n, dtype=np.intc)
+        self.isplit = np.empty(n, dtype=np.intc)
+        self.work = np.empty(4 * n)
+        self.iwork = np.empty(3 * n, dtype=np.intc)
+
+
+def _stebz(ws: _Workspace, d: np.ndarray, e: np.ndarray, select: bytes,
+           vl: float, vu: float, il: int, iu: int, tol: float):
+    """One `dstebz` call on the tridiagonal matrix (d, e), ordered by value,
+    using the arrays of `ws`.
+
+    `select` b"V" bisects the eigenvalues in (vl, vu], b"I" those of
+    (1-based) index il..iu.  Returns (m, w, iblock, isplit, info) as
+    scipy's `stebz` does, with w and iblock cut to the m values found and
+    isplit to the blocks.
+    """
+    import ctypes
+
+    n = d.size
+    if e.size != n - 1 or ws.w.size < n:
+        raise ValueError("work arrays do not fit the matrix")
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    _dstebz()(select, b"E", ctypes.byref(ctypes.c_int(n)),
+              ctypes.byref(ctypes.c_double(vl)),
+              ctypes.byref(ctypes.c_double(vu)),
+              ctypes.byref(ctypes.c_int(il)), ctypes.byref(ctypes.c_int(iu)),
+              ctypes.byref(ctypes.c_double(tol)), d, e, ctypes.byref(m),
+              ctypes.byref(nsplit), ws.w, ws.iblock, ws.isplit, ws.work,
+              ws.iwork, ctypes.byref(info))
+    return (m.value, ws.w[:m.value].copy(), ws.iblock[:m.value].copy(),
+            ws.isplit[:nsplit.value].copy(), info.value)
+
+
+def _stebz_concurrently(calls, spaces):
+    """`_stebz` on each argument tuple in `calls`, one thread per workspace
+    in `spaces`, each call going to the next thread that comes free.  The
+    results come back in call order."""
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
+    _dstebz()               # bind here, not in the threads
+    free = SimpleQueue()
+    for ws in spaces:
+        free.put(ws)
+
+    def run(args):
+        ws = free.get()     # never waits: no more threads than workspaces
+        try:
+            return _stebz(ws, *args)
+        finally:
+            free.put(ws)
+
+    with ThreadPoolExecutor(len(spaces)) as pool:
+        return list(pool.map(run, calls))
+
+
 def _predicted_windows(op: DiscretizedOperator, k: int):
     """Centres and half-widths of k windows, each predicted to hold one of
     the fine grid's lowest k eigenvalues.
 
-    The levels on the grids `_COARSE_POINTS` are fitted to E(h) = E* + c h^2
-    pairwise and extrapolated to the fine spacing; the finer pair gives the
-    centre, and four times the pairs' disagreement (at least `_WINDOW_FLOOR`
-    relative) the half-width.
+    The levels on the grids `_COARSE_POINTS`, found by index bisection (all
+    three at once), are fitted to E(h) = E* + c h^2 pairwise and
+    extrapolated to the fine spacing; the finer pair gives the centre, and
+    four times the pairs' disagreement (at least `_WINDOW_FLOOR` relative)
+    the half-width.
     """
     massfn, potfn = op.coefficients
     grid = op.grid
-    h2, levels = [], []
-    for npoints in _COARSE_POINTS:
-        coarse = Grid(grid.lo, grid.hi, npoints)
-        levels.append(_index_bisect(discretize(massfn, potfn, coarse), k, True))
-        h2.append(coarse.h ** 2)
+    coarse = [discretize(massfn, potfn, Grid(grid.lo, grid.hi, npoints))
+              for npoints in _COARSE_POINTS]
+    for c in coarse:
+        if not (np.all(np.isfinite(c.diag)) and np.all(np.isfinite(c.offdiag))):
+            raise ValueError("a coarse-grid matrix is not finite")
+    spaces = [_Workspace(max(c.size for c in coarse))
+              for _ in range(min(len(coarse), _WORKERS))]
+    levels = []
+    # the finest grid, the longest solve, is handed out first
+    for m, w, _, _, info in _stebz_concurrently(
+            [(c.diag, c.offdiag, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
+             for c in reversed(coarse)], spaces):
+        if info or m != k:
+            raise RuntimeError(f"coarse-grid bisection returned info={info}")
+        levels.insert(0, w)
+    h2 = [c.grid.h ** 2 for c in coarse]
     pred = [levels[i + 1] + (levels[i] - levels[i + 1]) / (h2[i] - h2[i + 1])
             * (grid.h ** 2 - h2[i + 1]) for i in (0, 1)]
     half = np.maximum(4.0 * np.abs(pred[0] - pred[1]),
@@ -194,12 +315,13 @@ def _warm_values(op: DiscretizedOperator, k: int):
     certified.  The cheap checks come before any bisection on the fine
     grid: the windows must be disjoint and ascending, and exactly k
     eigenvalues may lie between the Gershgorin lower bound and the top of
-    the last window.  Then each window must hold exactly one value.
-    Callers ignore floating-point errors here: an overflow shows as a
-    non-finite window or bound, which is refused.
+    the last window.  Then the windows are bisected concurrently, and each
+    must hold exactly one value.  A window that holds none is widened about
+    its centre by `_WIDEN_FACTOR`, clipped to stay disjoint from its
+    neighbours and inside the counted range, and bisected again, at most
+    `_WIDEN_TRIES` times.  Callers ignore floating-point errors here: an
+    overflow shows as a non-finite window or bound, which is refused.
     """
-    from scipy.linalg import get_lapack_funcs
-
     try:
         centre, half = _predicted_windows(op, k)
     except (ValueError, ArithmeticError, RuntimeError):
@@ -209,11 +331,7 @@ def _warm_values(op: DiscretizedOperator, k: int):
         return None
     if np.any(upper[:-1] > lower[1:]):
         return None
-    d, e = op.diag, op.offdiag
-    # stebz(d, e, 1, vl, vu, ...) bisects the eigenvalues in (vl, vu] (LAPACK
-    # RANGE='V'; il and iu are unused) and returns how many there are; with
-    # an infinite tolerance it only counts them
-    stebz, = get_lapack_funcs(("stebz",), (d, e))
+    d, e = np.ascontiguousarray(op.diag), np.ascontiguousarray(op.offdiag)
     # Gershgorin: no eigenvalue lies below min(d) - 2 max|e|, less a margin
     # for rounding
     dmin, emax = float(d.min()), max(float(e.max()), -float(e.min()))
@@ -221,18 +339,41 @@ def _warm_values(op: DiscretizedOperator, k: int):
     floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
     if not np.isfinite(floor):
         return None
-    m, _, _, _, info = stebz(d, e, 1, floor, upper[-1], 1, 1, np.inf, "E")
+    top = upper[-1]
+    spaces = [_Workspace(op.size) for _ in range(min(k, _WORKERS))]
+    # with an infinite tolerance dstebz only counts the values in the range
+    m, _, _, _, info = _stebz(spaces[0], d, e, b"V", floor, top, 1, 1, np.inf)
     if info or m != k:
         return None
     vals = np.empty(k)
-    blocks = np.empty(k, dtype=np.int32)
-    for j in range(k):
-        m, w, iblock, isplit, info = stebz(d, e, 1, lower[j], upper[j], 1, 1,
-                                           _BISECT_TOL, "E")
-        if info or m != 1:
-            return None
-        vals[j], blocks[j] = w[0], iblock[0]
-    return vals, blocks, isplit
+    blocks = np.empty(k, dtype=np.intc)
+    # the top windows are the widest and take the most steps; handing them
+    # out first leaves short ones for the end
+    todo = range(k - 1, -1, -1)
+    for _ in range(_WIDEN_TRIES + 1):
+        found = _stebz_concurrently(
+            [(d, e, b"V", lower[j], upper[j], 1, 1, _BISECT_TOL) for j in todo],
+            spaces)
+        empty = []
+        for j, (m, w, iblock, isplit, info) in zip(todo, found):
+            if info or m > 1:
+                return None
+            if m == 0:
+                empty.append(j)
+            else:
+                vals[j], blocks[j] = w[0], iblock[0]
+        if not empty:
+            return vals, blocks, isplit
+        # ascending, so a widened window is clipped to its lower neighbour's
+        # new bounds
+        empty.sort()
+        for j in empty:
+            half[j] *= _WIDEN_FACTOR
+            lower[j] = max(centre[j] - half[j], upper[j - 1] if j else floor)
+            upper[j] = min(centre[j] + half[j],
+                           lower[j + 1] if j + 1 < k else top)
+        todo = empty
+    return None
 
 
 def _inverse_iteration(op: DiscretizedOperator, vals: np.ndarray,
@@ -245,7 +386,9 @@ def _inverse_iteration(op: DiscretizedOperator, vals: np.ndarray,
     order = np.argsort(blocks, kind="stable")
     iblock = np.zeros(op.size, dtype=blocks.dtype)   # stein takes length n
     iblock[:order.size] = blocks[order]
-    v, info = stein(op.diag, op.offdiag, vals[order], iblock, isplit)
+    split = np.zeros(op.size, dtype=isplit.dtype)
+    split[:isplit.size] = isplit
+    v, info = stein(op.diag, op.offdiag, vals[order], iblock, split)
     if info:
         raise RuntimeError(f"tridiagonal eigensolve failed: inverse iteration "
                            f"returned info={info}")

@@ -300,6 +300,21 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    parser = cli._build_parser()
+    base = ["spectrum", "--case", "2", "--eta", "2", "--m", "2"]
+    _, first, _ = _run(capsys, base + ["--nmax", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = _run(capsys, base)   # --nmax back to its default, 3
+    assert code == 0 and err == ""
+    assert len(_csv_rows(out)[1]) == 4
+    assert _run(capsys, base + ["--nmax", "1"])[1] == first
+    assert cli._build_parser() is parser
+
+
 def test_config_file_key_value(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\ncase = 2\neta = 1\nnmax = 1\n"
