@@ -36,8 +36,9 @@ from .models import (Case1Params, Case2Params, ModelKind, default_domain,
                      energy, energy_fraction, mass, pct_master_residual,
                      susy_constant, v_eff, v_eff_m1_closed_form, wavefunction)
 from .orthopoly import XmFamilySpec, xm_inner_product, xm_laguerre, xm_ode_residual
-from .solver import (Grid, _model_operator, align_sign, convergence_order,
-                     discretize, lowest_eigenvalues, quadrature)
+from .solver import (Grid, _auto_grid, _model_operator, align_sign,
+                     convergence_order, discretize, lowest_eigenvalues,
+                     quadrature)
 from .susy import (apply_A, apply_A_dagger, partner_model,
                    partner_route_residual, partner_wavefunction,
                    shape_invariance_residual)
@@ -317,14 +318,17 @@ def _write_output(cfg: RunConfig, chunks: Iterable[str]) -> None:
 # ---------------------------------------------------------------------------
 # data commands
 
+def _user_grid(cfg: RunConfig, lo: float, hi: float, npoints: int) -> Grid:
+    """Grid on [lo, hi], with --grid-lo and --grid-hi in their place where
+    given."""
+    return Grid(lo if cfg.grid_lo is None else cfg.grid_lo,
+                hi if cfg.grid_hi is None else cfg.grid_hi, npoints)
+
+
 def _spectrum_grid(cfg: RunConfig, model: ModelKind, k: int) -> Grid:
     npoints = cfg.npoints if cfg.npoints is not None else 4001
-    lo, hi = default_domain(model, max(k - 1, 3))
-    if cfg.grid_lo is not None:
-        lo = cfg.grid_lo
-    if cfg.grid_hi is not None:
-        hi = cfg.grid_hi
-    return Grid(lo, hi, npoints)
+    grid = _auto_grid(model, k, npoints)
+    return _user_grid(cfg, grid.lo, grid.hi, npoints)
 
 
 def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
@@ -347,11 +351,7 @@ def _profile_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     lo, hi = default_domain(model, max(cfg.nmax, 2))
     if model.pct_map.lo > -math.inf:
         lo = hi / npoints  # keep the barrier at a finite end off the samples
-    if cfg.grid_lo is not None:
-        lo = cfg.grid_lo
-    if cfg.grid_hi is not None:
-        hi = cfg.grid_hi
-    return Grid(lo, hi, npoints)
+    return _user_grid(cfg, lo, hi, npoints)
 
 
 def cmd_profile(cfg: RunConfig) -> Iterator[str]:
@@ -369,11 +369,7 @@ def _density2d_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     npoints = cfg.npoints if cfg.npoints is not None else 201
     lo, hi = default_domain(model, max(cfg.n1, cfg.n2, 2))
     lo = hi / npoints
-    if cfg.grid_lo is not None:
-        lo = cfg.grid_lo
-    if cfg.grid_hi is not None:
-        hi = cfg.grid_hi
-    return Grid(lo, hi, npoints)
+    return _user_grid(cfg, lo, hi, npoints)
 
 
 def cmd_density2d(cfg: RunConfig) -> Iterator[str]:
@@ -478,10 +474,8 @@ def _check_orthonormality_case2():
 
 
 def _corrupted_spectrum(model: ModelKind, k: int, delta: float):
-    lo, hi = default_domain(model, max(k - 1, 3))
-    grid = Grid(lo, hi, 4001)
     op = discretize(lambda t: mass(model, t),
-                    lambda t: v_eff(model, t) + delta, grid)
+                    lambda t: v_eff(model, t) + delta, _auto_grid(model, k))
     return lowest_eigenvalues(op, k)
 
 

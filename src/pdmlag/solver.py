@@ -3,12 +3,13 @@
 The kinetic term is discretized in flux (conservation) form with 1/M sampled
 at grid midpoints, which keeps the matrix exactly symmetric and 2nd-order
 accurate; boundaries are Dirichlet.  Eigenvalues come from Sturm bisection
-on the tridiagonal matrix; eigenvectors come from inverse iteration, and only
-where a caller asks for them (`eigen_lowest`, `solve_model`).  Both come
-from scipy.linalg, which is imported on the first solve, so building grids and
-operators or integrating on a grid loads no scipy submodule.  Everything here
-is independent of the closed-form machinery so it can serve as an oracle for
-it.
+on the tridiagonal matrix (LAPACK `dstebz`); eigenvectors come from inverse
+iteration (LAPACK `dstein`), and only where a caller asks for them
+(`eigen_lowest`, `solve_model`).  Both routines are called through one ctypes
+binding to the function pointers scipy.linalg exports, which is made on the
+first solve, so building grids and operators or integrating on a grid loads
+no scipy submodule.  Everything here is independent of the closed-form
+machinery so it can serve as an oracle for it.
 
 Large grids are warm-started.  When an operator built by `discretize` has at
 least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
@@ -21,11 +22,10 @@ interval no wider than `_BISECT_TOL` that holds the eigenvalue.  It differs
 from the plain path's value by at most that width.  A window found empty is
 widened about its centre, clear of its neighbours, a few times before the
 solve gives up; whatever cannot be certified falls back to plain index
-bisection, with the plain path's errors.  The warm start calls LAPACK
-`dstebz` through ctypes, which releases the GIL, so the coarse solves and
-the windows are bisected on up to one thread per available CPU; each result
-depends only on its own inputs, so the values do not depend on the number
-of threads.
+bisection, with the plain path's errors.  A ctypes call releases the GIL, so
+the coarse solves and the windows are bisected on up to one thread per
+available CPU; each result depends only on its own inputs, so the values do
+not depend on the number of threads.
 """
 from __future__ import annotations
 
@@ -170,44 +170,41 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
                                coefficients=(massfn, potfn))
 
 
-def _index_bisect(op: DiscretizedOperator, k: int, eigvals_only: bool):
-    """The plain path: LAPACK index bisection for levels 0..k-1 (plus
-    inverse-iteration vectors if asked)."""
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=eigvals_only,
-                            select="i", select_range=(0, k - 1),
-                            tol=_BISECT_TOL)
-
-
 @cache
-def _dstebz():
-    """LAPACK `dstebz`, bound once through the function pointer that
-    `scipy.linalg.cython_lapack` exports: the LAPACK scipy.linalg calls.
+def _lapack(name: str):
+    """The LAPACK routine `name` (`dstebz` or `dstein`), bound once through
+    the function pointer that `scipy.linalg.cython_lapack` exports: the
+    LAPACK scipy.linalg calls.
 
     A ctypes call releases the GIL, so bisections on separate threads run
-    at the same time; scipy's own `stebz` wrapper holds it.
+    at the same time; scipy's own f2py wrappers hold it.
     """
     import ctypes
     from scipy.linalg import cython_lapack
 
     api = ctypes.pythonapi
-    capsule = cython_lapack.__pyx_capi__["dstebz"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))(capsule)
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                 ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name)
+        ("PyCapsule_GetPointer", api))(capsule, capsule_name)
     char = ctypes.c_char_p
     num = ctypes.POINTER(ctypes.c_int)
     dbl = ctypes.POINTER(ctypes.c_double)
     doubles = np.ctypeslib.ndpointer(np.double, ndim=1, flags="C")
     ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C")
-    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK
-    # INFO
-    return ctypes.CFUNCTYPE(None, char, char, num, dbl, dbl, num, num, dbl,
-                            doubles, doubles, num, num, doubles, ints, ints,
-                            doubles, ints, num)(address)
+    columns = np.ctypeslib.ndpointer(np.double, ndim=2, flags="F")
+    argtypes = {
+        # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK
+        # IWORK INFO
+        "dstebz": (char, char, num, dbl, dbl, num, num, dbl, doubles, doubles,
+                   num, num, doubles, ints, ints, doubles, ints, num),
+        # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
+        "dstein": (num, doubles, doubles, num, doubles, ints, ints, columns,
+                   num, doubles, ints, ints, num),
+    }[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
 
 class _Workspace:
@@ -238,13 +235,14 @@ def _stebz(ws: _Workspace, d: np.ndarray, e: np.ndarray, select: bytes,
     if e.size != n - 1 or ws.w.size < n:
         raise ValueError("work arrays do not fit the matrix")
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    _dstebz()(select, b"E", ctypes.byref(ctypes.c_int(n)),
-              ctypes.byref(ctypes.c_double(vl)),
-              ctypes.byref(ctypes.c_double(vu)),
-              ctypes.byref(ctypes.c_int(il)), ctypes.byref(ctypes.c_int(iu)),
-              ctypes.byref(ctypes.c_double(tol)), d, e, ctypes.byref(m),
-              ctypes.byref(nsplit), ws.w, ws.iblock, ws.isplit, ws.work,
-              ws.iwork, ctypes.byref(info))
+    _lapack("dstebz")(select, b"E", ctypes.byref(ctypes.c_int(n)),
+                      ctypes.byref(ctypes.c_double(vl)),
+                      ctypes.byref(ctypes.c_double(vu)),
+                      ctypes.byref(ctypes.c_int(il)),
+                      ctypes.byref(ctypes.c_int(iu)),
+                      ctypes.byref(ctypes.c_double(tol)), d, e,
+                      ctypes.byref(m), ctypes.byref(nsplit), ws.w, ws.iblock,
+                      ws.isplit, ws.work, ws.iwork, ctypes.byref(info))
     return (m.value, ws.w[:m.value].copy(), ws.iblock[:m.value].copy(),
             ws.isplit[:nsplit.value].copy(), info.value)
 
@@ -256,7 +254,7 @@ def _stebz_concurrently(calls, spaces):
     from concurrent.futures import ThreadPoolExecutor
     from queue import SimpleQueue
 
-    _dstebz()               # bind here, not in the threads
+    _lapack("dstebz")       # bind here, not in the threads
     free = SimpleQueue()
     for ws in spaces:
         free.put(ws)
@@ -309,7 +307,7 @@ def _predicted_windows(op: DiscretizedOperator, k: int):
 
 def _warm_values(op: DiscretizedOperator, k: int):
     """The lowest k eigenvalues bisected inside predicted windows, with the
-    block index of each and the block splitting `stein` needs.
+    block index of each and the block splitting `dstein` needs.
 
     Returns None when a coarse grid fails or the windows cannot be
     certified.  The cheap checks come before any bisection on the fine
@@ -378,58 +376,63 @@ def _warm_values(op: DiscretizedOperator, k: int):
 
 def _inverse_iteration(op: DiscretizedOperator, vals: np.ndarray,
                        blocks: np.ndarray, isplit: np.ndarray) -> np.ndarray:
-    """Eigenvectors for ascending `vals` by one `stein` call, which takes
-    them grouped by block (the order `eigh_tridiagonal` hands it)."""
-    from scipy.linalg import get_lapack_funcs
+    """Eigenvectors for ascending `vals` by one `dstein` call, which takes
+    them grouped by block (the order `dstebz` gives for ORDER = "B")."""
+    import ctypes
 
-    stein, = get_lapack_funcs(("stein",), (op.diag, op.offdiag))
+    n, k = op.size, vals.size
     order = np.argsort(blocks, kind="stable")
-    iblock = np.zeros(op.size, dtype=blocks.dtype)   # stein takes length n
-    iblock[:order.size] = blocks[order]
-    split = np.zeros(op.size, dtype=isplit.dtype)
-    split[:isplit.size] = isplit
-    v, info = stein(op.diag, op.offdiag, vals[order], iblock, split)
-    if info:
+    v = np.empty((n, k), order="F")
+    info = ctypes.c_int()
+    _lapack("dstein")(ctypes.byref(ctypes.c_int(n)),
+                      np.ascontiguousarray(op.diag),
+                      np.ascontiguousarray(op.offdiag),
+                      ctypes.byref(ctypes.c_int(k)), vals[order],
+                      blocks[order], isplit, v, ctypes.byref(ctypes.c_int(n)),
+                      np.empty(5 * n), np.empty(n, dtype=np.intc),
+                      np.empty(k, dtype=np.intc), ctypes.byref(info))
+    if info.value:
         raise RuntimeError(f"tridiagonal eigensolve failed: inverse iteration "
-                           f"returned info={info}")
+                           f"returned info={info.value}")
     vecs = np.empty_like(v)
     vecs[:, order] = v
     return vecs
 
 
-def _bisect_lowest(op: DiscretizedOperator, k: int, eigvals_only: bool):
-    """Lowest k eigenvalues by LAPACK bisection (plus vectors if asked).
+def _bisect_lowest(op: DiscretizedOperator, k: int):
+    """Lowest k eigenvalues by LAPACK bisection, with the block index of
+    each and the block splitting that `_inverse_iteration` needs.
 
     The plain path bisects levels 0..k-1 by index over the whole spectrum.
     An operator from `discretize` on at least `_WARM_MIN` points, asked for
     at most `_WARM_MAX_K` levels, is warm-started instead: its values are
     bisected to the same `_BISECT_TOL` inside windows predicted from the
     coarse grids `_COARSE_POINTS` and certified by Sturm counts
-    (`_warm_values`), and its vectors come from one `stein` call on those
-    values, as `eigh_tridiagonal` makes it.  So `lowest_eigenvalues` and
-    `eigen_lowest` return the same values on either path.  A warm value
-    lies within `_BISECT_TOL` of the plain one; when the windows cannot be
-    certified, the plain path runs, and its results and errors are returned.
+    (`_warm_values`).  `lowest_eigenvalues` and `eigen_lowest` both take
+    their values from here.  A warm value lies within `_BISECT_TOL` of the
+    plain one; when the windows cannot be certified, the plain path runs,
+    and its results and errors are returned.  A matrix with an infinite or
+    NaN entry is refused before either path runs.
     """
     n = op.size
     if not isinstance(k, int) or k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k!r}")
-    warm = None
+    d, e = np.ascontiguousarray(op.diag), np.ascontiguousarray(op.offdiag)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("array must not contain infs or NaNs")
+    out = None
     if (op.coefficients is not None and op.grid is not None
             and op.grid.npoints >= _WARM_MIN and k <= _WARM_MAX_K):
         with np.errstate(all="ignore"):
-            warm = _warm_values(op, k)
-    try:
-        if warm is None:
-            out = _index_bisect(op, k, eigvals_only)
-        elif eigvals_only:
-            out = warm[0]
-        else:
-            out = warm[0], _inverse_iteration(op, *warm)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"tridiagonal eigensolve failed: {exc}") from exc
-    vals = out if eigvals_only else out[0]
-    if np.any(np.diff(vals) <= 0):
+            out = _warm_values(op, k)
+    if out is None:
+        m, vals, blocks, isplit, info = _stebz(
+            _Workspace(n), d, e, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
+        if info or m != k:
+            raise RuntimeError(f"tridiagonal eigensolve failed: bisection "
+                               f"found {m} of {k} values (info={info})")
+        out = vals, blocks, isplit
+    if np.any(np.diff(out[0]) <= 0):
         raise RuntimeError("eigenvalues are not strictly increasing")
     return out
 
@@ -440,13 +443,14 @@ def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
     The values are those `eigen_lowest` returns, without the cost of
     computing eigenvectors.
     """
-    return _bisect_lowest(op, k, eigvals_only=True)
+    return _bisect_lowest(op, k)[0]
 
 
 def eigen_lowest(op: DiscretizedOperator, k: int) -> SpectrumResult:
     """Lowest k eigenpairs: values by Sturm bisection, vectors by inverse
     iteration."""
-    vals, vecs = _bisect_lowest(op, k, eigvals_only=False)
+    vals, blocks, isplit = _bisect_lowest(op, k)
+    vecs = _inverse_iteration(op, vals, blocks, isplit)
     residuals = np.empty(k)
     for j in range(k):
         v = vecs[:, j]

@@ -3,10 +3,11 @@
 Importing the package, and emitting closed-form data (`profile`,
 `density2d`), loads none of them; the finite-difference solver loads
 scipy.linalg on its first solve, on the plain and the warm-started path
-alike.  The warm start's LAPACK binding (scipy.linalg.cython_lapack) and
-thread pool (concurrent.futures) come with scipy.linalg, so importing the
-package loads neither.  Each case runs in a fresh interpreter, because this test process has
-imported all of scipy already.
+alike.  Both paths reach LAPACK through scipy.linalg.cython_lapack, and the
+warm start's thread pool is concurrent.futures; both come with
+scipy.linalg, so importing the package loads neither.  Each case runs in a
+fresh interpreter, because this test process has imported all of scipy
+already.
 """
 import json
 import os

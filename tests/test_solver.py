@@ -140,12 +140,13 @@ def test_lowest_eigenvalues_identical_on_models(model, npoints):
 # ---------------------------------------------------------------------------
 # warm start: windows predicted from coarse grids, certified by Sturm counts
 
-def _index_bisection(op, k):
-    """Reference: the plain index bisection over the whole spectrum."""
+def _index_bisection(op, k, vectors=False):
+    """Reference: the plain index bisection over the whole spectrum, by
+    scipy's `eigh_tridiagonal` (with inverse-iteration vectors if asked)."""
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
-                            select_range=(0, k - 1), tol=1e-12)
+    return eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=not vectors,
+                            select="i", select_range=(0, k - 1), tol=1e-12)
 
 
 def _model_op(model, k, npoints):
@@ -252,13 +253,14 @@ def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker,
     ref = _index_bisection(op, k)
     monkeypatch.setattr(solver, name, breaker(getattr(solver, name)))
     index_solved = []
-    index_bisect = solver._index_bisect
+    stebz = solver._stebz
 
-    def recording(solved, kk, eigvals_only):
-        index_solved.append(solved.size)
-        return index_bisect(solved, kk, eigvals_only)
+    def recording(ws, d, e, select, *args):
+        if select == b"I":                  # index bisection
+            index_solved.append(d.size)
+        return stebz(ws, d, e, select, *args)
 
-    monkeypatch.setattr(solver, "_index_bisect", recording)
+    monkeypatch.setattr(solver, "_stebz", recording)
     vals = lowest_eigenvalues(op, k)
     assert np.array_equal(eigen_lowest(op, k).eigenvalues, vals)
     if falls_back:
@@ -332,6 +334,91 @@ def test_hand_built_operator_takes_plain_path(monkeypatch):
 
     monkeypatch.setattr(solver, "_predicted_windows", no_windows)
     assert np.array_equal(lowest_eigenvalues(hand, k), _index_bisection(hand, k))
+
+
+def _split_operator():
+    # 300 rows whose off-diagonal has three zeros: four blocks, which the
+    # bisection and the inverse iteration treat one by one
+    rng = np.random.default_rng(300)
+    offdiag = rng.standard_normal(299)
+    offdiag[[50, 140, 220]] = 0.0
+    return DiscretizedOperator(diag=3.0 * rng.standard_normal(300),
+                               offdiag=offdiag)
+
+
+_ORACLE_CASES = [
+    pytest.param(lambda: DiscretizedOperator(diag=np.array([3.5]),
+                                             offdiag=np.array([])), 1,
+                 id="1x1"),
+    pytest.param(lambda: DiscretizedOperator(diag=np.array([2.0, 2.0]),
+                                             offdiag=np.array([-1.0])), 2,
+                 id="2x2"),
+    pytest.param(_split_operator, 30, id="300x300-split"),
+] + [
+    pytest.param(lambda model=model, npoints=npoints:
+                 _model_op(model, 10, npoints), 10, id=f"{name}-{npoints}")
+    for name, model in (("case1", Case1Params(Fraction(3, 2), Fraction(7, 3), 2)),
+                        ("case2", Case2Params(3, Fraction(19, 7), 4)))
+    for npoints in (4001, 12001)
+]
+
+
+@pytest.mark.parametrize("build, k", _ORACLE_CASES)
+def test_plain_path_is_bitwise_the_scipy_oracle(build, k):
+    op = build()
+    ref_vals, ref_vecs = _index_bisection(op, k, vectors=True)
+    res = eigen_lowest(op, k)
+    assert lowest_eigenvalues(op, k).tobytes() == ref_vals.tobytes()
+    assert res.eigenvalues.tobytes() == ref_vals.tobytes()
+    for j in range(k):
+        v = np.ascontiguousarray(ref_vecs[:, j])
+        v /= np.linalg.norm(v)              # as `eigen_lowest` normalises
+        assert res.eigenvectors[:, j].tobytes() == v.tobytes(), j
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("scipy's own LAPACK wrappers were called")
+
+
+def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _raise)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", _raise)
+    names = []
+    lapack = solver._lapack
+
+    def recording(name):
+        names.append(name)
+        return lapack(name)
+
+    monkeypatch.setattr(solver, "_lapack", recording)
+    k = 10
+    model = Case2Params(3, Fraction(19, 7), 4)
+    for npoints in (4001, 40001):           # the plain path, then the warm one
+        op = _model_op(model, k, npoints)
+        assert lowest_eigenvalues(op, k).shape == (k,)
+        assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)
+    monkeypatch.setattr(solver, "_predicted_windows",
+                        _shift_up_one_level(solver._predicted_windows))
+    assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)  # fallback
+    assert set(names) == {"dstebz", "dstein"}
+
+
+@pytest.mark.parametrize("npoints", [4001, 40001])   # plain path, warm path
+@pytest.mark.parametrize("index, value", [
+    (0, math.inf), ("middle", math.inf), (-1, math.inf), ("middle", math.nan),
+], ids=["first-inf", "middle-inf", "last-inf", "middle-nan"])
+def test_non_finite_operator_is_refused_on_either_path(npoints, index, value):
+    k = 5
+    op = _model_op(Case1Params(Fraction(3, 2), Fraction(7, 3), 2), k, npoints)
+    diag = op.diag.copy()
+    diag[op.size // 2 if index == "middle" else index] = value
+    bad = DiscretizedOperator(diag=diag, offdiag=op.offdiag, grid=op.grid,
+                              coefficients=op.coefficients)
+    for solve in (lowest_eigenvalues, eigen_lowest):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            solve(bad, k)
 
 
 def test_eigen_lowest_residuals_small():
