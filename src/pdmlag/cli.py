@@ -718,10 +718,9 @@ _CHECKS = [
 
 def cmd_verify(cfg: RunConfig) -> tuple:
     """Run every registered invariant check; returns (report text, all_pass)."""
-    # The library imports these on first use; load them before the timed
+    # The library imports this on first use; load it before the timed
     # battery so no check's runtime_s includes an import.
     import scipy.integrate  # noqa: F401
-    import scipy.linalg  # noqa: F401
 
     delta = cfg.corrupt_veff
     checks = []

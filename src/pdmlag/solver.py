@@ -6,10 +6,12 @@ accurate; boundaries are Dirichlet.  Eigenvalues come from Sturm bisection
 on the tridiagonal matrix (LAPACK `dstebz`); eigenvectors come from inverse
 iteration (LAPACK `dstein`), and only where a caller asks for them
 (`eigen_lowest`, `solve_model`).  Both routines are called through one ctypes
-binding to the function pointers scipy.linalg exports, which is made on the
-first solve, so building grids and operators or integrating on a grid loads
-no scipy submodule.  Everything here is independent of the closed-form
-machinery so it can serve as an oracle for it.
+binding, made on the first solve, to the OpenBLAS that numpy's wheel already
+loads; so no part of the solver loads a scipy submodule.  Only where numpy
+exports no such routines (a numpy built from source, or on MKL or
+Accelerate) are both taken from scipy.linalg.cython_lapack instead.
+Everything here is independent of the closed-form machinery so it can serve
+as an oracle for it.
 
 Large grids are warm-started.  When an operator built by `discretize` has at
 least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
@@ -170,53 +172,100 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
                                coefficients=(massfn, potfn))
 
 
+# The LAPACK symbols numpy's wheels export from the OpenBLAS they bundle,
+# built with 64-bit integers, in the order (dstebz, dstein).
+_NUMPY_SYMBOLS = ("scipy_dstebz_64_", "scipy_dstein_64_")
+
+
+def _numpy_lapack():
+    """The addresses of `dstebz` and `dstein` in the OpenBLAS that numpy
+    loaded, or None unless both are there (a numpy built from source, or
+    on MKL or Accelerate, exports neither)."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return tuple(ctypes.cast(getattr(lib, symbol), ctypes.c_void_p).value
+                     for symbol in _NUMPY_SYMBOLS)
+    except (AttributeError, OSError):
+        return None
+
+
+def _scipy_lapack():
+    """The addresses of `dstebz` and `dstein` that
+    `scipy.linalg.cython_lapack` exports, which take C ints."""
+    import ctypes
+    from scipy.linalg import cython_lapack
+
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    capsules = [cython_lapack.__pyx_capi__[name] for name in ("dstebz", "dstein")]
+    return tuple(get_pointer(c, get_name(c)) for c in capsules)
+
+
 @cache
-def _lapack(name: str):
-    """The LAPACK routine `name` (`dstebz` or `dstein`), bound once through
-    the function pointer that `scipy.linalg.cython_lapack` exports: the
-    LAPACK scipy.linalg calls.
+def _binding():
+    """`dstebz` and `dstein` bound through ctypes, both from one LAPACK,
+    with the ctypes integer type they take: numpy's own OpenBLAS (64-bit
+    integers) when it exports both, else `scipy.linalg.cython_lapack` (C
+    ints).  Only the second loads a scipy submodule.
 
     A ctypes call releases the GIL, so bisections on separate threads run
     at the same time; scipy's own f2py wrappers hold it.
     """
     import ctypes
-    from scipy.linalg import cython_lapack
 
-    api = ctypes.pythonapi
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
-                                ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, capsule_name)
+    addresses = _numpy_lapack()
+    fortran = addresses is not None
+    integer = ctypes.c_int64 if fortran else ctypes.c_int
+    stebz_at, stein_at = addresses if fortran else _scipy_lapack()
     char = ctypes.c_char_p
-    num = ctypes.POINTER(ctypes.c_int)
+    num = ctypes.POINTER(integer)
     dbl = ctypes.POINTER(ctypes.c_double)
     doubles = np.ctypeslib.ndpointer(np.double, ndim=1, flags="C")
-    ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C")
+    ints = np.ctypeslib.ndpointer(integer, ndim=1, flags="C")
     columns = np.ctypeslib.ndpointer(np.double, ndim=2, flags="F")
-    argtypes = {
-        # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK
-        # IWORK INFO
-        "dstebz": (char, char, num, dbl, dbl, num, num, dbl, doubles, doubles,
-                   num, num, doubles, ints, ints, doubles, ints, num),
-        # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
-        "dstein": (num, doubles, doubles, num, doubles, ints, ints, columns,
-                   num, doubles, ints, ints, num),
-    }[name]
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK
+    # IWORK INFO, then, for a Fortran symbol, the lengths of RANGE and ORDER
+    # that gfortran passes after the last argument
+    stebz_args = (char, char, num, dbl, dbl, num, num, dbl, doubles, doubles,
+                  num, num, doubles, ints, ints, doubles, ints, num)
+    lengths = (ctypes.c_size_t,) * 2 if fortran else ()
+    raw_stebz = ctypes.CFUNCTYPE(None, *stebz_args, *lengths)(stebz_at)
+    # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
+    dstein = ctypes.CFUNCTYPE(None, num, doubles, doubles, num, doubles, ints,
+                              ints, columns, num, doubles, ints, ints,
+                              num)(stein_at)
+    if fortran:
+        def dstebz(*args):
+            raw_stebz(*args, 1, 1)
+    else:
+        dstebz = raw_stebz
+    return {"dstebz": dstebz, "dstein": dstein}, integer
+
+
+def _lapack(name: str):
+    """The LAPACK routine `name` (`dstebz` or `dstein`) and the ctypes
+    integer type its integer arguments take, from `_binding`."""
+    routines, integer = _binding()
+    return routines[name], integer
 
 
 class _Workspace:
-    """The arrays `dstebz` writes, for matrices of up to n rows.  Each
-    thread needs its own."""
+    """The arrays `dstebz` writes, for matrices of up to n rows, with the
+    integer type of the binding.  Each thread needs its own."""
 
     def __init__(self, n: int):
+        ints = np.dtype(_lapack("dstebz")[1])
         self.w = np.empty(n)
-        self.iblock = np.empty(n, dtype=np.intc)
-        self.isplit = np.empty(n, dtype=np.intc)
+        self.iblock = np.empty(n, dtype=ints)
+        self.isplit = np.empty(n, dtype=ints)
         self.work = np.empty(4 * n)
-        self.iwork = np.empty(3 * n, dtype=np.intc)
+        self.iwork = np.empty(3 * n, dtype=ints)
 
 
 def _stebz(ws: _Workspace, d: np.ndarray, e: np.ndarray, select: bytes,
@@ -234,15 +283,14 @@ def _stebz(ws: _Workspace, d: np.ndarray, e: np.ndarray, select: bytes,
     n = d.size
     if e.size != n - 1 or ws.w.size < n:
         raise ValueError("work arrays do not fit the matrix")
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    _lapack("dstebz")(select, b"E", ctypes.byref(ctypes.c_int(n)),
-                      ctypes.byref(ctypes.c_double(vl)),
-                      ctypes.byref(ctypes.c_double(vu)),
-                      ctypes.byref(ctypes.c_int(il)),
-                      ctypes.byref(ctypes.c_int(iu)),
-                      ctypes.byref(ctypes.c_double(tol)), d, e,
-                      ctypes.byref(m), ctypes.byref(nsplit), ws.w, ws.iblock,
-                      ws.isplit, ws.work, ws.iwork, ctypes.byref(info))
+    dstebz, integer = _lapack("dstebz")
+    m, nsplit, info = integer(), integer(), integer()
+    dstebz(select, b"E", ctypes.byref(integer(n)),
+           ctypes.byref(ctypes.c_double(vl)), ctypes.byref(ctypes.c_double(vu)),
+           ctypes.byref(integer(il)), ctypes.byref(integer(iu)),
+           ctypes.byref(ctypes.c_double(tol)), d, e, ctypes.byref(m),
+           ctypes.byref(nsplit), ws.w, ws.iblock, ws.isplit, ws.work, ws.iwork,
+           ctypes.byref(info))
     return (m.value, ws.w[:m.value].copy(), ws.iblock[:m.value].copy(),
             ws.isplit[:nsplit.value].copy(), info.value)
 
@@ -250,11 +298,11 @@ def _stebz(ws: _Workspace, d: np.ndarray, e: np.ndarray, select: bytes,
 def _stebz_concurrently(calls, spaces):
     """`_stebz` on each argument tuple in `calls`, one thread per workspace
     in `spaces`, each call going to the next thread that comes free.  The
-    results come back in call order."""
+    results come back in call order.  Making the workspaces made the
+    binding, so no thread makes it."""
     from concurrent.futures import ThreadPoolExecutor
     from queue import SimpleQueue
 
-    _lapack("dstebz")       # bind here, not in the threads
     free = SimpleQueue()
     for ws in spaces:
         free.put(ws)
@@ -344,7 +392,7 @@ def _warm_values(op: DiscretizedOperator, k: int):
     if info or m != k:
         return None
     vals = np.empty(k)
-    blocks = np.empty(k, dtype=np.intc)
+    blocks = np.empty(k, dtype=spaces[0].iblock.dtype)
     # the top windows are the widest and take the most steps; handing them
     # out first leaves short ones for the end
     todo = range(k - 1, -1, -1)
@@ -381,16 +429,15 @@ def _inverse_iteration(op: DiscretizedOperator, vals: np.ndarray,
     import ctypes
 
     n, k = op.size, vals.size
+    dstein, integer = _lapack("dstein")
     order = np.argsort(blocks, kind="stable")
     v = np.empty((n, k), order="F")
-    info = ctypes.c_int()
-    _lapack("dstein")(ctypes.byref(ctypes.c_int(n)),
-                      np.ascontiguousarray(op.diag),
-                      np.ascontiguousarray(op.offdiag),
-                      ctypes.byref(ctypes.c_int(k)), vals[order],
-                      blocks[order], isplit, v, ctypes.byref(ctypes.c_int(n)),
-                      np.empty(5 * n), np.empty(n, dtype=np.intc),
-                      np.empty(k, dtype=np.intc), ctypes.byref(info))
+    info = integer()
+    dstein(ctypes.byref(integer(n)), np.ascontiguousarray(op.diag),
+           np.ascontiguousarray(op.offdiag), ctypes.byref(integer(k)),
+           vals[order], blocks[order], isplit, v, ctypes.byref(integer(n)),
+           np.empty(5 * n), np.empty(n, dtype=integer),
+           np.empty(k, dtype=integer), ctypes.byref(info))
     if info.value:
         raise RuntimeError(f"tridiagonal eigensolve failed: inverse iteration "
                            f"returned info={info.value}")

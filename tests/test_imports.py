@@ -1,13 +1,13 @@
 """Which scipy submodules pdmlag loads, and when.
 
-Importing the package, and emitting closed-form data (`profile`,
-`density2d`), loads none of them; the finite-difference solver loads
-scipy.linalg on its first solve, on the plain and the warm-started path
-alike.  Both paths reach LAPACK through scipy.linalg.cython_lapack, and the
-warm start's thread pool is concurrent.futures; both come with
-scipy.linalg, so importing the package loads neither.  Each case runs in a
-fresh interpreter, because this test process has imported all of scipy
-already.
+Importing the package, emitting closed-form data (`profile`, `density2d`)
+and solving on the finite-difference grid (`spectrum`) load none of them:
+both solver paths call LAPACK through the OpenBLAS that numpy's wheel
+already loads.  Only where numpy exports no such routines does the solver
+fall back to scipy.linalg.cython_lapack.  The warm start's thread pool is
+concurrent.futures, which is loaded on the first warm-started solve.  Each
+case runs in a fresh interpreter, because this test process has imported
+all of scipy already.
 """
 import json
 import os
@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from pdmlag import solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -62,16 +64,19 @@ def test_closed_form_commands_load_no_scipy_submodule(argv, tmp_path):
     assert loaded == set()
 
 
-def test_spectrum_loads_only_scipy_linalg(tmp_path):
+@pytest.mark.skipif(solver._numpy_lapack() is None,
+                    reason="numpy exports no dstebz/dstein of its own")
+def test_spectrum_loads_no_scipy_submodule(tmp_path):
     # the default grid takes plain bisection; 40001 points the warm start
+    plain = ["spectrum"] + _MODEL2 + ["--out", "spectrum.csv"]
+    codes, loaded, _ = _run([plain], tmp_path)
+    assert codes == [0]
+    assert loaded == set()
     codes, loaded, threads = _run(
-        [["spectrum"] + _MODEL2 + ["--out", "spectrum.csv"],
-         ["spectrum"] + _MODEL2 + ["--npoints", "40001", "--out", "fine.csv"]],
-        tmp_path)
+        [plain, ["spectrum"] + _MODEL2 + ["--npoints", "40001",
+                                          "--out", "fine.csv"]], tmp_path)
     assert codes == [0, 0]
-    # scipy.linalg loads the other two itself
-    assert loaded == {"scipy.linalg", "scipy.linalg.cython_lapack",
-                      "concurrent.futures"}
+    assert loaded == {"concurrent.futures"}
     # the warm start's pool threads are gone once the solve returns, and the
     # interpreter exits cleanly (`_run` checks its exit code)
     assert threads == 1
