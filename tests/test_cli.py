@@ -280,6 +280,31 @@ def test_verify_corruption_trips_oracle_checks(capsys):
     assert report["summary"]["failed"] >= 2
 
 
+# The tolerance of each check, in report order.  A tolerance is part of what
+# verify certifies, so loosening one must show up as a change to this list.
+VERIFY_TOLERANCES = [
+    ("xm-ode-exact", 0.0), ("xm-orthogonality", 1e-8),
+    ("m1-closed-form", 1e-12), ("pct-identity-case1", 1e-9),
+    ("pct-identity-case2", 1e-9), ("orthonormality-case1", 1e-6),
+    ("orthonormality-case2", 1e-6), ("oracle-spectrum-case1", 1e-4),
+    ("oracle-spectrum-case2", 1e-3), ("isochronous-gaps", 1e-3),
+    ("susy-e0-zero", 0.0), ("susy-ground-annihilation", 1e-6),
+    ("susy-shape-invariance", 1e-9), ("susy-partner-route", 1e-8),
+    ("susy-intertwine", 1e-5), ("susy-partner-spectrum", 1e-3),
+    ("solver-ho-spectrum", 1e-5), ("solver-ho-order", 0.2),
+    ("profile-normalization", 1e-6), ("profile-node-counts", 0.0),
+    ("density2d-integral", 1e-4), ("density2d-lobes", 0.0),
+]
+
+
+def test_verify_reports_every_check_with_its_pinned_tolerance(capsys):
+    code, out, err = _run(capsys, ["verify"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert [(c["name"], c["tolerance"]) for c in report["checks"]] \
+        == VERIFY_TOLERANCES
+
+
 # ---------------------------------------------------------------------------
 # determinism, config files, output paths
 
@@ -352,6 +377,39 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code, _, err = _run(capsys, ["spectrum", "--config", str(cfg)])
     assert code == 1
     assert "wibble" in err
+
+
+def test_json_config_takes_numbers_and_numeric_strings(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"case": "2", "eta": 1, "alpha": 2.5, "b": 1,
+                               "vc": "1/2", "grid_hi": 6, "nmax": 1}),
+                   encoding="utf-8")
+    code, out, err = _run(capsys, ["spectrum", "--config", str(cfg)])
+    flags = ["spectrum", "--case", "2", "--eta", "1", "--alpha", "5/2",
+             "--vc", "1/2", "--grid-hi", "6", "--nmax", "1"]
+    assert code == 0 and err == ""
+    assert out == _run(capsys, flags)[1]
+
+
+@pytest.mark.parametrize("config", [
+    {"m": [2]}, {"grid_hi": [3]}, {"out": 5},
+    {"m": 2.7}, {"nmax": True}, {"npoints": 4001.9}, {"nmax": None},
+], ids=["m-list", "grid_hi-list", "out-number", "m-float", "nmax-bool",
+        "npoints-float", "nmax-null"])
+def test_json_config_value_of_wrong_kind_exits_one(tmp_path, capsys,
+                                                   monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = _run(capsys, ["spectrum", "--config", str(path)])
+    (key,) = config
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: invalid value for {key}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_missing_config_exits_one(tmp_path, capsys):
