@@ -46,13 +46,37 @@ from .susy import (apply_A, apply_A_dagger, partner_model,
 
 OUTDIR_ENV = "PDMLAG_OUTDIR"
 
-_DEFAULTS = {
-    "case": 1, "b": "1", "alpha": "2", "m": 1, "eta": 0,
-    "vc": None, "preset": None, "nmax": 3,
-    "grid_lo": None, "grid_hi": None, "npoints": None,
-    "format": "csv", "out": None, "n1": 0, "n2": 0,
-    "corrupt_veff": 0.0,
+_TABLES = ("spectrum", "profile", "density2d")
+
+# The settings, one row per RunConfig field: (default, kind, the subcommands
+# that take it as a flag, help).  A flag, a `key = value` line and a JSON
+# value all reach RunConfig through `_coerce`.
+_OPTIONS = {
+    "case": (1, int, _TABLES,
+             "model family: 1 (exponential mass) or 2 (power-law)"),
+    "b": (Fraction(1), Fraction, _TABLES,
+          "Case-1 mass decay rate (rational, e.g. 1 or 3/2)"),
+    "alpha": (Fraction(2), Fraction, _TABLES,
+              "family parameter alpha > 1 (rational)"),
+    "m": (1, int, _TABLES, "codimension m >= 1"),
+    "eta": (0, int, _TABLES,
+            "Case-2 deformation index eta >= 0 (nu = 2eta/(2eta+1))"),
+    "vc": (None, Fraction, _TABLES,
+           "additive potential constant (rational; not with --preset)"),
+    "preset": (None, str, _TABLES, "named vc preset (susy-zero puts E_0 at 0)"),
+    "nmax": (3, int, _TABLES, "highest level n to emit"),
+    "grid_lo": (None, float, _TABLES, "grid left endpoint"),
+    "grid_hi": (None, float, _TABLES, "grid right endpoint"),
+    "npoints": (None, int, _TABLES, "number of grid points"),
+    "format": ("csv", str, _TABLES + ("verify",), "output format: csv or json"),
+    "out": (None, str, _TABLES + ("verify",),
+            f"output path (relative paths resolve under ${OUTDIR_ENV} when "
+            f"set; stdout if omitted)"),
+    "n1": (0, int, ("density2d",), "x-direction quantum number"),
+    "n2": (0, int, ("density2d",), "y-direction quantum number"),
+    "corrupt_veff": (0.0, float, ("verify",), argparse.SUPPRESS),
 }
+_CHOICES = {"format": ("csv", "json"), "preset": ("susy-zero",)}
 
 
 @dataclass(frozen=True)
@@ -79,8 +103,6 @@ class RunConfig:
     def model(self) -> ModelKind:
         if self.vc is not None and self.preset is not None:
             raise ValueError("give either vc or preset, not both")
-        if self.preset is not None and self.preset != "susy-zero":
-            raise ValueError(f"unknown preset {self.preset!r} (known: susy-zero)")
         if self.case == 1:
             base = Case1Params(self.b, self.alpha, self.m)
         elif self.case == 2:
@@ -115,58 +137,52 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"config line {lineno} is not key=value: {line!r}")
             key, _, value = line.partition("=")
             raw[key.strip()] = value.strip()
-    out = {}
-    for key, value in raw.items():
-        key = key.replace("-", "_")
-        if key not in _DEFAULTS:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = value
-    return out
-
-
-_INT_KEYS = {"case", "m", "eta", "nmax", "npoints", "n1", "n2"}
-_FRACTION_KEYS = {"b", "alpha", "vc"}
-_FLOAT_KEYS = {"grid_lo", "grid_hi", "corrupt_veff"}
+    return {key.replace("-", "_"): value for key, value in raw.items()}
 
 
 def _coerce(key: str, value):
-    """A config value as its RunConfig field.  Strings are parsed; a JSON
-    value must be an integer for an integer key, a number for a rational or
-    float key, a string for the rest, and null only where the default is."""
-    if value is None and _DEFAULTS[key] is None:
+    """A setting from a flag, a config line or JSON as its RunConfig field.
+    Strings are parsed; a JSON value must be an integer for an int key, a
+    number for a Fraction or float key, a string for the rest (never empty,
+    and one of its `_CHOICES`), and null only where the default is."""
+    if key not in _OPTIONS:
+        raise ValueError(f"unknown config key {key!r}")
+    default, kind = _OPTIONS[key][:2]
+    if value is None and default is None:
         return None
-    if key in _INT_KEYS:
+    if kind is int:
         kinds, expected = (int, str), "an integer"
-    elif key in _FRACTION_KEYS or key in _FLOAT_KEYS:
-        kinds, expected = (int, float, str), "a number"
-    else:
+    elif kind is str:
         kinds, expected = (str,), "a string"
+    else:
+        kinds, expected = (int, float, str), "a number"
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"invalid value for {key}: {value!r} (not {expected})")
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FRACTION_KEYS:
+        if kind is Fraction:
             frac = Fraction(str(value))
             float(frac)                     # OverflowError beyond ~1.8e308
             return frac
-        if key in _FLOAT_KEYS:
-            return float(value)
+        if kind is not str:
+            return kind(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid value for {key}: {value!r} ({exc})") from None
     except OverflowError:
         raise ValueError(f"invalid value for {key}: {value!r} "
                          "(too large for a float)") from None
-    if key == "format" and value not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {value!r}")
+    if not value:
+        raise ValueError(f"invalid value for {key}: '' (empty)")
+    if value not in _CHOICES.get(key, (value,)):
+        raise ValueError(f"invalid value for {key}: {value!r} "
+                         f"(known: {', '.join(_CHOICES[key])})")
     return value
 
 
 def _default_config(**overrides) -> RunConfig:
     """The defaults with `overrides` in their place, coerced and checked."""
-    values = dict(_DEFAULTS)
-    values.update(overrides)
-    cfg = RunConfig(**{k: _coerce(k, values[k]) for k in _DEFAULTS})
+    values = {key: row[0] for key, row in _OPTIONS.items()}
+    values.update({k: _coerce(k, v) for k, v in overrides.items()})
+    cfg = RunConfig(**values)
     if cfg.nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {cfg.nmax}")
     if cfg.npoints is not None and cfg.npoints < 16:
@@ -178,9 +194,8 @@ def _default_config(**overrides) -> RunConfig:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the --config file, then the flags given."""
-    config_path = getattr(args, "config", None)
-    overrides = _parse_config_file(config_path) if config_path else {}
-    overrides.update({k: getattr(args, k) for k in _DEFAULTS if hasattr(args, k)})
+    overrides = {} if args.config is None else _parse_config_file(args.config)
+    overrides.update((k, v) for k, v in vars(args).items() if k in _OPTIONS)
     return _default_config(**overrides)
 
 
@@ -710,41 +725,6 @@ def cmd_verify(cfg: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # argument parsing and entry point
 
-def _add_common(sub: argparse.ArgumentParser, with_model: bool = True) -> None:
-    sub.add_argument("--config", help="config file (key=value lines or JSON)")
-    sub.add_argument("--format", choices=("csv", "json"),
-                     default=argparse.SUPPRESS, help="output format")
-    sub.add_argument("--out", default=argparse.SUPPRESS,
-                     help=f"output path (relative paths resolve under "
-                          f"${OUTDIR_ENV} when set; stdout if omitted)")
-    if not with_model:
-        return
-    sub.add_argument("--case", type=int, default=argparse.SUPPRESS,
-                     help="model family: 1 (exponential mass) or 2 (power-law)")
-    sub.add_argument("--b", default=argparse.SUPPRESS,
-                     help="Case-1 mass decay rate (rational, e.g. 1 or 3/2)")
-    sub.add_argument("--alpha", default=argparse.SUPPRESS,
-                     help="family parameter alpha > 1 (rational)")
-    sub.add_argument("--m", type=int, default=argparse.SUPPRESS,
-                     help="codimension m >= 1")
-    sub.add_argument("--eta", type=int, default=argparse.SUPPRESS,
-                     help="Case-2 deformation index eta >= 0 (nu = 2eta/(2eta+1))")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--vc", default=argparse.SUPPRESS,
-                       help="additive potential constant (rational)")
-    group.add_argument("--preset", default=argparse.SUPPRESS,
-                       choices=("susy-zero",),
-                       help="named vc preset (susy-zero puts E_0 at 0)")
-    sub.add_argument("--nmax", type=int, default=argparse.SUPPRESS,
-                     help="highest level n to emit")
-    sub.add_argument("--grid-lo", dest="grid_lo", type=float,
-                     default=argparse.SUPPRESS, help="grid left endpoint")
-    sub.add_argument("--grid-hi", dest="grid_hi", type=float,
-                     default=argparse.SUPPRESS, help="grid right endpoint")
-    sub.add_argument("--npoints", type=int, default=argparse.SUPPRESS,
-                     help="number of grid points")
-
-
 _DATA_COMMANDS = {"spectrum": cmd_spectrum, "profile": cmd_profile,
                   "density2d": cmd_density2d}
 
@@ -765,38 +745,43 @@ def _build_table(command: str, cfg: RunConfig) -> Iterator[str]:
                          f"parameters and grid ({exc})") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as ValueError (exit 1), not by
+    argparse's exit 2, which means a failed verify."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it
-    unchanged)."""
-    parser = argparse.ArgumentParser(
+    unchanged).  Each flag is a row of `_OPTIONS`, kept as its string for
+    `_coerce`."""
+    parser = _Parser(
         prog="pdmlag",
         description="Exactly solvable position-dependent-mass models with "
                     "X_m-Laguerre bound states: spectra, figure data, and "
                     "verification.")
     subs = parser.add_subparsers(dest="command", required=True)
-    sp = subs.add_parser("spectrum", help="analytic vs numeric eigenvalues")
-    _add_common(sp)
-    pr = subs.add_parser("profile", help="x, M, V_eff and first densities")
-    _add_common(pr)
-    dd = subs.add_parser("density2d", help="separable 2D density mesh (Case 2)")
-    _add_common(dd)
-    dd.add_argument("--n1", type=int, default=argparse.SUPPRESS,
-                    help="x-direction quantum number")
-    dd.add_argument("--n2", type=int, default=argparse.SUPPRESS,
-                    help="y-direction quantum number")
-    vf = subs.add_parser("verify", help="run the invariant battery")
-    _add_common(vf, with_model=False)
-    vf.add_argument("--corrupt-veff", dest="corrupt_veff", type=float,
-                    default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    for command, help_text in (
+            ("spectrum", "analytic vs numeric eigenvalues"),
+            ("profile", "x, M, V_eff and first densities"),
+            ("density2d", "separable 2D density mesh (Case 2)"),
+            ("verify", "run the invariant battery")):
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="config file (key=value lines or JSON)")
+        for key, (_, _, commands, help_key) in _OPTIONS.items():
+            if command in commands:
+                sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                                 default=argparse.SUPPRESS, help=help_key)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     status = 0
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "verify":
             text, ok = cmd_verify(cfg)

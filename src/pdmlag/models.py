@@ -69,12 +69,12 @@ class PctMap:
     tau: Fraction
     c: Fraction
     lo: float
-    k_g: float = field(init=False)
+    k_g: Fraction = field(init=False)
 
     def __post_init__(self):
         # K = [3 (g''/g')^2/4 - (g'''/g')/2 + (M''/M)/2 - 3 (M'/M)^2/4] / M
         k = (3 * self.d2 ** 2 - 2 * self.d3 + 2 * self.e2 - 3 * self.e1 ** 2) / 4
-        object.__setattr__(self, "k_g", float(self.c * k / self.d1 ** 2))
+        object.__setattr__(self, "k_g", self.c * k / self.d1 ** 2)
 
 
 @lru_cache(maxsize=64)
@@ -253,7 +253,7 @@ def v_eff(model: ModelKind, x):
     pm, xa = _points(model, x)
     g = pm.g(xa)
     af, cf = float(model.alpha), float(pm.c)
-    inv_coeff = cf * (af * af - 1.0) / 4.0 + pm.k_g
+    inv_coeff = cf * (af * af - 1.0) / 4.0 + float(pm.k_g)
     out = (inv_coeff / g + cf * g * (0.25 + _bracket(model, g))
            + float(model.vc))
     return _ret(x, out)

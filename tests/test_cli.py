@@ -132,11 +132,12 @@ def test_large_finite_parameter_exits_one(tmp_path, capsys, command, key):
 
 
 def test_vc_and_preset_conflict(tmp_path, capsys):
-    # both flags at once are rejected by the parser itself
-    with pytest.raises(SystemExit):
-        main(["spectrum", "--vc", "1", "--preset", "susy-zero"])
-    capsys.readouterr()
-    # a config-file vc combined with a --preset flag is caught downstream
+    # both flags at once are refused like any other conflict, with exit 1
+    code, out, err = _run(capsys, ["spectrum", "--vc", "1",
+                                   "--preset", "susy-zero"])
+    assert (code, out) == (1, "")
+    assert err == "error: give either vc or preset, not both\n"
+    # so is a config-file vc combined with a --preset flag
     cfg = tmp_path / "run.cfg"
     cfg.write_text("vc = -2\n", encoding="utf-8")
     code, _, err = _run(capsys, ["spectrum", "--config", str(cfg),
@@ -329,15 +330,94 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     parser = cli._build_parser()
     base = ["spectrum", "--case", "2", "--eta", "2", "--m", "2"]
     _, first, _ = _run(capsys, base + ["--nmax", "1"])
-    with pytest.raises(SystemExit) as exc:
-        main(base + ["--no-such-flag"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, _, err = _run(capsys, base + ["--no-such-flag"])
+    assert code == 1
+    assert err == "error: unrecognized arguments: --no-such-flag\n"
     code, out, err = _run(capsys, base)   # --nmax back to its default, 3
     assert code == 0 and err == ""
     assert len(_csv_rows(out)[1]) == 4
     assert _run(capsys, base + ["--nmax", "1"])[1] == first
     assert cli._build_parser() is parser
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--m", "two"],
+    ["spectrum", "--m", "2.5"],
+    ["spectrum", "--npoints", "4001.0"],
+    ["spectrum", "--format", "xml"],
+    ["spectrum", "--preset", "foo"],
+    ["profile", "--grid-hi", "abc"],
+    ["spectrum", "--vc", "1", "--preset", "susy-zero"],
+    ["spectrum", "--no-such-flag"],
+    ["verify", "--corrupt-veff", "x"],
+], ids=["m-word", "m-decimal", "npoints-decimal", "format-xml", "preset-foo",
+        "grid_hi-word", "vc-and-preset", "unknown-flag", "corrupt_veff-word"])
+def test_malformed_command_line_exits_one(tmp_path, capsys, monkeypatch, argv):
+    # exit 2 is left to a failed verify
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    code, out, err = _run(capsys, argv + ["--out", "data.txt"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "key-value", "json"])
+def test_empty_out_exits_one(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    argv = ["spectrum", "--nmax", "0"]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        text = "out = \n" if source == "key-value" else '{"out": ""}'
+        (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+        argv += ["--config", "run.cfg"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: invalid value for out: '' (empty)\n"
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if source == "flag" else ["run.cfg"])
+
+
+def test_empty_config_path_exits_one(capsys):
+    code, out, err = _run(capsys, ["spectrum", "--config", ""])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read config : ")
+    assert len(err.splitlines()) == 1
+
+
+# The same settings as flags, as key = value lines and as JSON values
+_SETTINGS = [
+    {"case": 1, "b": "3/2", "alpha": "7/3", "m": 2, "vc": "-1/3", "nmax": 2,
+     "grid_lo": -6.5, "grid_hi": 4.25, "npoints": 801, "format": "json"},
+    {"case": 2, "eta": 1, "alpha": "19/7", "m": 1, "preset": "susy-zero",
+     "nmax": 1, "npoints": 301},
+]
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("spectrum", _SETTINGS[0]), ("spectrum", _SETTINGS[1]),
+    ("profile", _SETTINGS[0]),
+    ("density2d", dict(_SETTINGS[1], n1=1, n2=2, npoints=41)),
+], ids=["spectrum-case1", "spectrum-case2", "profile-case1", "density2d"])
+def test_flags_and_config_files_give_the_same_bytes(tmp_path, capsys, command,
+                                                    settings):
+    # --vc=-1/3: argparse takes a lone "-1/3" for a flag, not a value
+    flags = [command] + [f"--{k.replace('_', '-')}={v}"
+                         for k, v in settings.items()]
+    lines = tmp_path / "run.cfg"
+    lines.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()),
+                     encoding="utf-8")
+    doc = tmp_path / "run.json"
+    doc.write_text(json.dumps(settings), encoding="utf-8")
+    outputs = [_run(capsys, argv) for argv in (
+        flags, [command, "--config", str(lines)],
+        [command, "--config", str(doc)])]
+    assert outputs[0][0] == 0 and outputs[0][2] == "", outputs[0][2]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_config_file_key_value(tmp_path, capsys):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pdmlag import models
 from pdmlag.models import (Case1Params, Case2Params, default_domain,
                            density2d, energy, energy_fraction, g_map, mass,
                            norm_constant_closed_form, pct_master_residual,
@@ -325,6 +326,14 @@ def test_pct_identity_other_parameters():
     model = Case1Params(Fraction(3, 2), Fraction(5, 2), 2)
     xs = np.linspace(-2.0, 2.0, 30)
     assert np.max(np.abs(pct_master_residual(model, 1, xs))) < 1e-9
+
+
+@pytest.mark.parametrize("l", range(2, 23))
+def test_schwarzian_term_is_exact(l):
+    # K g = (2l - 1)/(4 l^2) for g = x^l, M = l^2 x^(l-2); 0 for g = M = e^(-bx)
+    k_g = models._power_map(l).k_g
+    assert isinstance(k_g, Fraction) and k_g == Fraction(2 * l - 1, 4 * l * l)
+    assert models._exponential_map(Fraction(3, 2)).k_g == 0
 
 
 # ---------------------------------------------------------------------------
