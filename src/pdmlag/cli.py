@@ -798,6 +798,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a grid too large to allocate is an invalid parameter too; numpy's
+        # message names the array
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

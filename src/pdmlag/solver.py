@@ -2,35 +2,44 @@
 
 The kinetic term is discretized in flux (conservation) form with 1/M sampled
 at grid midpoints, which keeps the matrix exactly symmetric and 2nd-order
-accurate; boundaries are Dirichlet.  Eigenvalues come from Sturm bisection
-on the tridiagonal matrix (LAPACK `dstebz`); eigenvectors come from inverse
-iteration (LAPACK `dstein`), and only where a caller asks for them
-(`eigen_lowest`, `solve_model`).  Both routines are called through one ctypes
-binding, made on the first solve, to the OpenBLAS that numpy's wheel already
-loads; so no part of the solver loads a scipy submodule.  Only where numpy
-exports no such routines (a numpy built from source, or on MKL or
-Accelerate) are both taken from scipy.linalg.cython_lapack instead.
-Everything here is independent of the closed-form machinery so it can serve
-as an oracle for it.
+accurate; boundaries are Dirichlet.  `discretize` samples the coefficients
+and fills the matrix in blocks of `_BLOCK` points, so that it allocates the
+grid and the matrix and nothing else of their size.  Eigenvalues come from
+Sturm bisection (Barth, Martin & Wilkinson) on the tridiagonal matrix:
+LAPACK `dstebz` over the whole spectrum, or its kernel `dlaebz` inside the
+warm start's windows; eigenvectors come from inverse iteration (LAPACK
+`dstein`), and only where a caller asks for them (`eigen_lowest`,
+`solve_model`).  The three routines are called through one ctypes binding,
+made on the first solve, to the OpenBLAS that numpy's wheel already loads;
+so no part of the solver loads a scipy submodule.  Only where numpy exports
+no such routines (a numpy built from source, or on MKL or Accelerate) are
+all three taken from scipy.linalg.cython_lapack instead.  Everything here
+is independent of the closed-form machinery so it can serve as an oracle
+for it.
 
 Large grids are warm-started.  When an operator built by `discretize` has at
 least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
 same problem is first solved on the coarse grids `_COARSE_POINTS` over the
 same interval; Richardson extrapolation of their h^2 error predicts each
 fine-grid level, and bisection then runs only inside a window around each
-prediction.  Sturm counts certify that window j holds exactly level j, so a
-warm value carries the plain path's guarantee: the midpoint of a bisection
-interval no wider than `_BISECT_TOL` that holds the eigenvalue.  It differs
-from the plain path's value by at most that width.  A window found empty is
-widened about its centre, clear of its neighbours, a few times before the
-solve gives up; whatever cannot be certified falls back to plain index
-bisection, with the plain path's errors.  A ctypes call releases the GIL, so
-the coarse solves and the windows are bisected on up to one thread per
-available CPU; each result depends only on its own inputs, so the values do
-not depend on the number of threads.
+prediction.  The Sturm counts at the ends of the windows certify that window
+j holds exactly level j before any window is bisected, so a warm value
+carries the plain path's guarantee: the midpoint of a bisection interval no
+wider than `_BISECT_TOL` that holds the eigenvalue.  It differs from the
+plain path's value by at most that width, and is bit for bit what `dstebz`
+gives on the same window.  A window found empty is widened about its centre,
+clear of its neighbours, a few times before the solve gives up; whatever
+cannot be certified, and a matrix that `dstebz` would split into blocks,
+falls back to plain index bisection, with the plain path's errors.  The
+windows share one array of squared off-diagonal entries, the one array of
+the matrix's size that the warm start keeps.  A ctypes call releases the
+GIL, so the coarse solves, the counts and the windows run on up to one
+thread per available CPU; each result depends only on its own inputs, so
+the values do not depend on the number of threads.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cache
@@ -44,6 +53,11 @@ from .models import ModelKind, default_domain, mass, v_eff
 # LAPACK fall back to a norm-relative tolerance, which is useless when the
 # x^(-l) barrier puts ~1e20 on the diagonal but the physics lives at O(1).
 _BISECT_TOL = 1e-12
+
+# Points per block of `discretize`: the temporaries of a coefficient call
+# stay in cache.  At 200001 points this measured best, 8-10 ms against 20 ms
+# for the grid in one piece.
+_BLOCK = 16384
 
 # Warm start (see `_bisect_lowest`).  Measured against the plain path, it
 # breaks even at about 16001 points for 10 levels and at about 32009 points
@@ -153,34 +167,53 @@ def _sample(fn: Callable, pts: np.ndarray, name: str) -> np.ndarray:
 
 
 def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOperator:
-    """Flux-form discretization with 1/M at midpoints and V at interior nodes."""
+    """Flux-form discretization with 1/M at midpoints and V at interior nodes.
+
+    The coefficients are sampled, and the matrix filled, `_BLOCK` points at
+    a time, so that beyond the grid and the matrix only block-sized arrays
+    are made.  Every midpoint's mass is checked before any potential.
+    """
     xs = grid.xs()
-    h = grid.h
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    mvals = _sample(massfn, mid, "mass")
-    if not np.all(np.isfinite(mvals)) or np.any(mvals <= 0):
-        bad = mid[~(np.isfinite(mvals) & (mvals > 0))][0]
-        raise ValueError(f"mass is not positive and finite at midpoint x={bad}")
-    vvals = _sample(potfn, xs[1:-1], "potential")
-    if not np.all(np.isfinite(vvals)):
-        bad = xs[1:-1][~np.isfinite(vvals)][0]
-        raise ValueError(f"potential is not finite at node x={bad}")
-    a = 1.0 / mvals
-    diag = (a[:-1] + a[1:]) / h ** 2 + vvals
-    offdiag = -a[1:-1] / h ** 2
-    return DiscretizedOperator(diag=diag, offdiag=offdiag, grid=grid,
+    h2 = grid.h ** 2
+    n = grid.npoints - 2
+    # 1/M at the n + 1 midpoints; the potential pass turns its first n
+    # entries into the diagonal in place
+    inv = np.empty(n + 1)
+    for s in range(0, n + 1, _BLOCK):
+        end = min(s + _BLOCK, n + 1)
+        mid = 0.5 * (xs[s:end] + xs[s + 1:end + 1])
+        mvals = _sample(massfn, mid, "mass")
+        ok = np.isfinite(mvals) & (mvals > 0)
+        if not ok.all():
+            raise ValueError(f"mass is not positive and finite at midpoint "
+                             f"x={mid[~ok][0]}")
+        np.divide(1.0, mvals, out=inv[s:end])
+    offdiag = np.divide(inv[1:-1], -h2)
+    for s in range(0, n, _BLOCK):
+        end = min(s + _BLOCK, n)
+        nodes = xs[s + 1:end + 1]
+        vvals = _sample(potfn, nodes, "potential")
+        ok = np.isfinite(vvals)
+        if not ok.all():
+            raise ValueError(f"potential is not finite at node "
+                             f"x={nodes[~ok][0]}")
+        block = inv[s:end] + inv[s + 1:end + 1]
+        block /= h2
+        np.add(block, vvals, out=inv[s:end])
+    return DiscretizedOperator(diag=inv[:-1], offdiag=offdiag, grid=grid,
                                coefficients=(massfn, potfn))
 
 
 # The LAPACK symbols numpy's wheels export from the OpenBLAS they bundle,
-# built with 64-bit integers, in the order (dstebz, dstein).
-_NUMPY_SYMBOLS = ("scipy_dstebz_64_", "scipy_dstein_64_")
+# built with 64-bit integers, in the order (dstebz, dstein, dlaebz).
+_NUMPY_SYMBOLS = ("scipy_dstebz_64_", "scipy_dstein_64_", "scipy_dlaebz_64_")
+_ROUTINES = ("dstebz", "dstein", "dlaebz")
 
 
 def _numpy_lapack():
-    """The addresses of `dstebz` and `dstein` in the OpenBLAS that numpy
-    loaded, or None unless both are there (a numpy built from source, or
-    on MKL or Accelerate, exports neither)."""
+    """The addresses of `_ROUTINES` in the OpenBLAS that numpy loaded, or
+    None unless all are there (a numpy built from source, or on MKL or
+    Accelerate, exports none)."""
     import ctypes
 
     try:
@@ -192,8 +225,8 @@ def _numpy_lapack():
 
 
 def _scipy_lapack():
-    """The addresses of `dstebz` and `dstein` that
-    `scipy.linalg.cython_lapack` exports, which take C ints."""
+    """The addresses of `_ROUTINES` that `scipy.linalg.cython_lapack`
+    exports, which take C ints."""
     import ctypes
     from scipy.linalg import cython_lapack
 
@@ -203,16 +236,16 @@ def _scipy_lapack():
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                     ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    capsules = [cython_lapack.__pyx_capi__[name] for name in ("dstebz", "dstein")]
+    capsules = [cython_lapack.__pyx_capi__[name] for name in _ROUTINES]
     return tuple(get_pointer(c, get_name(c)) for c in capsules)
 
 
 @cache
 def _binding():
-    """`dstebz` and `dstein` bound through ctypes, both from one LAPACK,
-    with the ctypes integer type they take: numpy's own OpenBLAS (64-bit
-    integers) when it exports both, else `scipy.linalg.cython_lapack` (C
-    ints).  Only the second loads a scipy submodule.
+    """`_ROUTINES` bound through ctypes, all from one LAPACK, with the
+    ctypes integer type they take: numpy's own OpenBLAS (64-bit integers)
+    when it exports all three, else `scipy.linalg.cython_lapack` (C ints).
+    Only the second loads a scipy submodule.
 
     A ctypes call releases the GIL, so bisections on separate threads run
     at the same time; scipy's own f2py wrappers hold it.
@@ -222,7 +255,7 @@ def _binding():
     addresses = _numpy_lapack()
     fortran = addresses is not None
     integer = ctypes.c_int64 if fortran else ctypes.c_int
-    stebz_at, stein_at = addresses if fortran else _scipy_lapack()
+    stebz_at, stein_at, laebz_at = addresses if fortran else _scipy_lapack()
     char = ctypes.c_char_p
     num = ctypes.POINTER(integer)
     dbl = ctypes.POINTER(ctypes.c_double)
@@ -240,16 +273,22 @@ def _binding():
     dstein = ctypes.CFUNCTYPE(None, num, doubles, doubles, num, doubles, ints,
                               ints, columns, num, doubles, ints, ints,
                               num)(stein_at)
+    # IJOB NITMAX N MMAX MINP NBMIN ABSTOL RELTOL PIVMIN D E E2 NVAL AB C
+    # MOUT NAB WORK IWORK INFO
+    dlaebz = ctypes.CFUNCTYPE(None, num, num, num, num, num, num, dbl, dbl,
+                              dbl, doubles, doubles, doubles, ints, doubles,
+                              doubles, num, ints, doubles, ints,
+                              num)(laebz_at)
     if fortran:
         def dstebz(*args):
             raw_stebz(*args, 1, 1)
     else:
         dstebz = raw_stebz
-    return {"dstebz": dstebz, "dstein": dstein}, integer
+    return {"dstebz": dstebz, "dstein": dstein, "dlaebz": dlaebz}, integer
 
 
 def _lapack(name: str):
-    """The LAPACK routine `name` (`dstebz` or `dstein`) and the ctypes
+    """The LAPACK routine `name` (one of `_ROUTINES`) and the ctypes
     integer type its integer arguments take, from `_binding`."""
     routines, integer = _binding()
     return routines[name], integer
@@ -353,21 +392,71 @@ def _predicted_windows(op: DiscretizedOperator, k: int):
     return pred[1], half
 
 
+def _sturm_squares(d: np.ndarray, e: np.ndarray):
+    """The squared off-diagonal of the matrix (d, e) and the pivot floor
+    that `dstebz` takes for it, or None where `dstebz` would split the
+    matrix into blocks (at an off-diagonal entry negligible beside its two
+    diagonal ones) or the floor overflows."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    e2 = e * e
+    negligible = d[1:] * d[:-1]
+    np.abs(negligible, out=negligible)
+    negligible *= eps * eps
+    negligible += tiny
+    if np.any(negligible > e2):
+        return None
+    pivmin = max(1.0, float(e2.max())) * tiny
+    return (e2, pivmin) if np.isfinite(pivmin) else None
+
+
+def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
+           pivmin: float, ab: np.ndarray, nab: np.ndarray,
+           nitmax: int = 0) -> int:
+    """One `dlaebz` call on one interval ab = [lo, hi] of the matrix (d, e),
+    as `dstebz` makes it for an unsplit matrix: IJOB 1 writes the Sturm
+    counts N(lo) and N(hi) to nab, and IJOB 2, given those counts, bisects
+    the interval in place, to `_BISECT_TOL` and in at most nitmax steps.
+    Returns INFO."""
+    import ctypes
+
+    n = d.size
+    if e.size != n - 1 or e2.size != n - 1 or ab.size != 2 or nab.size != 2:
+        raise ValueError("arrays do not fit the matrix")
+    dlaebz, integer = _lapack("dlaebz")
+    one = ctypes.byref(integer(1))
+    mout, info = integer(), integer()
+    # MMAX = MINP = 1 and NBMIN = 0, the serial loop `dstebz` runs; the
+    # relative tolerance is `dstebz`'s 2 ulp; nab stands in for NVAL, which
+    # only IJOB 3 reads
+    dlaebz(ctypes.byref(integer(ijob)), ctypes.byref(integer(nitmax)),
+           ctypes.byref(integer(n)), one, one, ctypes.byref(integer(0)),
+           ctypes.byref(ctypes.c_double(_BISECT_TOL)),
+           ctypes.byref(ctypes.c_double(2 * np.finfo(float).eps)),
+           ctypes.byref(ctypes.c_double(pivmin)), d, e, e2, nab, ab,
+           np.empty(1), ctypes.byref(mout), nab, np.empty(1),
+           np.empty(1, dtype=integer), ctypes.byref(info))
+    return info.value
+
+
 def _warm_values(op: DiscretizedOperator, k: int):
     """The lowest k eigenvalues bisected inside predicted windows, with the
     block index of each and the block splitting `dstein` needs.
 
     Returns None when a coarse grid fails or the windows cannot be
-    certified.  The cheap checks come before any bisection on the fine
-    grid: the windows must be disjoint and ascending, and exactly k
-    eigenvalues may lie between the Gershgorin lower bound and the top of
-    the last window.  Then the windows are bisected concurrently, and each
-    must hold exactly one value.  A window that holds none is widened about
-    its centre by `_WIDEN_FACTOR`, clipped to stay disjoint from its
-    neighbours and inside the counted range, and bisected again, at most
-    `_WIDEN_TRIES` times.  Callers ignore floating-point errors here: an
-    overflow shows as a non-finite window or bound, which is refused.
+    certified.  The windows must be disjoint and ascending, and the matrix
+    must not split into blocks.  Then the Sturm counts at both ends of every
+    window are taken concurrently (`dlaebz`, IJOB 1).  A window that holds
+    no value is widened about its centre by `_WIDEN_FACTOR`, clipped to stay
+    disjoint from its neighbours and below the top of the last window, and
+    its ends counted again, at most `_WIDEN_TRIES` times.  Only when window
+    j holds exactly level j, N(lower) = j and N(upper) = j + 1, for every j
+    are the windows bisected (IJOB 2), concurrently; each value is the
+    midpoint of its final interval, bit for bit the value `dstebz` gives on
+    that window.  Callers ignore floating-point errors here: an overflow
+    shows as a non-finite window or pivot floor, which is refused.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     try:
         centre, half = _predicted_windows(op, k)
     except (ValueError, ArithmeticError, RuntimeError):
@@ -375,51 +464,57 @@ def _warm_values(op: DiscretizedOperator, k: int):
     lower, upper = centre - half, centre + half
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         return None
-    if np.any(upper[:-1] > lower[1:]):
+    if np.any(lower >= upper) or np.any(upper[:-1] > lower[1:]):
         return None
     d, e = np.ascontiguousarray(op.diag), np.ascontiguousarray(op.offdiag)
-    # Gershgorin: no eigenvalue lies below min(d) - 2 max|e|, less a margin
-    # for rounding
-    dmin, emax = float(d.min()), max(float(e.max()), -float(e.min()))
-    eps = np.finfo(float).eps
-    floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
-    if not np.isfinite(floor):
+    sturm = _sturm_squares(d, e)
+    if sturm is None:
         return None
+    e2, pivmin = sturm
+    integer = _lapack("dlaebz")[1]
+    # row j: window j's interval, and the counts at its ends
+    ab = np.empty((k, 2))
+    nab = np.empty((k, 2), dtype=integer)
+
+    def count(j):
+        ab[j] = lower[j], upper[j]
+        return _laebz(1, d, e, e2, pivmin, ab[j], nab[j])
+
+    def bisect(j):
+        # `dstebz`'s cap on the number of steps
+        steps = int((math.log(upper[j] - lower[j] + pivmin) - math.log(pivmin))
+                    / math.log(2.0)) + 2
+        return _laebz(2, d, e, e2, pivmin, ab[j], nab[j], steps)
+
     top = upper[-1]
-    spaces = [_Workspace(op.size) for _ in range(min(k, _WORKERS))]
-    # with an infinite tolerance dstebz only counts the values in the range
-    m, _, _, _, info = _stebz(spaces[0], d, e, b"V", floor, top, 1, 1, np.inf)
-    if info or m != k:
-        return None
-    vals = np.empty(k)
-    blocks = np.empty(k, dtype=spaces[0].iblock.dtype)
-    # the top windows are the widest and take the most steps; handing them
-    # out first leaves short ones for the end
-    todo = range(k - 1, -1, -1)
-    for _ in range(_WIDEN_TRIES + 1):
-        found = _stebz_concurrently(
-            [(d, e, b"V", lower[j], upper[j], 1, 1, _BISECT_TOL) for j in todo],
-            spaces)
-        empty = []
-        for j, (m, w, iblock, isplit, info) in zip(todo, found):
-            if info or m > 1:
+    with ThreadPoolExecutor(min(k, _WORKERS)) as pool:
+        todo = range(k)
+        for tries in range(_WIDEN_TRIES + 1):
+            if any(list(pool.map(count, todo))):    # every result read
                 return None
-            if m == 0:
-                empty.append(j)
-            else:
-                vals[j], blocks[j] = w[0], iblock[0]
-        if not empty:
-            return vals, blocks, isplit
-        # ascending, so a widened window is clipped to its lower neighbour's
-        # new bounds
-        empty.sort()
-        for j in empty:
-            half[j] *= _WIDEN_FACTOR
-            lower[j] = max(centre[j] - half[j], upper[j - 1] if j else floor)
-            upper[j] = min(centre[j] + half[j],
-                           lower[j + 1] if j + 1 < k else top)
-        todo = empty
-    return None
+            empty = [j for j in todo if nab[j, 0] == nab[j, 1]]
+            if not empty or tries == _WIDEN_TRIES:
+                break
+            # ascending, so a widened window is clipped to its lower
+            # neighbour's new bounds
+            for j in empty:
+                half[j] *= _WIDEN_FACTOR
+                lower[j] = centre[j] - half[j]
+                if j:
+                    lower[j] = max(lower[j], upper[j - 1])
+                upper[j] = min(centre[j] + half[j],
+                               lower[j + 1] if j + 1 < k else top)
+            todo = empty
+        levels = np.arange(k)
+        if not (np.array_equal(nab[:, 0], levels)
+                and np.array_equal(nab[:, 1], levels + 1)):
+            return None
+        # the top windows are the widest and take the most steps; handing
+        # them out first leaves short ones for the end
+        if any(list(pool.map(bisect, range(k - 1, -1, -1)))):
+            return None
+    return (0.5 * (ab[:, 0] + ab[:, 1]), np.ones(k, dtype=integer),
+            np.array([d.size], dtype=integer))
 
 
 def _inverse_iteration(op: DiscretizedOperator, vals: np.ndarray,
@@ -457,8 +552,8 @@ def _bisect_lowest(op: DiscretizedOperator, k: int):
     coarse grids `_COARSE_POINTS` and certified by Sturm counts
     (`_warm_values`).  `lowest_eigenvalues` and `eigen_lowest` both take
     their values from here.  A warm value lies within `_BISECT_TOL` of the
-    plain one; when the windows cannot be certified, the plain path runs,
-    and its results and errors are returned.  A matrix with an infinite or
+    plain one; when the windows cannot be certified or the matrix splits,
+    the plain path runs, and its results and errors are returned.  A matrix with an infinite or
     NaN entry is refused before either path runs.
     """
     n = op.size

@@ -131,6 +131,29 @@ def test_large_finite_parameter_exits_one(tmp_path, capsys, command, key):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+     "and data type float64",
+     "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+     "and data type float64"),
+    ("", "allocation failed"),
+], ids=["numpy-message", "bare"])
+def test_grid_too_large_to_allocate_exits_one(monkeypatch, tmp_path, capsys,
+                                              message, shown):
+    # the grid is refused where it would be allocated; nothing is allocated
+    def no_memory(grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(pdmlag.solver.Grid, "xs", no_memory)
+    path = tmp_path / "spectrum.csv"
+    code, out, err = _run(capsys, ["spectrum", "--npoints", "100000000000",
+                                   "--out", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: not enough memory: {shown}\n"
+    assert not path.exists()
+
+
 def test_vc_and_preset_conflict(tmp_path, capsys):
     # both flags at once are refused like any other conflict, with exit 1
     code, out, err = _run(capsys, ["spectrum", "--vc", "1",

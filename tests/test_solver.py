@@ -7,6 +7,7 @@ then checked against their closed-form linear spectra.
 """
 import ctypes
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from pdmlag import solver
 from pdmlag.models import (Case1Params, Case2Params, default_domain, energy,
-                           wavefunction)
+                           mass, v_eff, wavefunction)
 from pdmlag.solver import (DiscretizedOperator, Grid, _model_operator,
                            align_sign, convergence_order, discretize,
                            eigen_lowest, lowest_eigenvalues, quadrature,
@@ -82,6 +83,91 @@ def test_discretize_rejects_wrong_shape_coefficients():
         discretize(lambda x: np.ones(x.size + 1), lambda x: np.zeros_like(x), grid)
     with pytest.raises(ValueError, match="potential returned shape"):
         discretize(lambda x: np.ones_like(x), lambda x: np.zeros((x.size, 2)), grid)
+
+
+def _discretize_in_one_piece(massfn, potfn, grid):
+    """Reference: the flux-form matrix from whole-grid arrays, with the
+    errors `discretize` raises."""
+    xs = grid.xs()
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    mvals = np.broadcast_to(np.asarray(massfn(mid), dtype=float), mid.shape)
+    ok = np.isfinite(mvals) & (mvals > 0)
+    if not ok.all():
+        raise ValueError(f"mass is not positive and finite at midpoint "
+                         f"x={mid[~ok][0]}")
+    nodes = xs[1:-1]
+    vvals = np.broadcast_to(np.asarray(potfn(nodes), dtype=float), nodes.shape)
+    if not np.all(np.isfinite(vvals)):
+        raise ValueError(f"potential is not finite at node "
+                         f"x={nodes[~np.isfinite(vvals)][0]}")
+    a = 1.0 / mvals
+    return (a[:-1] + a[1:]) / grid.h ** 2 + vvals, -a[1:-1] / grid.h ** 2
+
+
+_BLOCK_EDGES = [solver._BLOCK + extra for extra in (-1, 0, 1, 2, 3)] + [
+    2 * solver._BLOCK + 2, 2 * solver._BLOCK + 3]
+
+
+@pytest.mark.parametrize("npoints", [16, 17, 4001] + _BLOCK_EDGES)
+@pytest.mark.parametrize("model", [
+    Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+    Case2Params(3, Fraction(19, 7), 4),
+], ids=["case1", "case2"])
+def test_discretize_in_blocks_is_bitwise_one_piece(model, npoints):
+    # grids that end just before, at and just after a block edge, so that
+    # a last block may hold one or two points; scalar coefficients
+    # broadcast in every block
+    grid = Grid(*default_domain(model, 9), npoints)
+    for massfn, potfn in ((lambda t: mass(model, t), lambda t: v_eff(model, t)),
+                          (lambda t: 2.5, lambda t: v_eff(model, t)),
+                          (lambda t: mass(model, t), lambda t: -1.0)):
+        op = discretize(massfn, potfn, grid)
+        diag, offdiag = _discretize_in_one_piece(massfn, potfn, grid)
+        assert op.diag.tobytes() == diag.tobytes()
+        assert op.offdiag.tobytes() == offdiag.tobytes()
+
+
+def _message(build):
+    with pytest.raises(ValueError) as err:
+        build()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("mass_bad, potential_bad", [
+    ("last", "first"), ("first", "last"), ("none", "first"), ("none", "last"),
+    ("first", "none"), ("last", "none"), ("every", "every"),
+])
+def test_discretize_checks_every_mass_before_any_potential(mass_bad,
+                                                           potential_bad):
+    # three full blocks and a short fourth; "first" is bad only in the first
+    # block, "last" only in the last
+    grid = Grid(0.0, 1.0, 3 * solver._BLOCK + 6)
+    xs = grid.xs()
+    cut = {"first": lambda x: x < xs[5], "last": lambda x: x > xs[-4],
+           "every": lambda x: (x < xs[5]) | (x > xs[-4]),
+           "none": lambda x: np.zeros(x.shape, dtype=bool)}
+    massfn = lambda x: np.where(cut[mass_bad](x), -1.0, 1.0 + x)
+    potfn = lambda x: np.where(cut[potential_bad](x), np.nan, x * x)
+    want = _message(lambda: _discretize_in_one_piece(massfn, potfn, grid))
+    assert want.startswith("mass" if mass_bad != "none" else "potential")
+    assert _message(lambda: discretize(massfn, potfn, grid)) == want
+
+
+@pytest.mark.parametrize("model", [
+    Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+    Case2Params(3, Fraction(19, 7), 4),
+], ids=["case1", "case2"])
+def test_discretize_allocates_little_beyond_the_matrix(model):
+    # the grid, the diagonal and the off-diagonal take 4.8 MB at 200001
+    # points; the bound leaves 3.2 MB for everything else
+    grid = Grid(*default_domain(model, 9), 200001)
+    tracemalloc.start()
+    try:
+        _model_operator(model, 10, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, peak
 
 
 def test_eigen_lowest_two_by_two():
@@ -155,6 +241,49 @@ def _model_op(model, k, npoints):
     return _model_operator(model, k, Grid(lo, hi, npoints))
 
 
+def _dstebz_windows(op, k):
+    """Reference: the warm start as one `dstebz` call per window, each
+    setting up its own bisection (splitting, norm, Gershgorin interval), after
+    one count of the values between the Gershgorin bound and the top window.
+    Returns the values and whether a window was widened, or None where the
+    windows cannot be certified."""
+    centre, half = solver._predicted_windows(op, k)
+    lower, upper = centre - half, centre + half
+    assert np.all(lower < upper) and np.all(upper[:-1] <= lower[1:])
+    d, e = op.diag, op.offdiag
+    dmin, emax = float(d.min()), float(np.abs(e).max())
+    eps = np.finfo(float).eps
+    floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
+    top = upper[-1]
+    ws = solver._Workspace(op.size)
+    m, _, _, _, info = solver._stebz(ws, d, e, b"V", floor, top, 1, 1, np.inf)
+    if info or m != k:
+        return None
+    vals = np.empty(k)
+    todo, widened = range(k), False
+    for _ in range(solver._WIDEN_TRIES + 1):
+        empty = []
+        for j in todo:
+            m, w, _, _, info = solver._stebz(ws, d, e, b"V", lower[j], upper[j],
+                                             1, 1, solver._BISECT_TOL)
+            if info or m > 1:
+                return None
+            if m == 0:
+                empty.append(j)
+            else:
+                vals[j] = w[0]
+        if not empty:
+            return vals, widened
+        widened = True
+        for j in empty:
+            half[j] *= solver._WIDEN_FACTOR
+            lower[j] = max(centre[j] - half[j], upper[j - 1] if j else floor)
+            upper[j] = min(centre[j] + half[j],
+                           lower[j + 1] if j + 1 < k else top)
+        todo = empty
+    return None
+
+
 _rational = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
 
 
@@ -169,12 +298,25 @@ def _warm_problems(draw):
     return model, draw(st.integers(1, 12)), draw(st.integers(32009, 40001))
 
 
+def test_warm_values_are_the_dstebz_oracle_where_the_relative_tolerance_decides():
+    # levels near 1e5: `dstebz`'s relative tolerance of 2 ulp (4.4e-11 here)
+    # stops the bisection, not the absolute 1e-12
+    k = 6
+    op = _model_op(Case1Params(Fraction(3, 2), Fraction(7, 3), 2, 10 ** 5),
+                   k, 40001)
+    warm = solver._warm_values(op, k)
+    assert warm is not None, "fell back"
+    assert warm[0].tobytes() == _dstebz_windows(op, k)[0].tobytes()
+
+
 @settings(max_examples=12)
 @given(_warm_problems())
 def test_warm_start_matches_index_bisection(problem):
     model, k, npoints = problem
     op = _model_op(model, k, npoints)
-    assert solver._warm_values(op, k) is not None, "fell back"
+    warm = solver._warm_values(op, k)
+    assert warm is not None, "fell back"
+    assert warm[0].tobytes() == _dstebz_windows(op, k)[0].tobytes()
     ref = _index_bisection(op, k)
     vals = lowest_eigenvalues(op, k)
     assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
@@ -270,6 +412,8 @@ def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker,
     else:
         assert index_solved.count(op.size) == 0
         assert np.all(np.abs(vals - ref) <= 1e-12)
+        oracle, widened = _dstebz_windows(op, k)
+        assert widened and vals.tobytes() == oracle.tobytes()
 
 
 def test_warm_start_widens_a_window_missed_by_rounding():
@@ -282,6 +426,28 @@ def test_warm_start_widens_a_window_missed_by_rounding():
     warm = solver._warm_values(op, k)
     assert warm is not None, "fell back"
     assert np.all(np.abs(warm[0] - _index_bisection(op, k)) <= 1e-12)
+    oracle, widened = _dstebz_windows(op, k)
+    assert widened and warm[0].tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+    Case2Params(3, Fraction(19, 7), 4),
+], ids=["case1", "case2"])
+def test_warm_start_allocates_little_beyond_the_matrix(model):
+    # one array of squared off-diagonal entries and the coarse grids: at
+    # most three arrays of the matrix's size (a per-window `dstebz`
+    # workspace alone is ten)
+    k = 10
+    op = _model_op(model, k, 200001)
+    assert solver._warm_values(op, k) is not None, "fell back"
+    tracemalloc.start()
+    try:
+        lowest_eigenvalues(op, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * op.size, peak
 
 
 @pytest.mark.parametrize("model", [
@@ -302,27 +468,32 @@ def test_warm_start_does_not_depend_on_thread_count(monkeypatch, model):
         assert one.tobytes() == two.tobytes()
 
 
-@pytest.mark.parametrize("breaker, sturm_calls", [
+@pytest.mark.parametrize("breaker, counts", [
     (_level_one_repeats_level_zero, 0),   # refused before any Sturm count
-    (_shift_up_one_level, 1),             # refused by the count certificate
+    (_shift_up_one_level, 10),            # refused by the count certificate
 ], ids=["overlapping-windows", "shifted-predictions"])
 def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
-                                                       sturm_calls):
+                                                       counts):
     k = 10
     op = _model_op(Case2Params(3, Fraction(19, 7), 4), k, 40001)
     monkeypatch.setattr(solver, "_predicted_windows",
                         breaker(solver._predicted_windows))
-    stebz = solver._stebz
+    stebz, laebz = solver._stebz, solver._laebz
     calls = []
 
-    def counting(ws, d, e, *args):
+    def stebz_counting(ws, d, e, *args):
         if d.size == op.size:                 # not a coarse-grid solve
-            calls.append(args[-1])            # the tolerance
+            calls.append("dstebz")
         return stebz(ws, d, e, *args)
 
-    monkeypatch.setattr(solver, "_stebz", counting)
+    def laebz_counting(ijob, *args, **kwargs):
+        calls.append(ijob)                    # 1: endpoint counts, 2: bisection
+        return laebz(ijob, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_stebz", stebz_counting)
+    monkeypatch.setattr(solver, "_laebz", laebz_counting)
     assert solver._warm_values(op, k) is None
-    assert calls == [np.inf] * sturm_calls
+    assert calls == [1] * counts
 
 
 def test_hand_built_operator_takes_plain_path(monkeypatch):
@@ -335,6 +506,21 @@ def test_hand_built_operator_takes_plain_path(monkeypatch):
 
     monkeypatch.setattr(solver, "_predicted_windows", no_windows)
     assert np.array_equal(lowest_eigenvalues(hand, k), _index_bisection(hand, k))
+
+
+def test_warm_start_declines_a_matrix_that_splits(monkeypatch):
+    # `dstebz` would bisect a split matrix block by block, so its values
+    # come from the plain path
+    assert solver._sturm_squares(_split_operator().diag,
+                                 _split_operator().offdiag) is None
+    k = 10
+    op = _model_op(Case1Params(Fraction(3, 2), Fraction(7, 3), 2), k, 40001)
+    e2, pivmin = solver._sturm_squares(op.diag, op.offdiag)
+    assert e2.tobytes() == (op.offdiag * op.offdiag).tobytes()
+    assert pivmin == max(1.0, float(e2.max())) * np.finfo(float).tiny
+    monkeypatch.setattr(solver, "_sturm_squares", lambda d, e: None)
+    assert solver._warm_values(op, k) is None
+    assert np.array_equal(lowest_eigenvalues(op, k), _index_bisection(op, k))
 
 
 def _split_operator():
@@ -382,6 +568,8 @@ def _raise(*args, **kwargs):
 
 
 def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
+    # and `dlaebz`, which the warm windows call: the three routines of
+    # `solver._binding`, and nothing of scipy's
     import scipy.linalg
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _raise)
@@ -403,7 +591,7 @@ def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
     monkeypatch.setattr(solver, "_predicted_windows",
                         _shift_up_one_level(solver._predicted_windows))
     assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)  # fallback
-    assert set(names) == {"dstebz", "dstein"}
+    assert set(names) == {"dstebz", "dstein", "dlaebz"}
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +655,25 @@ def test_both_lapack_sources_give_the_same_bits(monkeypatch, rebind, build,
 
 
 @_needs_numpy_lapack
-@pytest.mark.parametrize("missing", [0, 1], ids=["dstebz", "dstein"])
+@pytest.mark.parametrize("missing", [0, 1, 2], ids=list(solver._ROUTINES))
 def test_one_numpy_symbol_alone_falls_back_for_both(monkeypatch, rebind,
                                                     missing):
+    # any one of the three symbols missing takes all three from scipy
     symbols = list(solver._NUMPY_SYMBOLS)
     symbols[missing] = "pdmlag_no_such_symbol_"
     monkeypatch.setattr(solver, "_NUMPY_SYMBOLS", tuple(symbols))
     assert solver._numpy_lapack() is None
-    (dstebz, integer), (dstein, _) = (solver._lapack(name)
-                                      for name in ("dstebz", "dstein"))
-    assert integer is ctypes.c_int
-    assert (_address(dstebz), _address(dstein)) == solver._scipy_lapack()
+    bound = [solver._lapack(name) for name in solver._ROUTINES]
+    assert all(integer is ctypes.c_int for _, integer in bound)
+    assert tuple(_address(routine) for routine, _ in bound) == \
+        solver._scipy_lapack()
     op = _split_operator()
     assert eigen_lowest(op, 30).eigenvalues.tobytes() == \
         _index_bisection(op, 30).tobytes()
+    op = _model_op(_CASE2, 10, 40001)
+    warm = solver._warm_values(op, 10)
+    assert warm is not None, "fell back"
+    assert warm[0].tobytes() == _dstebz_windows(op, 10)[0].tobytes()
 
 
 @pytest.mark.parametrize("npoints", [4001, 40001])   # plain path, warm path
