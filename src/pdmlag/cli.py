@@ -2,7 +2,8 @@
 
 Subcommands: ``spectrum`` (analytic vs numeric eigenvalues), ``profile``
 (x, M, V_eff, first three densities), ``density2d`` (separable 2D density
-meshes), and ``verify`` (the full invariant battery as a JSON report).
+meshes), and ``verify`` (the invariant battery of `checks`, run and timed
+here, as a JSON report).
 Numbers are printed with 17 significant digits so identical configurations
 yield byte-identical files.
 
@@ -26,7 +27,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -34,15 +34,8 @@ import scipy
 
 from . import __version__, emit
 from .models import (Case1Params, Case2Params, ModelKind, default_domain,
-                     energy, energy_fraction, mass, pct_master_residual,
-                     susy_constant, v_eff, v_eff_m1_closed_form, wavefunction)
-from .orthopoly import XmFamilySpec, xm_inner_product, xm_laguerre, xm_ode_residual
-from .solver import (Grid, _auto_grid, _model_operator, align_sign,
-                     convergence_order, discretize, lowest_eigenvalues,
-                     quadrature)
-from .susy import (apply_A, apply_A_dagger, partner_model,
-                   partner_route_residual, partner_wavefunction,
-                   shape_invariance_residual)
+                     energy, mass, susy_constant, v_eff, wavefunction)
+from .solver import Grid, _auto_grid, _model_operator, lowest_eigenvalues
 
 OUTDIR_ENV = "PDMLAG_OUTDIR"
 
@@ -424,287 +417,19 @@ def cmd_density2d(cfg: RunConfig) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# verification battery
-
-def _check_xm_ode_exact() -> float:
-    worst = Fraction(0)
-    for m in range(1, 5):
-        spec = XmFamilySpec(m, Fraction(2))
-        for nu in range(m, m + 7):
-            res = xm_ode_residual(xm_laguerre(nu, spec), nu, spec)
-            for c in res.coeffs:
-                worst = max(worst, abs(Fraction(c)))
-    return float(worst)
-
-
-def _check_xm_orthogonality() -> float:
-    worst = 0.0
-    for m in (1, 2, 3):
-        spec = XmFamilySpec(m, Fraction(2))
-        for nu1, nu2 in combinations(range(m, m + 4), 2):
-            worst = max(worst, abs(xm_inner_product(nu1, nu2, spec)))
-    return worst
-
-
-def _check_m1_closed_form() -> float:
-    model = Case1Params(1, 2, 1)
-    xs = np.linspace(-3.0, 3.0, 1000)
-    return float(np.max(np.abs(v_eff(model, xs)
-                               - v_eff_m1_closed_form(model, xs))))
-
-
-def _pct_worst(models, xs) -> float:
-    worst = 0.0
-    for model in models:
-        for n in range(4):
-            worst = max(worst, float(np.max(np.abs(
-                pct_master_residual(model, n, xs)))))
-    return worst
-
-
-def _orthonormality_worst(model: ModelKind) -> float:
-    lo, hi = default_domain(model, 4)
-    pad = 0.25 * (hi - lo)
-    grid = Grid(lo if model.pct_map.lo > -math.inf else lo - pad, hi + pad, 4001)
-    xs = grid.xs()
-    psis = [wavefunction(model, n, xs) for n in range(5)]
-    worst = 0.0
-    for i in range(5):
-        for j in range(5):
-            val = quadrature(psis[i] * psis[j], grid)
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    return worst
-
-
-def _corrupted_spectrum(model: ModelKind, k: int, delta: float):
-    op = discretize(lambda t: mass(model, t),
-                    lambda t: v_eff(model, t) + delta, _auto_grid(model, k))
-    return lowest_eigenvalues(op, k)
-
-
-def _oracle_worst(models, k: int, delta: float) -> float:
-    """Worst relative error of levels 0..k-1 of V_eff + delta (FD) against
-    the closed-form levels."""
-    worst = 0.0
-    for model in models:
-        vals = _corrupted_spectrum(model, k, delta)
-        for n in range(k):
-            exact = energy(model, n)
-            worst = max(worst, abs(vals[n] - exact) / abs(exact))
-    return worst
-
-
-def _check_isochronous_gaps(delta: float) -> float:
-    worst = 0.0
-    for eta in (0, 1, 2, 3):
-        model = Case2Params(eta, 2, 1)
-        vals = _corrupted_spectrum(model, 4, delta)
-        gaps = np.diff(vals)
-        worst = max(worst, float(np.max(np.abs(gaps - 1.0))))
-    return worst
-
-
-def _check_susy_e0() -> float:
-    worst = Fraction(0)
-    for model in (Case1Params.susy_zero(1, 2, 1), Case1Params.susy_zero(2, 3, 2),
-                  Case2Params.susy_zero(1, 2, 1), Case2Params.susy_zero(0, 2, 3)):
-        worst = max(worst, abs(energy_fraction(model, 0)))
-    return float(worst)
-
-
-def _check_ground_annihilation() -> float:
-    worst = 0.0
-    for model in (Case1Params.susy_zero(1, 2, 1), Case1Params.susy_zero(1, 2, 3),
-                  Case2Params.susy_zero(1, 2, 2)):
-        grid = _auto_grid(model, 4, 3001)
-        psi0 = wavefunction(model, 0, grid.xs())
-        ratio = (np.sqrt(quadrature(apply_A(model, psi0, grid) ** 2, grid))
-                 / np.sqrt(quadrature(psi0 ** 2, grid)))
-        worst = max(worst, float(ratio))
-    return worst
-
-
-def _check_shape_invariance() -> float:
-    worst = 0.0
-    xs1 = np.linspace(-4.0, 3.0, 100)
-    for m in (1, 2, 3):
-        for alpha in (Fraction(3, 2), Fraction(2), Fraction(3)):
-            worst = max(worst, float(np.max(np.abs(
-                shape_invariance_residual(Case1Params(1, alpha, m), xs1)))))
-    xs2 = np.linspace(0.2, 3.0, 100)
-    for eta in (0, 1, 2):
-        for m in (1, 2):
-            worst = max(worst, float(np.max(np.abs(
-                shape_invariance_residual(Case2Params(eta, 2, m), xs2)))))
-    worst = max(worst, float(np.max(np.abs(
-        shape_invariance_residual(Case1Params(2, 2, 2), xs1)))))
-    return worst
-
-
-def _check_partner_route() -> float:
-    xs1 = np.linspace(-4.0, 3.0, 50)
-    xs2 = np.linspace(0.2, 3.0, 50)
-    worst = float(np.max(np.abs(partner_route_residual(Case1Params(1, 2, 2), xs1))))
-    worst = max(worst, float(np.max(np.abs(
-        partner_route_residual(Case2Params(1, 2, 1), xs2)))))
-    return worst
-
-
-def _check_intertwining() -> float:
-    worst = 0.0
-    for model in (Case1Params.susy_zero(1, 2, 1), Case2Params.susy_zero(1, 2, 1)):
-        grid = _auto_grid(model, 4, 3001)
-        xs = grid.xs()
-        for n in (0, 1):
-            lowered = apply_A(model, wavefunction(model, n + 1, xs), grid)
-            lowered /= np.sqrt(quadrature(lowered ** 2, grid))
-            target = partner_wavefunction(model, n, xs)
-            target /= np.sqrt(quadrature(target ** 2, grid))
-            worst = max(worst, float(np.max(np.abs(
-                align_sign(lowered) - align_sign(target)))))
-            raised = apply_A_dagger(model, target, grid)
-            raised /= np.sqrt(quadrature(raised ** 2, grid))
-            base = wavefunction(model, n + 1, xs)
-            worst = max(worst, float(np.max(np.abs(
-                align_sign(raised) - align_sign(base)))))
-    return worst
-
-
-def _check_partner_spectrum() -> float:
-    worst = 0.0
-    for model in (Case1Params.susy_zero(1, 2, 1), Case2Params.susy_zero(1, 2, 2)):
-        pm = partner_model(model)
-        vals = lowest_eigenvalues(_model_operator(pm.comparison, 3), 3)
-        for n in range(3):
-            exact = energy(model, n + 1)
-            worst = max(worst, abs(vals[n] + float(pm.r_shift)
-                                   - exact) / abs(exact))
-    return worst
-
-
-def _check_ho_spectrum() -> float:
-    # h^2 error on E_3 = 7 forces h <= ~2.5e-3 to clear the 1e-5 target
-    grid = Grid(-10.0, 10.0, 12001)
-    op = discretize(lambda t: np.ones_like(t), lambda t: t ** 2, grid)
-    vals = lowest_eigenvalues(op, 4)
-    return float(np.max(np.abs(vals - (2.0 * np.arange(4) + 1.0))))
-
-
-def _check_ho_order() -> float:
-    p = convergence_order((lambda t: np.ones_like(t), lambda t: t ** 2,
-                           -10.0, 10.0), 2)
-    return abs(p - 2.0)
-
-
-def _check_profile_normalization() -> float:
-    worst = 0.0
-    for case, eta in ((1, 0), (2, 1)):
-        cfg = _default_config(case=case, eta=eta)
-        model = cfg.model()
-        grid = _profile_grid(cfg, model)
-        xs = grid.xs()
-        for n in range(3):
-            dens = wavefunction(model, n, xs) ** 2
-            worst = max(worst, abs(quadrature(dens, grid) - 1.0))
-    return worst
-
-
-def _count_nodes(model: ModelKind, n: int) -> int:
-    vals = wavefunction(model, n, _plot_grid(model, n, 4000).xs())
-    signs = np.sign(vals)
-    signs = signs[signs != 0]
-    return int(np.sum(signs[1:] * signs[:-1] < 0))
-
-
-def _check_node_counts() -> float:
-    worst = 0
-    for model in (Case1Params(1, 2, 1), Case1Params(1, 2, 3),
-                  Case2Params(1, 2, 1), Case2Params(0, 2, 2)):
-        for n in range(4):
-            worst = max(worst, abs(_count_nodes(model, n) - n))
-    return float(worst)
-
-
-def _density2d_mesh(n1: int, n2: int, npoints: int = 161):
-    model = Case2Params(1, 2, 1)
-    grid = _plot_grid(model, max(n1, n2, 2), npoints)
-    xs = grid.xs()
-    px = wavefunction(model, n1, xs) ** 2
-    py = wavefunction(model, n2, xs) ** 2
-    return grid, px, py
-
-
-def _check_density2d_integral() -> float:
-    grid, px, py = _density2d_mesh(1, 2)
-    total = quadrature(px, grid) * quadrature(py, grid)
-    return abs(total - 1.0)
-
-
-def _count_lobes(mesh: np.ndarray) -> int:
-    """Interior points that are the unique maximum of their 3x3 window and
-    exceed 1e-3 of the peak."""
-    windows = np.lib.stride_tricks.sliding_window_view(mesh, (3, 3))
-    centre = mesh[1:-1, 1:-1]
-    unique_max = ((windows.max(axis=(2, 3)) == centre)
-                  & ((windows == centre[..., None, None]).sum(axis=(2, 3)) == 1))
-    return int(np.count_nonzero(unique_max & (centre > 1e-3 * mesh.max())))
-
-
-def _check_density2d_lobes() -> float:
-    worst = 0
-    for n1, n2 in ((0, 0), (1, 2)):
-        grid, px, py = _density2d_mesh(n1, n2)
-        mesh = np.outer(px, py)
-        worst = max(worst, abs(_count_lobes(mesh) - (n1 + 1) * (n2 + 1)))
-    return float(worst)
-
-
-# (name, tolerance, measure): measure(delta) is the check's measured value,
-# which passes at or below the tolerance; delta is --corrupt-veff, the
-# constant the FD oracle checks add to V_eff.
-_CHECKS = [
-    ("xm-ode-exact", 0.0, lambda d: _check_xm_ode_exact()),
-    ("xm-orthogonality", 1e-8, lambda d: _check_xm_orthogonality()),
-    ("m1-closed-form", 1e-12, lambda d: _check_m1_closed_form()),
-    ("pct-identity-case1", 1e-9, lambda d: _pct_worst(
-        [Case1Params(1, 2, m) for m in (1, 2, 3)], np.linspace(-4.0, 3.0, 50))),
-    ("pct-identity-case2", 1e-9, lambda d: _pct_worst(
-        [Case2Params(eta, 2, m) for eta in (0, 1, 2) for m in (1, 2, 3)],
-        np.linspace(0.2, 3.0, 50))),
-    ("orthonormality-case1", 1e-6,
-     lambda d: _orthonormality_worst(Case1Params(1, 2, 1))),
-    ("orthonormality-case2", 1e-6,
-     lambda d: _orthonormality_worst(Case2Params(1, 2, 2))),
-    ("oracle-spectrum-case1", 1e-4, lambda d: _oracle_worst(
-        [Case1Params(1, 2, m) for m in (1, 2, 3, 4)], 3, d)),
-    ("oracle-spectrum-case2", 1e-3, lambda d: _oracle_worst(
-        [Case2Params(eta, 2, m) for eta in (0, 1, 2, 3) for m in (1, 2)], 4, d)),
-    ("isochronous-gaps", 1e-3, _check_isochronous_gaps),
-    ("susy-e0-zero", 0.0, lambda d: _check_susy_e0()),
-    ("susy-ground-annihilation", 1e-6, lambda d: _check_ground_annihilation()),
-    ("susy-shape-invariance", 1e-9, lambda d: _check_shape_invariance()),
-    ("susy-partner-route", 1e-8, lambda d: _check_partner_route()),
-    ("susy-intertwine", 1e-5, lambda d: _check_intertwining()),
-    ("susy-partner-spectrum", 1e-3, lambda d: _check_partner_spectrum()),
-    ("solver-ho-spectrum", 1e-5, lambda d: _check_ho_spectrum()),
-    ("solver-ho-order", 0.2, lambda d: _check_ho_order()),
-    ("profile-normalization", 1e-6, lambda d: _check_profile_normalization()),
-    ("profile-node-counts", 0.0, lambda d: _check_node_counts()),
-    ("density2d-integral", 1e-4, lambda d: _check_density2d_integral()),
-    ("density2d-lobes", 0.0, lambda d: _check_density2d_lobes()),
-]
-
+# verification report
 
 def cmd_verify(cfg: RunConfig) -> tuple:
-    """Run every registered invariant check; returns (report text, all_pass)."""
-    # The library imports this on first use; load it before the timed
-    # battery so no check's runtime_s includes an import.
-    import scipy.integrate  # noqa: F401
+    """Run and time every check of `checks.CHECKS`; returns (report text,
+    all_pass)."""
+    # Imported here, so that no data command loads the battery, and before
+    # the timing, so that no check's runtime_s includes an import.
+    from .checks import CHECKS
 
     delta = cfg.corrupt_veff
     checks = []
     failed = 0
-    for name, tolerance, measure in _CHECKS:
+    for name, tolerance, measure in CHECKS:
         start = time.perf_counter()
         measured = measure(delta)
         runtime = time.perf_counter() - start

@@ -7,8 +7,8 @@ g'^2/(M g) = C constant.  Case 1 has M = g = e^(-b x) on the whole line
 C = 1).  A params class supplies only its map (``pct_map``); the effective
 potential, the equispaced spectrum, the closed-form bound states and the
 superpotential of ``susy`` are derived from it once, for both families.
-Each family's hand-derived potential is kept only as the reference that
-``pct_master_residual`` checks ``v_eff`` against.
+Each family's hand-derived potential, the reference that ``v_eff`` is
+checked against, is in ``checks``.
 """
 from __future__ import annotations
 
@@ -110,21 +110,9 @@ class Case1Params:
         return -1 / self.b
 
     @property
-    def big_c(self) -> Fraction:
-        """Scale constant C = b^2 (so that lam * C = -b)."""
-        return self.b * self.b
-
-    @property
     def pct_map(self) -> PctMap:
         """g = M = e^(-b x): every ratio is constant, C = b^2, x > -inf."""
         return _exponential_map(self.b)
-
-    def _v_eff_closed_form(self, x):
-        """Hand-derived V_eff, the reference of ``pct_master_residual``."""
-        bf, af = float(self.b), float(self.alpha)
-        g = np.exp(-bf * x)
-        return (bf * bf / 4.0 * ((af * af - 1.0) * np.exp(bf * x) + g)
-                + bf * bf * _bracket(self, g) * g + float(self.vc))
 
     @classmethod
     def susy_zero(cls, b, alpha, m: int) -> "Case1Params":
@@ -147,8 +135,7 @@ class Case2Params:
     """Power-law-mass model: M(x) = l^2 x^(l-2), g(x) = x^l on x > 0.
 
     l = 2*eta + 2 is always an even integer and C = g'^2/(M g) = 1;
-    nu = 2*eta/(2*eta+1) is the mass-deformation label, and c = l^2,
-    kappa = 1 are carried as nominal bookkeeping constants.
+    nu = 2*eta/(2*eta+1) is the mass-deformation label.
     """
 
     eta: int
@@ -173,24 +160,9 @@ class Case2Params:
         return 2 * self.eta + 2
 
     @property
-    def c(self) -> int:
-        return self.l ** 2
-
-    @property
-    def kappa(self) -> int:
-        return 1
-
-    @property
     def pct_map(self) -> PctMap:
         """g = x^l, M = l^2 x^(l-2): ratios c/x^k (t = 1/x), C = 1, x > 0."""
         return _power_map(self.l)
-
-    def _v_eff_closed_form(self, x):
-        """Hand-derived V_eff, the reference of ``pct_master_residual``."""
-        l, af = self.l, float(self.alpha)
-        g, inv = x ** l, x ** (-l)
-        return (0.25 * ((af * af - 1.0) * inv + g) + _bracket(self, g) * g
-                + (2 * l - 1) / (4.0 * l * l) * inv + float(self.vc))
 
     @classmethod
     def susy_zero(cls, eta: int, alpha, m: int) -> "Case2Params":
@@ -256,24 +228,6 @@ def v_eff(model: ModelKind, x):
     inv_coeff = cf * (af * af - 1.0) / 4.0 + float(pm.k_g)
     out = (inv_coeff / g + cf * g * (0.25 + _bracket(model, g))
            + float(model.vc))
-    return _ret(x, out)
-
-
-def v_eff_m1_closed_form(p: Case1Params, x):
-    """Closed-form m=1 effective potential of the exponential-mass model.
-
-    Identical to ``v_eff`` at m=1; kept as an independent evaluation path
-    for cross-checking.
-    """
-    if not isinstance(p, Case1Params) or p.m != 1:
-        raise ValueError("closed form applies to Case 1 with m = 1 only")
-    xa = np.asarray(x, dtype=float)
-    bf, af = float(p.b), float(p.alpha)
-    ebx = np.exp(bf * xa)
-    out = (bf * bf / 4.0 * (ebx * (af * af - 1.0) + np.exp(-bf * xa)
-                            + 4.0 / (af * (1.0 + af * ebx))
-                            + 8.0 * ebx / (1.0 + af * ebx) ** 2)
-           + float(p.vc))
     return _ret(x, out)
 
 
@@ -362,34 +316,6 @@ def norm_constant_closed_form(model: ModelKind, n: int) -> float:
     # n!/Gamma(n+alpha) via log-gamma: each factor alone overflows past n = 170
     return math.sqrt(1.0 / (n + m + af)) * math.exp(
         (math.lgamma(n + 1) - math.lgamma(n + af)) / 2)
-
-
-def pct_master_residual(model: ModelKind, n: int, x):
-    """Defect of ``v_eff`` against the family's hand-derived potential.
-
-    The transformation's master identity is E_n - V_eff = C g (R - Q'/2 -
-    Q^2/4) - K, with Q = (alpha+1)/g - 1 - 2u and R = (n + m - 2 alpha u)/g
-    the X_m equation's coefficients in g (u = h'/h) and K the
-    Schwarzian-and-mass term.  The result is the sum of two defects that
-    vanish when every formula is consistent: the hand-derived closed form
-    V_hand minus the production ``v_eff``, and (E_n - vc) - C [(alpha^2-1)/(4g)
-    + g/4 + g B(g) + g (R - Q'/2 - Q^2/4)], the identity with K taken out.
-    """
-    pm, xa = _points(model, x)
-    g = pm.g(xa)
-    data = laguerre_data(model.m, model.alpha)
-    af = float(model.alpha)
-    hv, h1v, h2v = (eval_poly(p, g) for p in (data.h, data.h1, data.h2))
-    u = h1v / hv
-    du = (h2v * hv - h1v * h1v) / hv ** 2
-    q = (af + 1.0) / g - 1.0 - 2.0 * u
-    dq = -(af + 1.0) / g ** 2 - 2.0 * du
-    r = (n + model.m - 2.0 * af * u) / g
-    xm_defect = (float(energy_fraction(model, n) - model.vc) - float(pm.c) * (
-        (af * af - 1.0) / (4.0 * g) + g / 4.0 + g * _bracket(model, g)
-        + g * (r - dq / 2.0 - q ** 2 / 4.0)))
-    out = model._v_eff_closed_form(xa) - v_eff(model, xa) + xm_defect
-    return _ret(x, out)
 
 
 def density2d(model: ModelKind, n1: int, n2: int, x, y):

@@ -6,13 +6,11 @@ Generalized Laguerre polynomials are built by the three-term recurrence.  The
 codimension-m exceptional (X_m) Laguerre family is built from its type-I
 product form, a sum of two products of classical Laguerre polynomials
 (Gomez-Ullate, Kamran and Milson, J. Math. Anal. Appl. 359 (2009) 352).
-Membership is certified separately by an exact zero residual in the
-denominator-cleared ODE, whose operator is assembled from the ODE
-coefficients.  Float values of a family member come from the same product
-form with each classical factor evaluated in numpy by the recurrence
-scipy.special uses, so importing this module loads no scipy submodule.
-Weights, inner products, and the residual operator itself are exposed for
-verification; the inner product loads scipy.integrate when first called.
+Float values of a family member come from the same product form with each
+classical factor evaluated in numpy by the recurrence scipy.special uses, so
+importing this module loads no scipy submodule.  The checks of the family
+(the residual in the denominator-cleared ODE, the weight and the inner
+product) are in ``checks``.
 """
 from __future__ import annotations
 
@@ -25,10 +23,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 Scalar = Union[int, float, Fraction]
-
-# Beyond this point the e^{-g} factor has underflowed to zero while powers of
-# g may still overflow, so mapped semi-infinite integrands are cut off.
-_QUAD_G_CUTOFF = 800.0
 
 
 def _exact_scalar(value: Scalar) -> Fraction:
@@ -250,25 +244,6 @@ class XmFamilySpec:
             raise ValueError(f"unknown convention {self.convention!r}")
 
 
-def xm_ode_residual(p: Polynomial, nu: int, spec: XmFamilySpec) -> Polynomial:
-    """Residual of `p` in the denominator-cleared X_m ODE with parameter `nu`.
-
-    Returns g*h*p'' + [(alpha+1-g)*h - 2*g*h1]*p' + [nu*h - 2*alpha*h1]*p
-    with h = L_m^(alpha-1)(-g) and h1 = L_{m-1}^(alpha)(-g); the zero
-    polynomial certifies that `p` solves the ODE with that parameter.  The
-    operator is assembled from the ODE coefficients, not from the product
-    form ``xm_laguerre`` uses, so a zero residual is an independent check.
-    """
-    m, alpha = spec.m, spec.alpha
-    h = _laguerre_or_zero(m, alpha - 1).reflected()
-    h1 = _laguerre_or_zero(m - 1, alpha).reflected()
-    g = Polynomial((0, 1))
-    dp = p.derivative()
-    return (g * h * dp.derivative()
-            + (Polynomial((alpha + 1, -1)) * h - 2 * g * h1) * dp
-            + (nu * h - 2 * alpha * h1) * p)
-
-
 @lru_cache(maxsize=None)
 def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
     """Degree-`nu` member of the X_m-Laguerre family described by `spec`.
@@ -321,51 +296,3 @@ def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
         scale *= math.factorial(m) * math.factorial(n)
     out = scale * out
     return float(out) if np.ndim(g) == 0 else out
-
-
-def xm_weight(spec: XmFamilySpec, g):
-    """Orthogonality weight g^alpha * e^(-g) / L_m^(alpha-1)(-g)^2 at g > 0."""
-    garr = np.asarray(g, dtype=float)
-    if np.any(garr <= 0):
-        raise ValueError("weight is defined for g > 0 only")
-    denom = eval_poly(laguerre_data(spec.m, spec.alpha).h, garr)
-    out = garr ** float(spec.alpha) * np.exp(-garr) / denom ** 2
-    return float(out) if np.isscalar(g) else out
-
-
-def xm_inner_product(nu1: int, nu2: int, spec: XmFamilySpec) -> float:
-    """Weighted inner product of two family members over (0, inf).
-
-    Computed by adaptive quadrature (scipy.integrate.quad, imported here
-    because only verification calls this) after the substitution
-    g = t/(1-t); raises RuntimeError with the achieved error estimate if the
-    quadrature does not reach its target.
-    """
-    from scipy import integrate
-
-    if nu1 < spec.m or nu2 < spec.m:
-        raise ValueError("both degrees must be >= m")
-    p1 = xm_laguerre(nu1, spec).as_float()
-    p2 = p1 if nu2 == nu1 else xm_laguerre(nu2, spec).as_float()
-    denom = laguerre_data(spec.m, spec.alpha).h
-    alpha = float(spec.alpha)
-
-    def integrand(t):
-        if t >= 1.0:
-            return 0.0
-        g = t / (1.0 - t)
-        if g > _QUAD_G_CUTOFF:
-            return 0.0
-        w = g ** alpha * math.exp(-g) / eval_poly(denom, g) ** 2
-        return eval_poly(p1, g) * eval_poly(p2, g) * w / (1.0 - t) ** 2
-
-    out = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11,
-                         limit=200, full_output=1)
-    result, abserr = out[0], out[1]
-    # A quadpack warning with a tiny error estimate (roundoff chatter on a
-    # vanishing integral) is still a converged answer; judge by the estimate.
-    if abserr > max(1e-10, 1e-9 * abs(result)):
-        raise RuntimeError(
-            f"inner-product quadrature did not converge to target "
-            f"(value {result:.6e}, estimated error {abserr:.3e})")
-    return result

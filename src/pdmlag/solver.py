@@ -294,23 +294,9 @@ def _lapack(name: str):
     return routines[name], integer
 
 
-class _Workspace:
-    """The arrays `dstebz` writes, for matrices of up to n rows, with the
-    integer type of the binding.  Each thread needs its own."""
-
-    def __init__(self, n: int):
-        ints = np.dtype(_lapack("dstebz")[1])
-        self.w = np.empty(n)
-        self.iblock = np.empty(n, dtype=ints)
-        self.isplit = np.empty(n, dtype=ints)
-        self.work = np.empty(4 * n)
-        self.iwork = np.empty(3 * n, dtype=ints)
-
-
-def _stebz(ws: _Workspace, d: np.ndarray, e: np.ndarray, select: bytes,
-           vl: float, vu: float, il: int, iu: int, tol: float):
-    """One `dstebz` call on the tridiagonal matrix (d, e), ordered by value,
-    using the arrays of `ws`.
+def _stebz(d: np.ndarray, e: np.ndarray, select: bytes, vl: float, vu: float,
+           il: int, iu: int, tol: float):
+    """One `dstebz` call on the tridiagonal matrix (d, e), ordered by value.
 
     `select` b"V" bisects the eigenvalues in (vl, vu], b"I" those of
     (1-based) index il..iu.  Returns (m, w, iblock, isplit, info) as
@@ -320,41 +306,20 @@ def _stebz(ws: _Workspace, d: np.ndarray, e: np.ndarray, select: bytes,
     import ctypes
 
     n = d.size
-    if e.size != n - 1 or ws.w.size < n:
-        raise ValueError("work arrays do not fit the matrix")
+    if e.size != n - 1:
+        raise ValueError("arrays do not fit the matrix")
     dstebz, integer = _lapack("dstebz")
+    w = np.empty(n)
+    iblock, isplit = np.empty(n, dtype=integer), np.empty(n, dtype=integer)
     m, nsplit, info = integer(), integer(), integer()
     dstebz(select, b"E", ctypes.byref(integer(n)),
            ctypes.byref(ctypes.c_double(vl)), ctypes.byref(ctypes.c_double(vu)),
            ctypes.byref(integer(il)), ctypes.byref(integer(iu)),
            ctypes.byref(ctypes.c_double(tol)), d, e, ctypes.byref(m),
-           ctypes.byref(nsplit), ws.w, ws.iblock, ws.isplit, ws.work, ws.iwork,
-           ctypes.byref(info))
-    return (m.value, ws.w[:m.value].copy(), ws.iblock[:m.value].copy(),
-            ws.isplit[:nsplit.value].copy(), info.value)
-
-
-def _stebz_concurrently(calls, spaces):
-    """`_stebz` on each argument tuple in `calls`, one thread per workspace
-    in `spaces`, each call going to the next thread that comes free.  The
-    results come back in call order.  Making the workspaces made the
-    binding, so no thread makes it."""
-    from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
-
-    free = SimpleQueue()
-    for ws in spaces:
-        free.put(ws)
-
-    def run(args):
-        ws = free.get()     # never waits: no more threads than workspaces
-        try:
-            return _stebz(ws, *args)
-        finally:
-            free.put(ws)
-
-    with ThreadPoolExecutor(len(spaces)) as pool:
-        return list(pool.map(run, calls))
+           ctypes.byref(nsplit), w, iblock, isplit, np.empty(4 * n),
+           np.empty(3 * n, dtype=integer), ctypes.byref(info))
+    return (m.value, w[:m.value].copy(), iblock[:m.value].copy(),
+            isplit[:nsplit.value].copy(), info.value)
 
 
 def _predicted_windows(op: DiscretizedOperator, k: int):
@@ -367,6 +332,8 @@ def _predicted_windows(op: DiscretizedOperator, k: int):
     four times the pairs' disagreement (at least `_WINDOW_FLOOR` relative)
     the half-width.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     massfn, potfn = op.coefficients
     grid = op.grid
     coarse = [discretize(massfn, potfn, Grid(grid.lo, grid.hi, npoints))
@@ -374,13 +341,14 @@ def _predicted_windows(op: DiscretizedOperator, k: int):
     for c in coarse:
         if not (np.all(np.isfinite(c.diag)) and np.all(np.isfinite(c.offdiag))):
             raise ValueError("a coarse-grid matrix is not finite")
-    spaces = [_Workspace(max(c.size for c in coarse))
-              for _ in range(min(len(coarse), _WORKERS))]
+    _lapack("dstebz")           # bound here, so that no thread binds it
+    with ThreadPoolExecutor(min(len(coarse), _WORKERS)) as pool:
+        # the finest grid, the longest solve, is handed out first
+        solved = list(pool.map(lambda c: _stebz(c.diag, c.offdiag, b"I", 0.0,
+                                                1.0, 1, k, _BISECT_TOL),
+                               reversed(coarse)))
     levels = []
-    # the finest grid, the longest solve, is handed out first
-    for m, w, _, _, info in _stebz_concurrently(
-            [(c.diag, c.offdiag, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
-             for c in reversed(coarse)], spaces):
+    for m, w, _, _, info in solved:
         if info or m != k:
             raise RuntimeError(f"coarse-grid bisection returned info={info}")
         levels.insert(0, w)
@@ -568,8 +536,8 @@ def _bisect_lowest(op: DiscretizedOperator, k: int):
         with np.errstate(all="ignore"):
             out = _warm_values(op, k)
     if out is None:
-        m, vals, blocks, isplit, info = _stebz(
-            _Workspace(n), d, e, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
+        m, vals, blocks, isplit, info = _stebz(d, e, b"I", 0.0, 1.0, 1, k,
+                                               _BISECT_TOL)
         if info or m != k:
             raise RuntimeError(f"tridiagonal eigensolve failed: bisection "
                                f"found {m} of {k} values (info={info})")
@@ -671,33 +639,3 @@ def quadrature(values, grid: Grid) -> float:
     if grid.npoints % 2 == 1:
         return float(np.sum(vals[0:-2:2] + 4.0 * vals[1:-1:2] + vals[2::2]) * (h / 3.0))
     return float(np.sum(h * (vals[1:] + vals[:-1]) / 2.0))
-
-
-def convergence_order(model, level: int, base_points: int = 251) -> float:
-    """Observed FD order from Richardson triples of the lowest eigenvalue.
-
-    `level` counts grid halvings from the base grid, so `level` >= 2 gives
-    the minimum three nested grids; accepts a ModelKind or a raw problem
-    tuple (massfn, potfn, lo, hi).
-    """
-    if not isinstance(level, int) or level < 2:
-        raise ValueError("need at least 3 grids: level must be an integer >= 2")
-    if isinstance(model, tuple):
-        massfn, potfn, lo, hi = model
-    else:
-        massfn = lambda t: mass(model, t)
-        potfn = lambda t: v_eff(model, t)
-        lo, hi = default_domain(model, 0)
-    lowest = []
-    for j in range(level + 1):
-        grid = Grid(lo, hi, (base_points - 1) * 2 ** j + 1)
-        op = discretize(massfn, potfn, grid)
-        lowest.append(lowest_eigenvalues(op, 1)[0])
-    diffs = np.diff(np.asarray(lowest))
-    orders = []
-    for j in range(diffs.size - 1):
-        if diffs[j] * diffs[j + 1] <= 0 or abs(diffs[j + 1]) >= abs(diffs[j]):
-            raise RuntimeError(
-                "non-monotone eigenvalue error sequence; refine the base grid")
-        orders.append(float(np.log2(abs(diffs[j]) / abs(diffs[j + 1]))))
-    return orders[-1]

@@ -1,11 +1,12 @@
 """Supersymmetric layer: superpotentials, ladder operators, partner models.
 
 The ground state factorizes H - E_0 = A^dagger A with A = (1/sqrt(M)) d/dx
-+ W and W = -(1/sqrt(M)) psi_0'/psi_0; W, W', 1/sqrt(M) and the partner's
-curvature term come from the model's map (``models.PctMap``).  Both families
-are shape invariant: the partner potential is the alpha -> alpha+1 member of
-the same family shifted by C, so partner eigenstates are base eigenstates
-with alpha raised by one.
++ W and W = -(1/sqrt(M)) psi_0'/psi_0; W and 1/sqrt(M) come from the
+model's map (``models.PctMap``).  Both families are shape invariant: the
+partner potential is the alpha -> alpha+1 member of the same family shifted
+by C, so partner eigenstates are base eigenstates with alpha raised by one.
+The partner potential built from W instead, which checks that identity, is
+in ``checks``.
 """
 from __future__ import annotations
 
@@ -18,16 +19,6 @@ import numpy as np
 from .models import (ModelKind, PctMap, _points, _ret, susy_constant, v_eff,
                      wavefunction)
 from .orthopoly import eval_poly, laguerre_data
-
-
-@dataclass(frozen=True)
-class SuperpotentialFn:
-    """Callable wrapper fixing the model for the closed-form W(x)."""
-
-    model: ModelKind
-
-    def __call__(self, x):
-        return superpotential(self.model, x)
 
 
 @dataclass(frozen=True)
@@ -59,17 +50,6 @@ def _ratio_s(model: ModelKind, g):
             - eval_poly(data.q1, g) / eval_poly(data.ha, g))
 
 
-def _ratio_s_deriv(model: ModelKind, g):
-    """dS/dg via the raising identity d/dg L_n^a(-g) = L_{n-1}^(a+1)(-g)."""
-    data = laguerre_data(model.m, model.alpha)
-    hv, h1v = eval_poly(data.h, g), eval_poly(data.h1, g)
-    h2v = eval_poly(data.h2, g)
-    hav, q1v = eval_poly(data.ha, g), eval_poly(data.q1, g)
-    q2v = eval_poly(data.q2, g)
-    return ((h2v * hv - h1v * h1v) / hv ** 2
-            - (q2v * hav - q1v * q1v) / hav ** 2)
-
-
 def _w1(model: ModelKind, pm: PctMap) -> float:
     """w1 = alpha/2 + d2/(2 d1), the 1/sqrt(g) coefficient of s W/sqrt(C)."""
     return float(model.alpha / 2 + pm.d2 / (2 * pm.d1))
@@ -95,61 +75,10 @@ def _inv_sqrt_mass(model: ModelKind, xa):
     return 1.0 / np.sqrt(model.pct_map.mass(xa))
 
 
-def superpotential_from_groundstate(model: ModelKind, x):
-    """W(x) = -(1/sqrt(M)) psi_0'/psi_0 by high-order log-derivative stencils.
-
-    Independent of the closed form in ``superpotential``: the only shared
-    ingredient is the analytic ground state itself.
-    """
-    pm, xa = _points(model, np.atleast_1d(x))
-    # Near a finite domain end the log-derivative behaves like 1/x, so a
-    # step proportional to the distance keeps the stencil error flat.
-    h = 1e-3 * (xa - pm.lo if pm.lo > -math.inf else np.maximum(1.0, np.abs(xa)))
-
-    def logpsi(pts):
-        return np.log(np.abs(wavefunction(model, 0, pts)))
-
-    dlog = (logpsi(xa - 2 * h) - 8.0 * logpsi(xa - h)
-            + 8.0 * logpsi(xa + h) - logpsi(xa + 2 * h)) / (12.0 * h)
-    out = -_inv_sqrt_mass(model, xa) * dlog
-    return _ret(x, out[0] if np.ndim(x) == 0 else out)
-
-
-def _v2_route(model: ModelKind, x):
-    """Partner potential via W: V + 2 W'/sqrt(M) - (1/sqrt(M)) (1/sqrt(M))''.
-
-    Through g'/sqrt(M) = s sqrt(C g), W'/sqrt(M) = C [g S' + (1/2 + S)/2 +
-    w1/(2g)]; the curvature term is C (3 e1^2/4 - e2/2)/(d1^2 g).
-    """
-    pm, xa = _points(model, x)
-    g = pm.g(xa)
-    curvature = float((3 * pm.e1 ** 2 - 2 * pm.e2) / (4 * pm.d1 ** 2))
-    dw = (g * _ratio_s_deriv(model, g) + (0.5 + _ratio_s(model, g)) / 2.0
-          + _w1(model, pm) / (2.0 * g))
-    out = v_eff(model, xa) + float(pm.c) * (2.0 * dw - curvature / g)
-    return _ret(x, out)
-
-
 def partner_potential(model: ModelKind, x):
     """Supersymmetric partner potential, by the shape-invariant closed form."""
     pm = partner_model(model)
     return v_eff(pm.comparison, x) + float(pm.r_shift)
-
-
-def partner_route_residual(model: ModelKind, x):
-    """Closed-form partner potential minus the W-route value (candidate zero)."""
-    return partner_potential(model, x) - _v2_route(model, x)
-
-
-def shape_invariance_residual(model: ModelKind, x):
-    """V_partner(x; alpha) - V(x; alpha -> alpha+1) - R_shift.
-
-    The partner side is built from the superpotential (the W route), so the
-    cancellation against the alpha+1 potential is a genuine identity check
-    rather than a restatement of the closed form.
-    """
-    pm = partner_model(model)
-    return _v2_route(model, x) - v_eff(pm.comparison, x) - float(pm.r_shift)
 
 
 def _derivative(values: np.ndarray, h: float) -> np.ndarray:

@@ -13,15 +13,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import simpson
 
+from pdmlag.checks import (convergence_order, pct_master_residual,
+                           shape_invariance_residual, v_eff_m1_closed_form,
+                           xm_inner_product, xm_ode_residual)
 from pdmlag.cli import main
 from pdmlag.models import (Case1Params, Case2Params, default_domain, energy,
-                           energy_fraction, pct_master_residual, v_eff,
-                           v_eff_m1_closed_form, wavefunction)
-from pdmlag.orthopoly import XmFamilySpec, xm_inner_product, xm_laguerre, \
-    xm_ode_residual
-from pdmlag.solver import (Grid, convergence_order, discretize, eigen_lowest,
-                           quadrature, solve_model)
-from pdmlag.susy import (apply_A, partner_model, shape_invariance_residual)
+                           energy_fraction, v_eff, wavefunction)
+from pdmlag.orthopoly import XmFamilySpec, xm_laguerre
+from pdmlag.solver import (Grid, discretize, eigen_lowest, quadrature,
+                           solve_model)
+from pdmlag.susy import apply_A, partner_model
 
 
 def _emit(ok: bool, description: str) -> None:

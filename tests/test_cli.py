@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pdmlag.solver
-from pdmlag import cli
+from pdmlag import checks, cli
 from pdmlag.cli import main
 from pdmlag.models import energy, mass, v_eff, wavefunction
 from pdmlag.solver import solve_model
@@ -236,7 +236,7 @@ def test_density2d_mesh(capsys):
 
 
 def _reference_count_lobes(mesh):
-    """The loop `cli._count_lobes` replaced: the reference it must match."""
+    """The loop `checks._count_lobes` replaced: the reference it must match."""
     peak = mesh.max()
     count = 0
     for i in range(1, mesh.shape[0] - 1):
@@ -250,9 +250,9 @@ def _reference_count_lobes(mesh):
 
 @pytest.mark.parametrize("n1,n2", [(0, 0), (1, 2)])
 def test_count_lobes_matches_reference_loop_on_verify_meshes(n1, n2):
-    _, px, py = cli._density2d_mesh(n1, n2)
+    _, px, py = checks._density2d_mesh(n1, n2)
     mesh = np.outer(px, py)
-    assert cli._count_lobes(mesh) == _reference_count_lobes(mesh) \
+    assert checks._count_lobes(mesh) == _reference_count_lobes(mesh) \
         == (n1 + 1) * (n2 + 1)
 
 
@@ -262,9 +262,9 @@ def test_count_lobes_matches_reference_loop_on_tied_plateaus():
     mesh[4:6, 4:7] = 2.0
     mesh[15:18, 20:23] = 0.0
     mesh[16, 21] = 1e-3            # a unique local maximum below 1e-3 * peak
-    count = cli._count_lobes(mesh)
+    count = checks._count_lobes(mesh)
     assert count == _reference_count_lobes(mesh) > 0
-    assert cli._count_lobes(np.ones((5, 5))) == 0
+    assert checks._count_lobes(np.ones((5, 5))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +313,8 @@ VERIFY_TOLERANCES = [
     ("orthonormality-case2", 1e-6), ("oracle-spectrum-case1", 1e-4),
     ("oracle-spectrum-case2", 1e-3), ("isochronous-gaps", 1e-3),
     ("susy-e0-zero", 0.0), ("susy-ground-annihilation", 1e-6),
-    ("susy-shape-invariance", 1e-9), ("susy-partner-route", 1e-8),
-    ("susy-intertwine", 1e-5), ("susy-partner-spectrum", 1e-3),
+    ("susy-shape-invariance", 1e-9), ("susy-intertwine", 1e-5),
+    ("susy-partner-spectrum", 1e-3),
     ("solver-ho-spectrum", 1e-5), ("solver-ho-order", 0.2),
     ("profile-normalization", 1e-6), ("profile-node-counts", 0.0),
     ("density2d-integral", 1e-4), ("density2d-lobes", 0.0),

@@ -1,13 +1,14 @@
-"""Which scipy submodules pdmlag loads, and when.
+"""Which modules pdmlag loads, and when, and what the package exports.
 
 Importing the package, emitting closed-form data (`profile`, `density2d`)
-and solving on the finite-difference grid (`spectrum`) load none of them:
-both solver paths call LAPACK through the OpenBLAS that numpy's wheel
-already loads.  Only where numpy exports no such routines does the solver
-fall back to scipy.linalg.cython_lapack.  The warm start's thread pool is
-concurrent.futures, which is loaded on the first warm-started solve.  Each
-case runs in a fresh interpreter, because this test process has imported
-all of scipy already.
+and solving on the finite-difference grid (`spectrum`) load no scipy
+submodule: both solver paths call LAPACK through the OpenBLAS that numpy's
+wheel already loads.  Only where numpy exports no such routines does the
+solver fall back to scipy.linalg.cython_lapack.  The warm start's thread
+pool is concurrent.futures, which is loaded on the first warm-started
+solve.  The verify battery, `pdmlag.checks`, is loaded by `verify` alone.
+Each case runs in a fresh interpreter, because this test process has
+imported all of scipy already.
 """
 import json
 import os
@@ -17,13 +18,14 @@ from pathlib import Path
 
 import pytest
 
+import pdmlag
 from pdmlag import solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 DEFERRED = ("scipy.linalg", "scipy.special", "scipy.integrate",
             "scipy.optimize", "scipy.sparse", "scipy.linalg.cython_lapack",
-            "concurrent.futures")
+            "concurrent.futures", "pdmlag.checks")
 
 _MODEL2 = ["--case", "2", "--alpha", "2", "--m", "1", "--eta", "1"]
 
@@ -64,6 +66,12 @@ def test_closed_form_commands_load_no_scipy_submodule(argv, tmp_path):
     assert loaded == set()
 
 
+def test_verify_loads_the_checks(tmp_path):
+    codes, loaded, _ = _run([["verify", "--out", "verify.json"]], tmp_path)
+    assert codes == [0]
+    assert "pdmlag.checks" in loaded
+
+
 @pytest.mark.skipif(solver._numpy_lapack() is None,
                     reason="numpy exports no dstebz/dstein of its own")
 def test_spectrum_loads_no_scipy_submodule(tmp_path):
@@ -80,3 +88,25 @@ def test_spectrum_loads_no_scipy_submodule(tmp_path):
     # the warm start's pool threads are gone once the solve returns, and the
     # interpreter exits cleanly (`_run` checks its exit code)
     assert threads == 1
+
+
+# The public API.  The oracles of the closed forms are in `pdmlag.checks`,
+# which the package does not import, so none of them is listed here.
+PUBLIC_NAMES = [
+    "__version__",
+    "Polynomial", "XmFamilySpec", "classical_laguerre", "eval_poly",
+    "eval_xm_laguerre", "xm_laguerre",
+    "Case1Params", "Case2Params", "ModelKind", "mass", "g_map", "v_eff",
+    "energy", "energy_fraction", "wavefunction", "norm_constant_closed_form",
+    "pct_prefactor", "density2d", "default_domain", "susy_constant",
+    "PartnerModel", "superpotential", "partner_model", "partner_potential",
+    "apply_A", "apply_A_dagger", "partner_wavefunction",
+    "Grid", "DiscretizedOperator", "SpectrumResult", "discretize",
+    "eigen_lowest", "lowest_eigenvalues", "solve_model", "quadrature",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert pdmlag.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(pdmlag, name), name

@@ -17,11 +17,11 @@ import pytest
 from scipy import integrate
 
 from pdmlag import models
+from pdmlag.checks import pct_master_residual, v_eff_m1_closed_form
 from pdmlag.models import (Case1Params, Case2Params, default_domain,
                            density2d, energy, energy_fraction, g_map, mass,
-                           norm_constant_closed_form, pct_master_residual,
-                           pct_prefactor, susy_constant, v_eff,
-                           v_eff_m1_closed_form, wavefunction)
+                           norm_constant_closed_form, pct_prefactor,
+                           susy_constant, v_eff, wavefunction)
 from pdmlag.orthopoly import (XmFamilySpec, classical_laguerre, eval_poly,
                               eval_xm_laguerre, xm_laguerre)
 from pdmlag.solver import Grid, quadrature
@@ -47,12 +47,9 @@ def test_parameter_validation():
 def test_derived_parameters():
     p1 = Case1Params(Fraction(3, 2), 2, 1)
     assert p1.lam == Fraction(-2, 3)
-    assert p1.big_c == Fraction(9, 4)
     p2 = Case2Params(1, 2, 1)
     assert p2.nu == Fraction(2, 3)
     assert p2.l == 4
-    assert p2.c == 16
-    assert p2.kappa == 1
 
 
 def test_mass_and_map_values():

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from pdmlag.checks import xm_inner_product, xm_ode_residual, xm_weight
 from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _eval_genlaguerre,
                               classical_laguerre, eval_poly, eval_xm_laguerre,
-                              xm_inner_product, xm_laguerre, xm_ode_residual,
-                              xm_weight)
+                              xm_laguerre)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ routes that do not share them.  Tolerances, fixed before the first run:
 - W against the log-derivative of the ground state
   (``superpotential_from_groundstate``): 1e-8, as in the fixed-model tests
   of test_susy;
-- ``partner_route_residual``: 1e-8 and ``shape_invariance_residual``: 1e-9,
-  as in their fixed-model tests.
+- ``shape_invariance_residual``: 1e-9, as in its fixed-model tests.
 
-The last three are taken where V_eff <= E_3 (the classically allowed
+The last two are taken where V_eff <= E_3 (the classically allowed
 region of the first four levels), where the states live and the
 log-derivative stencil resolves them.
 """
@@ -24,10 +23,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmlag.checks import (shape_invariance_residual,
+                           superpotential_from_groundstate, v_eff_by_hand)
 from pdmlag.models import Case1Params, Case2Params, default_domain, energy, v_eff
 from pdmlag.solver import Grid
-from pdmlag.susy import (partner_route_residual, shape_invariance_residual,
-                         superpotential, superpotential_from_groundstate)
+from pdmlag.susy import superpotential
 
 _rational = st.builds(Fraction, st.integers(1, 12), st.integers(1, 9))
 
@@ -53,12 +53,11 @@ def _domain_points(model):
 def test_generic_formulas_match_independent_routes(model):
     xs = _domain_points(model)
     v = v_eff(model, xs)
-    hand = model._v_eff_closed_form(xs)
+    hand = v_eff_by_hand(model, xs)
     assert np.all(np.abs(v - hand) <= 1e-14 * np.maximum(1.0, np.abs(v)))
 
     inside = xs[v <= energy(model, 3)]
     assert inside.size >= 10
     w_gap = superpotential(model, inside) - superpotential_from_groundstate(model, inside)
     assert np.max(np.abs(w_gap)) < 1e-8
-    assert np.max(np.abs(partner_route_residual(model, inside))) < 1e-8
     assert np.max(np.abs(shape_invariance_residual(model, inside))) < 1e-9

@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmlag import solver
+from pdmlag.checks import convergence_order
 from pdmlag.models import (Case1Params, Case2Params, default_domain, energy,
                            mass, v_eff, wavefunction)
 from pdmlag.solver import (DiscretizedOperator, Grid, _model_operator,
-                           align_sign, convergence_order, discretize,
-                           eigen_lowest, lowest_eigenvalues, quadrature,
-                           solve_model)
+                           align_sign, discretize, eigen_lowest,
+                           lowest_eigenvalues, quadrature, solve_model)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +255,7 @@ def _dstebz_windows(op, k):
     eps = np.finfo(float).eps
     floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
     top = upper[-1]
-    ws = solver._Workspace(op.size)
-    m, _, _, _, info = solver._stebz(ws, d, e, b"V", floor, top, 1, 1, np.inf)
+    m, _, _, _, info = solver._stebz(d, e, b"V", floor, top, 1, 1, np.inf)
     if info or m != k:
         return None
     vals = np.empty(k)
@@ -264,7 +263,7 @@ def _dstebz_windows(op, k):
     for _ in range(solver._WIDEN_TRIES + 1):
         empty = []
         for j in todo:
-            m, w, _, _, info = solver._stebz(ws, d, e, b"V", lower[j], upper[j],
+            m, w, _, _, info = solver._stebz(d, e, b"V", lower[j], upper[j],
                                              1, 1, solver._BISECT_TOL)
             if info or m > 1:
                 return None
@@ -398,10 +397,10 @@ def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker,
     index_solved = []
     stebz = solver._stebz
 
-    def recording(ws, d, e, select, *args):
+    def recording(d, e, select, *args):
         if select == b"I":                  # index bisection
             index_solved.append(d.size)
-        return stebz(ws, d, e, select, *args)
+        return stebz(d, e, select, *args)
 
     monkeypatch.setattr(solver, "_stebz", recording)
     vals = lowest_eigenvalues(op, k)
@@ -481,10 +480,10 @@ def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
     stebz, laebz = solver._stebz, solver._laebz
     calls = []
 
-    def stebz_counting(ws, d, e, *args):
+    def stebz_counting(d, e, *args):
         if d.size == op.size:                 # not a coarse-grid solve
             calls.append("dstebz")
-        return stebz(ws, d, e, *args)
+        return stebz(d, e, *args)
 
     def laebz_counting(ijob, *args, **kwargs):
         calls.append(ijob)                    # 1: endpoint counts, 2: bisection

@@ -15,22 +15,17 @@ import pytest
 
 from pdmlag.models import (Case1Params, Case2Params, default_domain, energy,
                            energy_fraction, v_eff, wavefunction)
+from pdmlag.checks import (shape_invariance_residual,
+                           superpotential_from_groundstate)
 from pdmlag.solver import Grid, align_sign, quadrature, solve_model
-from pdmlag.susy import (PartnerModel, SuperpotentialFn, apply_A,
-                         apply_A_dagger, partner_model, partner_potential,
-                         partner_route_residual, partner_wavefunction,
-                         shape_invariance_residual, superpotential,
-                         superpotential_from_groundstate)
+from pdmlag.susy import (PartnerModel, apply_A, apply_A_dagger, partner_model,
+                         partner_potential, partner_wavefunction,
+                         superpotential)
 
 
 def test_superpotential_frozen_value_at_origin():
     assert superpotential(Case1Params(1, 2, 1), 0.0) == pytest.approx(
         11.0 / 12.0, rel=1e-14)
-
-
-def test_superpotential_fn_wrapper():
-    fn = SuperpotentialFn(Case1Params(1, 2, 1))
-    assert fn(0.0) == superpotential(Case1Params(1, 2, 1), 0.0)
 
 
 def test_case2_inverse_term_coefficient():
@@ -68,10 +63,10 @@ def test_superpotential_matches_groundstate_case2(model):
 
 def test_partner_route_consistency():
     xs1 = np.linspace(-4.0, 3.0, 50)
-    assert np.max(np.abs(partner_route_residual(Case1Params(1, 2, 1), xs1))) < 1e-8
-    assert np.max(np.abs(partner_route_residual(Case1Params(1, 2, 3), xs1))) < 1e-8
+    assert np.max(np.abs(shape_invariance_residual(Case1Params(1, 2, 1), xs1))) < 1e-8
+    assert np.max(np.abs(shape_invariance_residual(Case1Params(1, 2, 3), xs1))) < 1e-8
     xs2 = np.linspace(0.2, 3.0, 50)
-    assert np.max(np.abs(partner_route_residual(Case2Params(1, 2, 2), xs2))) < 1e-8
+    assert np.max(np.abs(shape_invariance_residual(Case2Params(1, 2, 2), xs2))) < 1e-8
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
