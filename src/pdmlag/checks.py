@@ -5,41 +5,42 @@ Each closed form of the package has a production route (``v_eff``,
 and, here, an independent route that checks it: each family's potential as
 derived by hand, the master identity of the point canonical transformation,
 W from the log-derivative of the ground state, the partner potential built
-from W, the denominator-cleared X_m ODE, the X_m weight and inner product,
-and the observed order of the FD solver.  `CHECKS` is the battery that
-``pdmlag verify`` runs and times.
+from W, the denominator-cleared X_m ODE, the X_m inner product (a
+Gauss-Laguerre rule, built in numpy) and the observed order of the FD
+solver.  `CHECKS` is the battery that ``pdmlag verify`` runs and times.
 
 No production module and no data command imports this module, so a
-`spectrum`, `profile` or `density2d` process never loads it, nor the
-scipy.integrate that ``xm_inner_product`` uses.
+`spectrum`, `profile` or `density2d` process never loads it.  It loads no
+scipy submodule itself.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate
 
 from .cli import _default_config, _plot_grid, _profile_grid
 from .models import (Case1Params, Case2Params, ModelKind, _bracket, _points,
                      _ret, default_domain, energy, energy_fraction, mass,
                      v_eff, wavefunction)
 from .orthopoly import (Polynomial, XmFamilySpec, _laguerre_or_zero,
-                        eval_poly, laguerre_data, xm_laguerre)
-from .solver import (Grid, _auto_grid, _model_operator, align_sign,
+                        eval_poly, eval_xm_laguerre, laguerre_data,
+                        xm_laguerre)
+from .solver import (Grid, _auto_grid, _model_operator, _stebz, align_sign,
                      discretize, lowest_eigenvalues, quadrature)
 from .susy import (_inv_sqrt_mass, _ratio_s, _w1, apply_A, apply_A_dagger,
                    partner_model, partner_wavefunction)
 
-# Beyond this point the e^{-g} factor has underflowed to zero while powers of
-# g may still overflow, so mapped semi-infinite integrands are cut off.
-_QUAD_G_CUTOFF = 800.0
+# The sizes of the Gauss rules `xm_inner_product` tries in turn, and the
+# agreement of two successive rules, relative to sum |w f|, that ends it.
+_GAUSS_NODES, _GAUSS_RTOL = (64, 128, 256, 512, 1024), 1e-12
 
 
 # ---------------------------------------------------------------------------
-# X_m-Laguerre polynomials: the ODE, the weight, the inner product
+# X_m-Laguerre polynomials: the ODE and the inner product
 
 def xm_ode_residual(p: Polynomial, nu: int, spec: XmFamilySpec) -> Polynomial:
     """Residual of `p` in the denominator-cleared X_m ODE with parameter `nu`.
@@ -60,49 +61,53 @@ def xm_ode_residual(p: Polynomial, nu: int, spec: XmFamilySpec) -> Polynomial:
             + (nu * h - 2 * alpha * h1) * p)
 
 
-def xm_weight(spec: XmFamilySpec, g):
-    """Orthogonality weight g^alpha * e^(-g) / L_m^(alpha-1)(-g)^2 at g > 0."""
-    garr = np.asarray(g, dtype=float)
-    if np.any(garr <= 0):
-        raise ValueError("weight is defined for g > 0 only")
-    denom = eval_poly(laguerre_data(spec.m, spec.alpha).h, garr)
-    out = garr ** float(spec.alpha) * np.exp(-garr) / denom ** 2
-    return float(out) if np.isscalar(g) else out
+@lru_cache(maxsize=None)
+def _gauss_laguerre(alpha: float, n: int):
+    """Nodes and weights of the n-point Gauss rule for g^alpha e^(-g), g > 0.
+
+    Nodes: the eigenvalues of the Jacobi matrix, diagonal 2k+alpha+1 and
+    off-diagonal b_k = sqrt(k(k+alpha)) (Golub and Welsch, Math. Comp. 23
+    (1969) 221), by the solver's one-thread LAPACK bisection at its most
+    accurate tolerance (a dense eigensolver's threaded BLAS can stall for
+    tenths of a second).  Weights: the Christoffel numbers 1 / sum_k
+    p_k(g)^2 of the orthonormal recurrence, 0 where the sum overflows,
+    accurate relative to their own size, unlike Gamma(alpha+1) v_0^2.
+    """
+    k = np.arange(n, dtype=float)
+    diag, b = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
+    nodes = _stebz(diag, b[1:], b"A", 0, 0, 0, 0, 2 * np.finfo(float).tiny)[1]
+    with np.errstate(all="ignore"):
+        prev, p = 0.0, np.full(n, math.gamma(alpha + 1.0) ** -0.5)
+        total = p * p
+        for j in range(n - 1):  # b_{j+1} p_{j+1} = (g - a_j) p_j - b_j p_{j-1}
+            prev, p = p, ((nodes - diag[j]) * p - b[j] * prev) / b[j + 1]
+            total += p * p
+        return nodes, np.nan_to_num(1.0 / total, nan=0.0)
 
 
 def xm_inner_product(nu1: int, nu2: int, spec: XmFamilySpec) -> float:
     """Weighted inner product of two family members over (0, inf).
 
-    Computed by adaptive quadrature (scipy.integrate.quad) after the
-    substitution g = t/(1-t); raises RuntimeError with the achieved error
-    estimate if the quadrature does not reach its target.
+    The weight is g^alpha e^(-g) / h^2 with h = L_m^(alpha-1)(-g), whose
+    zeros lie at g < 0, so the Gauss rule for g^alpha e^(-g) is applied to
+    the smooth f = X_nu1 X_nu2 / h^2, with `_GAUSS_NODES` nodes in turn
+    until two rules agree to `_GAUSS_RTOL` of sum |w f|; RuntimeError if
+    the last two do not.
     """
     if nu1 < spec.m or nu2 < spec.m:
         raise ValueError("both degrees must be >= m")
-    p1 = xm_laguerre(nu1, spec).as_float()
-    p2 = p1 if nu2 == nu1 else xm_laguerre(nu2, spec).as_float()
-    denom = laguerre_data(spec.m, spec.alpha).h
-    alpha = float(spec.alpha)
-
-    def integrand(t):
-        if t >= 1.0:
-            return 0.0
-        g = t / (1.0 - t)
-        if g > _QUAD_G_CUTOFF:
-            return 0.0
-        w = g ** alpha * math.exp(-g) / eval_poly(denom, g) ** 2
-        return eval_poly(p1, g) * eval_poly(p2, g) * w / (1.0 - t) ** 2
-
-    out = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11,
-                         limit=200, full_output=1)
-    result, abserr = out[0], out[1]
-    # A quadpack warning with a tiny error estimate (roundoff chatter on a
-    # vanishing integral) is still a converged answer; judge by the estimate.
-    if abserr > max(1e-10, 1e-9 * abs(result)):
-        raise RuntimeError(
-            f"inner-product quadrature did not converge to target "
-            f"(value {result:.6e}, estimated error {abserr:.3e})")
-    return result
+    h = laguerre_data(spec.m, spec.alpha).h
+    value = math.nan
+    for n in _GAUSS_NODES:
+        g, w = _gauss_laguerre(float(spec.alpha), n)
+        terms = (w * eval_xm_laguerre(nu1, spec, g)
+                 * eval_xm_laguerre(nu2, spec, g) / eval_poly(h, g) ** 2)
+        last, value = value, float(np.sum(terms))
+        if abs(value - last) <= _GAUSS_RTOL * np.sum(np.abs(terms)):
+            return value
+    raise RuntimeError(
+        f"the X_m inner product did not converge by {n} Gauss-Laguerre "
+        f"nodes: {last:.17g} with the rule before, {value:.17g} with {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +206,8 @@ def superpotential_from_groundstate(model: ModelKind, x):
 def _ratio_s_deriv(model: ModelKind, g):
     """dS/dg via the raising identity d/dg L_n^a(-g) = L_{n-1}^(a+1)(-g)."""
     data = laguerre_data(model.m, model.alpha)
-    hv, h1v = eval_poly(data.h, g), eval_poly(data.h1, g)
-    h2v = eval_poly(data.h2, g)
-    hav, q1v = eval_poly(data.ha, g), eval_poly(data.q1, g)
-    q2v = eval_poly(data.q2, g)
+    hv, h1v, h2v, hav, q1v, q2v = (eval_poly(p, g) for p in (
+        data.h, data.h1, data.h2, data.ha, data.q1, data.q2))
     return ((h2v * hv - h1v * h1v) / hv ** 2
             - (q2v * hav - q1v * q1v) / hav ** 2)
 
@@ -462,16 +465,13 @@ def _check_node_counts() -> float:
 def _density2d_mesh(n1: int, n2: int, npoints: int = 161):
     model = Case2Params(1, 2, 1)
     grid = _plot_grid(model, max(n1, n2, 2), npoints)
-    xs = grid.xs()
-    px = wavefunction(model, n1, xs) ** 2
-    py = wavefunction(model, n2, xs) ** 2
+    px, py = (wavefunction(model, n, grid.xs()) ** 2 for n in (n1, n2))
     return grid, px, py
 
 
 def _check_density2d_integral() -> float:
     grid, px, py = _density2d_mesh(1, 2)
-    total = quadrature(px, grid) * quadrature(py, grid)
-    return abs(total - 1.0)
+    return abs(quadrature(px, grid) * quadrature(py, grid) - 1.0)
 
 
 def _count_lobes(mesh: np.ndarray) -> int:

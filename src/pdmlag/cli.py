@@ -61,7 +61,7 @@ _OPTIONS = {
     "grid_lo": (None, float, _TABLES, "grid left endpoint"),
     "grid_hi": (None, float, _TABLES, "grid right endpoint"),
     "npoints": (None, int, _TABLES, "number of grid points"),
-    "format": ("csv", str, _TABLES + ("verify",), "output format: csv or json"),
+    "format": ("csv", str, _TABLES, "output format: csv or json"),
     "out": (None, str, _TABLES + ("verify",),
             f"output path (relative paths resolve under ${OUTDIR_ENV} when "
             f"set; stdout if omitted)"),

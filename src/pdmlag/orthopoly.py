@@ -9,8 +9,8 @@ product form, a sum of two products of classical Laguerre polynomials
 Float values of a family member come from the same product form with each
 classical factor evaluated in numpy by the recurrence scipy.special uses, so
 importing this module loads no scipy submodule.  The checks of the family
-(the residual in the denominator-cleared ODE, the weight and the inner
-product) are in ``checks``.
+(the residual in the denominator-cleared ODE and the inner product) are in
+``checks``.
 """
 from __future__ import annotations
 

@@ -299,9 +299,9 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: bytes, vl: float, vu: float,
     """One `dstebz` call on the tridiagonal matrix (d, e), ordered by value.
 
     `select` b"V" bisects the eigenvalues in (vl, vu], b"I" those of
-    (1-based) index il..iu.  Returns (m, w, iblock, isplit, info) as
-    scipy's `stebz` does, with w and iblock cut to the m values found and
-    isplit to the blocks.
+    (1-based) index il..iu, b"A" all.  Returns (m, w, iblock, isplit,
+    info) as scipy's `stebz` does, with w and iblock cut to the m values
+    found and isplit to the blocks.
     """
     import ctypes
 
@@ -521,8 +521,8 @@ def _bisect_lowest(op: DiscretizedOperator, k: int):
     (`_warm_values`).  `lowest_eigenvalues` and `eigen_lowest` both take
     their values from here.  A warm value lies within `_BISECT_TOL` of the
     plain one; when the windows cannot be certified or the matrix splits,
-    the plain path runs, and its results and errors are returned.  A matrix with an infinite or
-    NaN entry is refused before either path runs.
+    the plain path's results and errors are returned.  A matrix with an
+    infinite or NaN entry is refused before either path runs.
     """
     n = op.size
     if not isinstance(k, int) or k < 1 or k > n:

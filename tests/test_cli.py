@@ -373,8 +373,10 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     ["spectrum", "--vc", "1", "--preset", "susy-zero"],
     ["spectrum", "--no-such-flag"],
     ["verify", "--corrupt-veff", "x"],
+    ["verify", "--format", "json"],
 ], ids=["m-word", "m-decimal", "npoints-decimal", "format-xml", "preset-foo",
-        "grid_hi-word", "vc-and-preset", "unknown-flag", "corrupt_veff-word"])
+        "grid_hi-word", "vc-and-preset", "unknown-flag", "corrupt_veff-word",
+        "verify-format"])
 def test_malformed_command_line_exits_one(tmp_path, capsys, monkeypatch, argv):
     # exit 2 is left to a failed verify
     monkeypatch.chdir(tmp_path)

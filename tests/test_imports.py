@@ -6,7 +6,8 @@ submodule: both solver paths call LAPACK through the OpenBLAS that numpy's
 wheel already loads.  Only where numpy exports no such routines does the
 solver fall back to scipy.linalg.cython_lapack.  The warm start's thread
 pool is concurrent.futures, which is loaded on the first warm-started
-solve.  The verify battery, `pdmlag.checks`, is loaded by `verify` alone.
+solve.  The verify battery, `pdmlag.checks`, is loaded by `verify` alone,
+and loads no scipy submodule either.
 Each case runs in a fresh interpreter, because this test process has
 imported all of scipy already.
 """
@@ -70,6 +71,11 @@ def test_verify_loads_the_checks(tmp_path):
     codes, loaded, _ = _run([["verify", "--out", "verify.json"]], tmp_path)
     assert codes == [0]
     assert "pdmlag.checks" in loaded
+    # the X_m inner product is a Gauss rule built in numpy, so no check loads
+    # a scipy submodule; only the solver's LAPACK fallback does
+    fallback = ({"scipy.linalg", "scipy.linalg.cython_lapack"}
+                if solver._numpy_lapack() is None else set())
+    assert {m for m in loaded if m.startswith("scipy.")} <= fallback
 
 
 @pytest.mark.skipif(solver._numpy_lapack() is None,

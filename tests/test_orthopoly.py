@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from pdmlag.checks import xm_inner_product, xm_ode_residual, xm_weight
+from pdmlag import checks
+from pdmlag.checks import _gauss_laguerre, xm_inner_product, xm_ode_residual
 from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _eval_genlaguerre,
                               classical_laguerre, eval_poly, eval_xm_laguerre,
-                              xm_laguerre)
+                              laguerre_data, xm_laguerre)
 
 
 # ---------------------------------------------------------------------------
@@ -280,40 +281,35 @@ def test_xm_members_are_exact_ode_solutions(member):
 
 
 # ---------------------------------------------------------------------------
-# weight and inner products
-
-def test_weight_values():
-    # m=1, alpha=2: denominator L_1^(1)(-1) = 3 at g=1
-    assert xm_weight(XmFamilySpec(1, Fraction(2)), 1.0) == pytest.approx(
-        math.exp(-1) / 9.0, rel=1e-14)
-    # m=2, alpha=2: denominator L_2^(1)(-1) = 3 + 3 + 1/2 = 6.5
-    assert xm_weight(XmFamilySpec(2, Fraction(2)), 1.0) == pytest.approx(
-        math.exp(-1) / 42.25, rel=1e-14)
-
-
-def test_weight_rejects_nonpositive_argument():
-    spec = XmFamilySpec(1, Fraction(2))
-    for g in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            xm_weight(spec, g)
-
+# the weight's denominator and inner products
 
 @pytest.mark.parametrize("m, alpha", [(1, Fraction(3, 2)), (2, Fraction(2)),
                                       (3, Fraction(2)), (4, Fraction(3))])
 def test_weight_denominator_never_vanishes(m, alpha):
-    spec = XmFamilySpec(m, alpha)
+    # the zeros of h = L_m^(alpha-1)(-g) lie at g < 0, so f = X X / h^2 is
+    # smooth on g >= 0 and the Gauss rule for g^alpha e^-g integrates it
     gs = np.linspace(1e-3, 50.0, 10_000)
-    assert np.all(xm_weight(spec, gs) > 0)
+    assert np.all(eval_poly(laguerre_data(m, alpha).h, gs) > 0)
+
+
+def _norm_closed_form(nu, spec):
+    """Standard scale: ||X_nu||^2 = (n + m + alpha) Gamma(n + alpha) / n!."""
+    n, alpha = nu - spec.m, float(spec.alpha)
+    return (n + spec.m + alpha) * math.gamma(n + alpha) / math.factorial(n)
 
 
 def test_diagonal_norms_match_closed_form():
-    # standard scale: ||X_nu||^2 = (n + m + alpha) Gamma(n + alpha) / n!
-    spec = XmFamilySpec(1, Fraction(2), convention="standard")
-    for nu, expected in ((1, 3.0), (2, 8.0), (3, 15.0)):
-        assert xm_inner_product(nu, nu, spec) == pytest.approx(expected, rel=1e-9)
-    spec2 = XmFamilySpec(2, Fraction(2), convention="standard")
-    assert xm_inner_product(2, 2, spec2) == pytest.approx(4.0, rel=1e-9)
-    assert xm_inner_product(3, 3, spec2) == pytest.approx(10.0, rel=1e-9)
+    cases = [(1, Fraction(2), (1, 2, 3)), (2, Fraction(2), (2, 3)),
+             # Golub-Welsch weights Gamma(alpha+1) v_0^2 miss ||X_8||^2 = 80
+             # here by tens of percent at 512 nodes
+             (1, Fraction(2), (8,)),
+             (2, Fraction(7, 3), (2, 3, 5, 9))]
+    for m, alpha, degrees in cases:
+        spec = XmFamilySpec(m, alpha, convention="standard")
+        for nu in degrees:
+            assert xm_inner_product(nu, nu, spec) == pytest.approx(
+                _norm_closed_form(nu, spec), rel=1e-10), (m, alpha, nu)
+    assert _norm_closed_form(8, XmFamilySpec(1, 2, "standard")) == 80.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -324,6 +320,61 @@ def test_orthogonality_off_diagonals(m):
         for nu2 in degrees:
             if nu1 < nu2:
                 assert abs(xm_inner_product(nu1, nu2, spec)) < 1e-8
+
+
+def _quad_gram(spec, degrees):
+    """Oracle: the Gram matrix of X_nu / ||X_nu|| by scipy's adaptive
+    quadrature (quad_vec) over (0, inf), with the monomial form of each
+    member; the identity matrix is the exact answer."""
+    from scipy import integrate
+
+    polys = [xm_laguerre(nu, spec).as_float() for nu in degrees]
+    scale = np.array([_norm_closed_form(nu, spec) ** -0.5 for nu in degrees])
+    h = laguerre_data(spec.m, spec.alpha).h
+    alpha = float(spec.alpha)
+
+    def integrand(g):
+        v = scale * np.array([eval_poly(p, g) for p in polys])
+        return np.outer(v, v) * (g ** alpha * math.exp(-g) / eval_poly(h, g) ** 2)
+
+    return integrate.quad_vec(integrand, 0.0, math.inf, epsabs=1e-12,
+                              epsrel=0.0, norm="max")[0]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_inner_product_sweep_matches_quad_oracle(m):
+    # degrees up to m + 7, alpha near 1, rational and integer; the hardest
+    # inputs (14 pairs at m = 6, alpha = 11/10, each with degree 12 or 13)
+    # stop only at the 1024-node rule, the last one allowed
+    degrees = range(m, m + 8)
+    for alpha in (Fraction(11, 10), Fraction(3, 2), Fraction(2),
+                  Fraction(7, 3), Fraction(4), Fraction(6)):
+        spec = XmFamilySpec(m, alpha, convention="standard")
+        # the scale of an off-diagonal entry, sum |w f|, is within 2.1 % of
+        # its 1024-node value on the 128-node rule
+        gauss_g, gauss_w = _gauss_laguerre(float(alpha), 128)
+        oracle = _quad_gram(spec, degrees)
+        for i, nu1 in enumerate(degrees):
+            for j, nu2 in enumerate(degrees[i:], start=i):
+                ours = xm_inner_product(nu1, nu2, spec)
+                norms = math.sqrt(_norm_closed_form(nu1, spec)
+                                  * _norm_closed_form(nu2, spec))
+                assert abs(ours - norms * oracle[i, j]) <= 1e-10 * norms
+                if i == j:
+                    assert ours == pytest.approx(norms, rel=1e-10)
+                    continue
+                # off the diagonal, zero to 1e-10 of sum |w f|
+                f = (eval_xm_laguerre(nu1, spec, gauss_g)
+                     * eval_xm_laguerre(nu2, spec, gauss_g)
+                     / eval_poly(laguerre_data(m, alpha).h, gauss_g) ** 2)
+                assert abs(ours) <= 1e-10 * np.sum(np.abs(gauss_w * f))
+
+
+def test_inner_product_refuses_an_unconverged_rule(monkeypatch):
+    # m = 3, alpha = 2 needs 256 nodes for X_5 against X_6
+    monkeypatch.setattr(checks, "_GAUSS_NODES", (64, 128))
+    with pytest.raises(RuntimeError, match="by 128 Gauss-Laguerre nodes"):
+        xm_inner_product(5, 6, XmFamilySpec(3, Fraction(2)))
 
 
 def test_inner_product_rejects_degrees_below_m():
