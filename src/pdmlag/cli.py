@@ -186,8 +186,13 @@ def _default_config(**overrides) -> RunConfig:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the --config file, then the flags given."""
+    """Defaults, then the --config file, then the flags given.  A file key
+    must be one the command takes as a flag."""
     overrides = {} if args.config is None else _parse_config_file(args.config)
+    for key in overrides:
+        if key in _OPTIONS and args.command not in _OPTIONS[key][2]:
+            raise ValueError(f"config key {key!r} does not apply to "
+                             f"{args.command}")
     overrides.update((k, v) for k, v in vars(args).items() if k in _OPTIONS)
     return _default_config(**overrides)
 

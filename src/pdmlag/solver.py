@@ -19,23 +19,23 @@ for it.
 
 Large grids are warm-started.  When an operator built by `discretize` has at
 least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
-same problem is first solved on the coarse grids `_COARSE_POINTS` over the
-same interval; Richardson extrapolation of their h^2 error predicts each
-fine-grid level, and bisection then runs only inside a window around each
-prediction.  The Sturm counts at the ends of the windows certify that window
-j holds exactly level j before any window is bisected, so a warm value
-carries the plain path's guarantee: the midpoint of a bisection interval no
-wider than `_BISECT_TOL` that holds the eigenvalue.  It differs from the
-plain path's value by at most that width, and is bit for bit what `dstebz`
-gives on the same window.  A window found empty is widened about its centre,
-clear of its neighbours, a few times before the solve gives up; whatever
-cannot be certified, and a matrix that `dstebz` would split into blocks,
-falls back to plain index bisection, with the plain path's errors.  The
-windows share one array of squared off-diagonal entries, the one array of
-the matrix's size that the warm start keeps.  A ctypes call releases the
-GIL, so the coarse solves, the counts and the windows run on up to one
-thread per available CPU; each result depends only on its own inputs, so
-the values do not depend on the number of threads.
+same problem is first solved on the nested coarse grids `_COARSE_POINTS`
+over the same interval; Neville's extrapolation of their levels in h^2
+predicts each fine-grid level with an error estimate, and bisection then runs
+only inside a window around each prediction.  The Sturm counts at the ends of
+the windows certify that window j holds exactly level j before any window is
+bisected, so a warm value carries the plain path's guarantee: the midpoint of
+a bisection interval no wider than `_BISECT_TOL` that holds the eigenvalue.
+It differs from the plain path's value by at most that width, and is bit for
+bit what `dstebz` gives on the same window.  A window found empty is widened
+about its centre, clear of its neighbours, a few times before the solve gives
+up; whatever cannot be certified, and a matrix that `dstebz` would split into
+blocks, falls back to plain index bisection, with the plain path's errors.
+The windows share one array of squared off-diagonal entries, the one array of
+the matrix's size that the warm start keeps.  A ctypes call releases the GIL,
+so the coarse solves, the counts and the windows run on one pool of up to one
+thread per available CPU; each result depends only on its own inputs, so the
+values do not depend on the number of threads.
 """
 from __future__ import annotations
 
@@ -59,25 +59,28 @@ _BISECT_TOL = 1e-12
 # for the grid in one piece.
 _BLOCK = 16384
 
-# Warm start (see `_bisect_lowest`).  Measured against the plain path, it
-# breaks even at about 16001 points for 10 levels and at about 32009 points
-# for 40 levels; grids of 12001 points or fewer, which are all that `verify`
-# and the CLI defaults use, keep the plain path.  Beyond 40 levels it gains
-# less (60 levels: 0.99-1.05 of the plain time at 32009 points), and from
-# about 80 levels the 1001-point grid no longer resolves the top levels, so
-# the windows overlap and the plain path runs after the coarse solves.
+# Warm start (see `_bisect_lowest`).  On one thread it breaks even with the
+# plain path at about 12001 points for 10 levels and 16001-24001 for 40;
+# grids of 12001 points or fewer, which are all that `verify` and the CLI
+# defaults use, keep the plain path.  From about 60 levels the 501-point grid
+# no longer resolves the top levels, and some solves fall back.
 _WARM_MIN = 32009
 _WARM_MAX_K = 40
-_COARSE_POINTS = (1001, 2001, 4001)
-# Relative floor of a window's half-width.
+# Nested grids of 500, 1000 and 2000 intervals; the 2001-point solve is the
+# coarse stage's critical path.
+_COARSE_POINTS = (501, 1001, 2001)
+# Relative floor of a window's half-width, which is otherwise a sixteenth of
+# the prediction's error estimate.  The rounding in the fine matrix grows like
+# 1/h^2: at 200001 points a lowest level has been seen 1.9e-9 relative from
+# its prediction.
 _WINDOW_FLOOR = 1e-9
 # A window that holds no value is widened about its centre by this factor, at
-# most `_WIDEN_TRIES` times.  The rounding in the fine matrix, which grows
-# like 1/h^2, can put a level past the floor: at 200001 points the lowest
-# level has been seen 1.1e-9 to 1.9e-9 relative from its prediction.
-_WIDEN_FACTOR = 4.0
+# most `_WIDEN_TRIES` times.  Where the x^(-2) barrier makes the FD error
+# non-analytic in h^2 (Case 2, eta = 0, alpha = 5/4), the prediction errs by
+# 2 to 48 times its estimate, up to 44 half-widths: one widening covers that.
+_WIDEN_FACTOR = 64.0
 _WIDEN_TRIES = 3
-# Threads for the warm start's bisections (never more than there are calls).
+# Threads of the warm start's pool, which starts one only when none is idle.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -322,42 +325,46 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: bytes, vl: float, vu: float,
             isplit[:nsplit.value].copy(), info.value)
 
 
-def _predicted_windows(op: DiscretizedOperator, k: int):
-    """Centres and half-widths of k windows, each predicted to hold one of
-    the fine grid's lowest k eigenvalues.
+def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
+                t: float, pmap: Callable = map):
+    """The lowest k levels of `op`'s problem on the nested grids `ladder`
+    (point counts over `op`'s interval), extrapolated to squared spacing t,
+    and an error estimate.
 
-    The levels on the grids `_COARSE_POINTS`, found by index bisection (all
-    three at once), are fitted to E(h) = E* + c h^2 pairwise and
-    extrapolated to the fine spacing; the finer pair gives the centre, and
-    four times the pairs' disagreement (at least `_WINDOW_FLOOR` relative)
-    the half-width.
+    The grids are index-bisected, the finest first, through `pmap` (`map`,
+    or a thread pool's to run them at once).  Neville's scheme evaluates at
+    t the polynomial in h^2 through the levels of all the grids; the
+    estimate is its distance from the one through all but the coarsest.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     massfn, potfn = op.coefficients
-    grid = op.grid
-    coarse = [discretize(massfn, potfn, Grid(grid.lo, grid.hi, npoints))
-              for npoints in _COARSE_POINTS]
-    for c in coarse:
-        if not (np.all(np.isfinite(c.diag)) and np.all(np.isfinite(c.offdiag))):
-            raise ValueError("a coarse-grid matrix is not finite")
+    coarse = [discretize(massfn, potfn, Grid(op.grid.lo, op.grid.hi, npoints))
+              for npoints in ladder]
+    if not all(np.all(np.isfinite(c.diag)) and np.all(np.isfinite(c.offdiag))
+               for c in coarse):
+        raise ValueError("a coarse-grid matrix is not finite")
     _lapack("dstebz")           # bound here, so that no thread binds it
-    with ThreadPoolExecutor(min(len(coarse), _WORKERS)) as pool:
-        # the finest grid, the longest solve, is handed out first
-        solved = list(pool.map(lambda c: _stebz(c.diag, c.offdiag, b"I", 0.0,
-                                                1.0, 1, k, _BISECT_TOL),
-                               reversed(coarse)))
-    levels = []
-    for m, w, _, _, info in solved:
+    solved = list(pmap(lambda c: _stebz(c.diag, c.offdiag, b"I", 0.0, 1.0, 1,
+                                        k, _BISECT_TOL), reversed(coarse)))
+    for m, _, _, _, info in solved:
         if info or m != k:
             raise RuntimeError(f"coarse-grid bisection returned info={info}")
-        levels.insert(0, w)
     h2 = [c.grid.h ** 2 for c in coarse]
-    pred = [levels[i + 1] + (levels[i] - levels[i + 1]) / (h2[i] - h2[i + 1])
-            * (grid.h ** 2 - h2[i + 1]) for i in (0, 1)]
-    half = np.maximum(4.0 * np.abs(pred[0] - pred[1]),
-                      _WINDOW_FLOOR * np.maximum(1.0, np.abs(pred[1])))
-    return pred[1], half
+    fits = [w for _, w, _, _, _ in reversed(solved)]
+    for span in range(1, len(fits)):    # fits[i]: through grids i..i+span
+        finer = fits[-1]
+        fits = [a + (b - a) * ((t - h2[i]) / (h2[i + span] - h2[i]))
+                for i, (a, b) in enumerate(zip(fits, fits[1:]))]
+    return fits[0], np.abs(fits[0] - finer)
+
+
+def _predicted_windows(op: DiscretizedOperator, k: int,
+                       pmap: Callable = map):
+    """Centres and half-widths of k windows predicted to hold the fine
+    grid's lowest k levels: `_nested_fit` on `_COARSE_POINTS`, and a
+    sixteenth of its estimate (at least `_WINDOW_FLOOR` relative)."""
+    centre, spread = _nested_fit(op, k, _COARSE_POINTS, op.grid.h ** 2, pmap)
+    return centre, np.maximum(spread / 16, _WINDOW_FLOOR
+                              * np.maximum(1.0, np.abs(centre)))
 
 
 def _sturm_squares(d: np.ndarray, e: np.ndarray):
@@ -408,16 +415,16 @@ def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
 
 def _warm_values(op: DiscretizedOperator, k: int):
     """The lowest k eigenvalues bisected inside predicted windows, with the
-    block index of each and the block splitting `dstein` needs.
+    block index of each and the block splitting `dstein` needs, or None
+    when a coarse grid fails or the windows cannot be certified.
 
-    Returns None when a coarse grid fails or the windows cannot be
-    certified.  The windows must be disjoint and ascending, and the matrix
-    must not split into blocks.  Then the Sturm counts at both ends of every
-    window are taken concurrently (`dlaebz`, IJOB 1).  A window that holds
-    no value is widened about its centre by `_WIDEN_FACTOR`, clipped to stay
-    disjoint from its neighbours and below the top of the last window, and
-    its ends counted again, at most `_WIDEN_TRIES` times.  Only when window
-    j holds exactly level j, N(lower) = j and N(upper) = j + 1, for every j
+    The windows must be disjoint and ascending, and the matrix must not
+    split into blocks.  One thread pool runs the coarse solves, then takes
+    the Sturm counts at both ends of every window (`dlaebz`, IJOB 1).  A
+    window that holds no value is widened about its centre by
+    `_WIDEN_FACTOR`, clipped to stay disjoint from its neighbours, and its
+    ends counted again, at most `_WIDEN_TRIES` times.  Only when window j
+    holds exactly level j, N(lower) = j and N(upper) = j + 1, for every j
     are the windows bisected (IJOB 2), concurrently; each value is the
     midpoint of its final interval, bit for bit the value `dstebz` gives on
     that window.  Callers ignore floating-point errors here: an overflow
@@ -425,15 +432,6 @@ def _warm_values(op: DiscretizedOperator, k: int):
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    try:
-        centre, half = _predicted_windows(op, k)
-    except (ValueError, ArithmeticError, RuntimeError):
-        return None
-    lower, upper = centre - half, centre + half
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        return None
-    if np.any(lower >= upper) or np.any(upper[:-1] > lower[1:]):
-        return None
     d, e = np.ascontiguousarray(op.diag), np.ascontiguousarray(op.offdiag)
     sturm = _sturm_squares(d, e)
     if sturm is None:
@@ -454,8 +452,15 @@ def _warm_values(op: DiscretizedOperator, k: int):
                     / math.log(2.0)) + 2
         return _laebz(2, d, e, e2, pivmin, ab[j], nab[j], steps)
 
-    top = upper[-1]
-    with ThreadPoolExecutor(min(k, _WORKERS)) as pool:
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        try:
+            centre, half = _predicted_windows(op, k, pool.map)
+        except (ValueError, ArithmeticError, RuntimeError):
+            return None
+        lower, upper = centre - half, centre + half
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+                and np.all(lower < upper) and np.all(upper[:-1] <= lower[1:])):
+            return None
         todo = range(k)
         for tries in range(_WIDEN_TRIES + 1):
             if any(list(pool.map(count, todo))):    # every result read
@@ -463,19 +468,14 @@ def _warm_values(op: DiscretizedOperator, k: int):
             empty = [j for j in todo if nab[j, 0] == nab[j, 1]]
             if not empty or tries == _WIDEN_TRIES:
                 break
-            # ascending, so a widened window is clipped to its lower
-            # neighbour's new bounds
-            for j in empty:
+            for j in empty:     # ascending: clear of the widened one below
                 half[j] *= _WIDEN_FACTOR
-                lower[j] = centre[j] - half[j]
-                if j:
-                    lower[j] = max(lower[j], upper[j - 1])
+                lower[j] = max(centre[j] - half[j],
+                               upper[j - 1] if j else -np.inf)
                 upper[j] = min(centre[j] + half[j],
-                               lower[j + 1] if j + 1 < k else top)
+                               lower[j + 1] if j + 1 < k else np.inf)
             todo = empty
-        levels = np.arange(k)
-        if not (np.array_equal(nab[:, 0], levels)
-                and np.array_equal(nab[:, 1], levels + 1)):
+        if not np.array_equal(nab, np.arange(k)[:, None] + [0, 1]):
             return None
         # the top windows are the widest and take the most steps; handing
         # them out first leaves short ones for the end
@@ -516,13 +516,13 @@ def _bisect_lowest(op: DiscretizedOperator, k: int):
     The plain path bisects levels 0..k-1 by index over the whole spectrum.
     An operator from `discretize` on at least `_WARM_MIN` points, asked for
     at most `_WARM_MAX_K` levels, is warm-started instead: its values are
-    bisected to the same `_BISECT_TOL` inside windows predicted from the
-    coarse grids `_COARSE_POINTS` and certified by Sturm counts
-    (`_warm_values`).  `lowest_eigenvalues` and `eigen_lowest` both take
-    their values from here.  A warm value lies within `_BISECT_TOL` of the
-    plain one; when the windows cannot be certified or the matrix splits,
-    the plain path's results and errors are returned.  A matrix with an
-    infinite or NaN entry is refused before either path runs.
+    bisected to the same `_BISECT_TOL` inside windows predicted from coarse
+    grids and certified by Sturm counts (`_warm_values`).
+    `lowest_eigenvalues` and `eigen_lowest` both take their values from
+    here.  A warm value lies within `_BISECT_TOL` of the plain one; when the
+    windows cannot be certified or the matrix splits, the plain path's
+    results and errors are returned.  A matrix with an infinite or NaN entry
+    is refused before either path runs.
     """
     n = op.size
     if not isinstance(k, int) or k < 1 or k > n:

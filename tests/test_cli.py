@@ -484,6 +484,26 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "wibble" in err
 
 
+@pytest.mark.parametrize("command, key, text", [
+    ("verify", "format", "format = json\n"),
+    ("verify", "format", '{"format": "json"}'),
+    ("spectrum", "n1", "n1 = 3\n"),
+    ("spectrum", "corrupt_veff", "corrupt_veff = 0.5\n"),
+], ids=["verify-format", "verify-format-json", "spectrum-n1",
+        "spectrum-corrupt_veff"])
+def test_config_key_the_command_does_not_take_exits_one(tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       key, text):
+    # a flag the command lacks is refused, and so is the same file key
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, [command, "--config", "run.cfg"])
+    assert (code, out) == (1, "")
+    assert err == f"error: config key {key!r} does not apply to {command}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_json_config_takes_numbers_and_numeric_strings(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"case": "2", "eta": 1, "alpha": 2.5, "b": 1,

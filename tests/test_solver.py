@@ -7,6 +7,7 @@ then checked against their closed-form linear spectra.
 """
 import ctypes
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -243,21 +244,15 @@ def _model_op(model, k, npoints):
 
 def _dstebz_windows(op, k):
     """Reference: the warm start as one `dstebz` call per window, each
-    setting up its own bisection (splitting, norm, Gershgorin interval), after
-    one count of the values between the Gershgorin bound and the top window.
-    Returns the values and whether a window was widened, or None where the
-    windows cannot be certified."""
+    setting up its own bisection (splitting, norm, Gershgorin interval),
+    widened as `solver._warm_values` widens, then one count of the values
+    between the Gershgorin bound and the top window's final end.  Returns
+    the values and whether a window was widened, or None where the windows
+    cannot be certified."""
     centre, half = solver._predicted_windows(op, k)
     lower, upper = centre - half, centre + half
     assert np.all(lower < upper) and np.all(upper[:-1] <= lower[1:])
     d, e = op.diag, op.offdiag
-    dmin, emax = float(d.min()), float(np.abs(e).max())
-    eps = np.finfo(float).eps
-    floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
-    top = upper[-1]
-    m, _, _, _, info = solver._stebz(d, e, b"V", floor, top, 1, 1, np.inf)
-    if info or m != k:
-        return None
     vals = np.empty(k)
     todo, widened = range(k), False
     for _ in range(solver._WIDEN_TRIES + 1):
@@ -272,15 +267,23 @@ def _dstebz_windows(op, k):
             else:
                 vals[j] = w[0]
         if not empty:
-            return vals, widened
+            break
         widened = True
         for j in empty:
             half[j] *= solver._WIDEN_FACTOR
-            lower[j] = max(centre[j] - half[j], upper[j - 1] if j else floor)
+            lower[j] = max(centre[j] - half[j], upper[j - 1] if j else -np.inf)
             upper[j] = min(centre[j] + half[j],
-                           lower[j + 1] if j + 1 < k else top)
+                           lower[j + 1] if j + 1 < k else np.inf)
         todo = empty
-    return None
+    else:
+        return None
+    dmin, emax = float(d.min()), float(np.abs(e).max())
+    eps = np.finfo(float).eps
+    floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
+    m, _, _, _, info = solver._stebz(d, e, b"V", floor, upper[-1], 1, 1, np.inf)
+    if info or m != k:
+        return None
+    return vals, widened
 
 
 _rational = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
@@ -322,9 +325,110 @@ def test_warm_start_matches_index_bisection(problem):
     assert np.array_equal(vals, eigen_lowest(op, k).eigenvalues)
 
 
+def _benchmark_space(seed, count):
+    """Models drawn as the fd-spectrum benchmark draws them: either case,
+    b in (1/3, 2] and alpha in (1, 4] with denominators up to 3 and 7,
+    eta 0..3, m 1..4, 4..10 levels and 32009..40001 points."""
+    rng = random.Random(seed)
+    b = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(q // 3 + 1,
+                                                                  2 * q + 1)})
+    alpha = sorted({Fraction(p, q) for q in range(1, 8)
+                    for p in range(q + 1, 4 * q + 1)})
+    for _ in range(count):
+        a, m = rng.choice(alpha), rng.randint(1, 4)
+        model = (Case1Params(rng.choice(b), a, m) if rng.random() < 0.5
+                 else Case2Params(rng.randint(0, 3), a, m))
+        yield model, rng.randint(4, 10), rng.randint(32009, 40001)
+
+
+# five models whose FD error is smooth in h^2, then two where the prediction
+# errs most (Case 2 eta=0 alpha=5/4: by up to 48 times its estimate)
+_WARM_MODELS = [Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+                Case1Params(Fraction(1, 3), Fraction(4), 4),
+                Case2Params(3, Fraction(19, 7), 4),
+                Case2Params(0, Fraction(7, 2), 3),
+                Case2Params(1, Fraction(6, 5), 2),
+                Case1Params(Fraction(2), Fraction(5, 4), 1),
+                Case2Params(0, Fraction(5, 4), 1)]
+
+
+def _label(model, k, npoints):
+    shape = (f"b={model.b}" if isinstance(model, Case1Params)
+             else f"eta={model.eta}")
+    return f"{shape}-alpha={model.alpha}-m={model.m}-k={k}-{npoints}"
+
+
+_NO_FALLBACK = [*_benchmark_space(18, 16),
+                *((model, k, 40001) for k in (20, 40) for model in _WARM_MODELS)]
+
+
+@pytest.mark.parametrize("model, k, npoints", _NO_FALLBACK,
+                         ids=[_label(*problem) for problem in _NO_FALLBACK])
+def test_warm_start_never_falls_back(monkeypatch, model, k, npoints):
+    op = _model_op(model, k, npoints)
+    fine = []
+    stebz = solver._stebz
+
+    def recording(d, e, select, *args):
+        if d.size == op.size:               # index bisection of the fine grid
+            fine.append(select)
+        return stebz(d, e, select, *args)
+
+    monkeypatch.setattr(solver, "_stebz", recording)
+    vals = lowest_eigenvalues(op, k)
+    assert fine == []
+    ref = _index_bisection(op, k)
+    assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
+
+
+@pytest.mark.parametrize("model, passes", [
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 182),
+    (Case2Params(3, Fraction(19, 7), 4), 164),
+    # the x^(-2) barrier makes the FD error non-analytic in h^2: the
+    # predictions err by 25 to 44 half-widths, and all ten windows widen once
+    (Case2Params(0, Fraction(5, 4), 1), 239),
+], ids=["case1", "case2", "case2-eta0"])
+def test_warm_start_cost_in_sturm_passes(monkeypatch, model, passes):
+    # Sturm passes over the fine matrix in one warm solve: two per pair of
+    # endpoint counts, one per halving of a bisected window.  The host is
+    # too noisy to time; the count is the same at 200001 points.
+    k = 10
+    op = _model_op(model, k, 40001)
+    counted = []
+    laebz = solver._laebz
+
+    def counting(ijob, d, e, e2, pivmin, ab, nab, nitmax=0):
+        width = ab[1] - ab[0]
+        info = laebz(ijob, d, e, e2, pivmin, ab, nab, nitmax)
+        counted.append(2 if ijob == 1
+                       else round(math.log2(width / (ab[1] - ab[0]))))
+        return info
+
+    monkeypatch.setattr(solver, "_laebz", counting)
+    assert solver._warm_values(op, k) is not None, "fell back"
+    assert sum(counted) == passes
+
+
+def test_warm_start_makes_one_thread_pool(monkeypatch):
+    # the coarse solves, the counts and the bisections share it
+    import concurrent.futures
+
+    pools = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def recording(*args, **kwargs):
+        pools.append(args)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    op = _model_op(Case2Params(0, Fraction(5, 4), 1), 10, 40001)  # widens
+    assert solver._warm_values(op, 10) is not None, "fell back"
+    assert len(pools) == 1
+
+
 def _shift_up_one_level(predict):
-    def shifted(op, k):
-        centre, half = predict(op, k + 1)
+    def shifted(op, k, *pmap):
+        centre, half = predict(op, k + 1, *pmap)
         return centre[1:], half[1:]
     return shifted
 
@@ -338,8 +442,8 @@ def _coarse_grid_raises(discretize_fn):
 
 
 def _zero_width(predict):
-    def zero(op, k):
-        centre, half = predict(op, k)
+    def zero(op, k, *pmap):
+        centre, half = predict(op, k, *pmap)
         return centre, np.zeros_like(half)
     return zero
 
@@ -348,8 +452,8 @@ def _level_three_window_empty(predict):
     # level 3's window moved into the middle of the gap above it, a quarter
     # of the gap wide: the windows stay disjoint and the count certificate
     # holds, but that window holds no value
-    def empty(op, k):
-        centre, half = predict(op, k)
+    def empty(op, k, *pmap):
+        centre, half = predict(op, k, *pmap)
         ref = _index_bisection(op, k)
         gap = ref[4] - ref[3]
         centre[3], half[3] = ref[3] + gap / 2, gap / 8
@@ -361,8 +465,8 @@ def _level_three_window_out_of_reach(predict):
     # level 3's window in the middle of the gap above it, as above, but so
     # narrow that widened `_WIDEN_TRIES` times it reaches only a quarter of
     # the way to either level
-    def far(op, k):
-        centre, half = predict(op, k)
+    def far(op, k, *pmap):
+        centre, half = predict(op, k, *pmap)
         ref = _index_bisection(op, k)
         gap = ref[4] - ref[3]
         centre[3] = ref[3] + gap / 2
@@ -372,8 +476,8 @@ def _level_three_window_out_of_reach(predict):
 
 
 def _level_one_repeats_level_zero(predict):
-    def repeated(op, k):
-        centre, half = predict(op, k)
+    def repeated(op, k, *pmap):
+        centre, half = predict(op, k, *pmap)
         centre[1], half[1] = centre[0], half[0]
         return centre, half
     return repeated
@@ -500,7 +604,7 @@ def test_hand_built_operator_takes_plain_path(monkeypatch):
     op = _model_op(Case1Params(Fraction(3, 2), Fraction(7, 3), 2), k, 40001)
     hand = DiscretizedOperator(diag=op.diag, offdiag=op.offdiag, grid=op.grid)
 
-    def no_windows(op, k):
+    def no_windows(op, k, *pmap):
         raise AssertionError("warm start on a hand-built operator")
 
     monkeypatch.setattr(solver, "_predicted_windows", no_windows)
