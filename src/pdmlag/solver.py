@@ -22,15 +22,15 @@ least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
 same problem is first solved on the nested coarse grids `_COARSE_POINTS`
 over the same interval; Neville's extrapolation of their levels in h^2
 predicts each fine-grid level with an error estimate, and bisection then runs
-only inside a window around each prediction.  The Sturm counts at the ends of
-the windows certify that window j holds exactly level j before any window is
-bisected, so a warm value carries the plain path's guarantee: the midpoint of
-a bisection interval no wider than `_BISECT_TOL` that holds the eigenvalue.
-It differs from the plain path's value by at most that width, and is bit for
-bit what `dstebz` gives on the same window.  A window found empty is widened
-about its centre, clear of its neighbours, a few times before the solve gives
-up; whatever cannot be certified, and a matrix that `dstebz` would split into
-blocks, falls back to plain index bisection, with the plain path's errors.
+only inside a window around each prediction.  Sturm counts certify that
+window j holds level j, most of them the bisection's own probes, so a warm
+value carries the plain path's guarantee: the midpoint of a bisection
+interval no wider than `_BISECT_TOL` that holds the eigenvalue.  It differs
+from the plain path's value by at most that width, and is bit for bit what
+`dstebz` gives for level j on the same window.  A window found empty is
+widened about its centre, clear of its neighbours, a few times before the
+solve gives up; whatever cannot be certified, and a matrix that `dstebz`
+would split into blocks, falls back to plain index bisection.
 The windows share one array of squared off-diagonal entries, the one array of
 the matrix's size that the warm start keeps.  A ctypes call releases the GIL,
 so the coarse solves, the counts and the windows run on one pool of up to one
@@ -69,11 +69,12 @@ _WARM_MAX_K = 40
 # Nested grids of 500, 1000 and 2000 intervals; the 2001-point solve is the
 # coarse stage's critical path.
 _COARSE_POINTS = (501, 1001, 2001)
-# Relative floor of a window's half-width, which is otherwise a sixteenth of
-# the prediction's error estimate.  The rounding in the fine matrix grows like
-# 1/h^2: at 200001 points a lowest level has been seen 1.9e-9 relative from
-# its prediction.
-_WINDOW_FLOOR = 1e-9
+# Relative floor of a window's half-width per interval of the grid.  Rounding
+# grows with the grid: levels at the floor have erred 1.9e-9 relative at
+# 200001 points (floor 1e-9) and 6.1e-11 at 32009-40001 (1.6e-10 to 2e-10).
+_WINDOW_FLOOR = 5e-15
+# Steps of a window's bisection before an end that no probe moved is counted
+_PROBE_STEPS = 3
 # A window that holds no value is widened about its centre by this factor, at
 # most `_WIDEN_TRIES` times.  Where the x^(-2) barrier makes the FD error
 # non-analytic in h^2 (Case 2, eta = 0, alpha = 5/4), the prediction errs by
@@ -361,10 +362,10 @@ def _predicted_windows(op: DiscretizedOperator, k: int,
                        pmap: Callable = map):
     """Centres and half-widths of k windows predicted to hold the fine
     grid's lowest k levels: `_nested_fit` on `_COARSE_POINTS`, and a
-    sixteenth of its estimate (at least `_WINDOW_FLOOR` relative)."""
+    sixteenth of its estimate, at least `_WINDOW_FLOOR` per grid interval."""
     centre, spread = _nested_fit(op, k, _COARSE_POINTS, op.grid.h ** 2, pmap)
-    return centre, np.maximum(spread / 16, _WINDOW_FLOOR
-                              * np.maximum(1.0, np.abs(centre)))
+    floor = _WINDOW_FLOOR * (op.grid.npoints - 1)
+    return centre, np.maximum(spread / 16, floor * np.maximum(1, abs(centre)))
 
 
 def _sturm_squares(d: np.ndarray, e: np.ndarray):
@@ -419,16 +420,18 @@ def _warm_values(op: DiscretizedOperator, k: int):
     when a coarse grid fails or the windows cannot be certified.
 
     The windows must be disjoint and ascending, and the matrix must not
-    split into blocks.  One thread pool runs the coarse solves, then takes
-    the Sturm counts at both ends of every window (`dlaebz`, IJOB 1).  A
-    window that holds no value is widened about its centre by
-    `_WIDEN_FACTOR`, clipped to stay disjoint from its neighbours, and its
-    ends counted again, at most `_WIDEN_TRIES` times.  Only when window j
-    holds exactly level j, N(lower) = j and N(upper) = j + 1, for every j
-    are the windows bisected (IJOB 2), concurrently; each value is the
-    midpoint of its final interval, bit for bit the value `dstebz` gives on
-    that window.  Callers ignore floating-point errors here: an overflow
-    shows as a non-finite window or pivot floor, which is refused.
+    split into blocks.  One thread pool runs the coarse solves, then
+    bisects each window j (`dlaebz`, IJOB 2) `_PROBE_STEPS` steps as if
+    N(lower) = j and N(upper) = j + 1: a probe moves the lower end only if
+    it counts at most j, the upper end only if at least j + 1.  A window
+    with an end that no probe moved has its ends counted (IJOB 1): if it
+    holds no value it is widened about its centre by `_WIDEN_FACTOR`, clear
+    of its neighbours, and started again, at most `_WIDEN_TRIES` times, and
+    counts other than (j, j + 1) are refused.  Then every window finishes
+    its bisection, concurrently; each value is bit for bit the one `dstebz`
+    gives for level j on that window.  Callers ignore floating-point errors
+    here: an overflow shows as a non-finite window or pivot floor, which is
+    refused.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -441,16 +444,21 @@ def _warm_values(op: DiscretizedOperator, k: int):
     # row j: window j's interval, and the counts at its ends
     ab = np.empty((k, 2))
     nab = np.empty((k, 2), dtype=integer)
+    expected = np.arange(k)[:, None] + [0, 1]
+    running = [1] * k       # the INFO of each window's probes: 0 once done
 
-    def count(j):
-        ab[j] = lower[j], upper[j]
-        return _laebz(1, d, e, e2, pivmin, ab[j], nab[j])
+    def probe(j):
+        window = np.array([lower[j], upper[j]])
+        ab[j], nab[j] = window, expected[j]
+        running[j] = _laebz(2, d, e, e2, pivmin, ab[j], nab[j], _PROBE_STEPS)
+        unmoved = np.any(ab[j] == window)
+        return unmoved and _laebz(1, d, e, e2, pivmin, window, nab[j])
 
-    def bisect(j):
-        # `dstebz`'s cap on the number of steps
+    def finish(j):
+        # `dstebz`'s cap on the number of steps, less those taken
         steps = int((math.log(upper[j] - lower[j] + pivmin) - math.log(pivmin))
-                    / math.log(2.0)) + 2
-        return _laebz(2, d, e, e2, pivmin, ab[j], nab[j], steps)
+                    / math.log(2.0)) + 2 - _PROBE_STEPS
+        return running[j] and _laebz(2, d, e, e2, pivmin, ab[j], nab[j], steps)
 
     with ThreadPoolExecutor(_WORKERS) as pool:
         try:
@@ -463,23 +471,23 @@ def _warm_values(op: DiscretizedOperator, k: int):
             return None
         todo = range(k)
         for tries in range(_WIDEN_TRIES + 1):
-            if any(list(pool.map(count, todo))):    # every result read
+            if any(list(pool.map(probe, todo))):    # every result read
                 return None
-            empty = [j for j in todo if nab[j, 0] == nab[j, 1]]
-            if not empty or tries == _WIDEN_TRIES:
+            missed = np.flatnonzero(np.any(nab != expected, axis=1))
+            if not missed.size:
                 break
-            for j in empty:     # ascending: clear of the widened one below
+            if tries == _WIDEN_TRIES or np.any(np.diff(nab[missed])):
+                return None
+            for j in missed:    # ascending: clear of the widened one below
                 half[j] *= _WIDEN_FACTOR
                 lower[j] = max(centre[j] - half[j],
                                upper[j - 1] if j else -np.inf)
                 upper[j] = min(centre[j] + half[j],
                                lower[j + 1] if j + 1 < k else np.inf)
-            todo = empty
-        if not np.array_equal(nab, np.arange(k)[:, None] + [0, 1]):
-            return None
+            todo = missed
         # the top windows are the widest and take the most steps; handing
         # them out first leaves short ones for the end
-        if any(list(pool.map(bisect, range(k - 1, -1, -1)))):
+        if any(list(pool.map(finish, range(k - 1, -1, -1)))):
             return None
     return (0.5 * (ab[:, 0] + ab[:, 1]), np.ones(k, dtype=integer),
             np.array([d.size], dtype=integer))

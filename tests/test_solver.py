@@ -6,6 +6,7 @@ these units (eigenvalues 2n+1).  The position-dependent-mass models are
 then checked against their closed-form linear spectra.
 """
 import ctypes
+import functools
 import math
 import random
 import tracemalloc
@@ -381,19 +382,10 @@ def test_warm_start_never_falls_back(monkeypatch, model, k, npoints):
     assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
 
 
-@pytest.mark.parametrize("model, passes", [
-    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 182),
-    (Case2Params(3, Fraction(19, 7), 4), 164),
-    # the x^(-2) barrier makes the FD error non-analytic in h^2: the
-    # predictions err by 25 to 44 half-widths, and all ten windows widen once
-    (Case2Params(0, Fraction(5, 4), 1), 239),
-], ids=["case1", "case2", "case2-eta0"])
-def test_warm_start_cost_in_sturm_passes(monkeypatch, model, passes):
-    # Sturm passes over the fine matrix in one warm solve: two per pair of
-    # endpoint counts, one per halving of a bisected window.  The host is
-    # too noisy to time; the count is the same at 200001 points.
-    k = 10
-    op = _model_op(model, k, 40001)
+def _counting_passes(monkeypatch):
+    """Sturm passes over the fine matrix, recorded per `_laebz` call: two
+    per pair of endpoint counts, one per halving of a bisected window.  The
+    host is too noisy to time."""
     counted = []
     laebz = solver._laebz
 
@@ -405,8 +397,37 @@ def test_warm_start_cost_in_sturm_passes(monkeypatch, model, passes):
         return info
 
     monkeypatch.setattr(solver, "_laebz", counting)
+    return counted
+
+
+@pytest.mark.parametrize("model, npoints, passes", [
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 40001, 153),
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 200001, 162),
+    (Case2Params(3, Fraction(19, 7), 4), 40001, 127),
+    (Case2Params(3, Fraction(19, 7), 4), 200001, 146),
+    # the x^(-2) barrier makes the FD error non-analytic in h^2: the
+    # predictions err by tens of half-widths, and every window widens
+    (Case2Params(0, Fraction(5, 4), 1), 40001, 281),
+    (Case2Params(0, Fraction(5, 4), 1), 200001, 249),
+], ids=["case1", "case1-200001", "case2", "case2-200001", "case2-eta0",
+        "case2-eta0-200001"])
+def test_warm_start_cost_in_sturm_passes(monkeypatch, model, npoints, passes):
+    # one warm solve of 10 levels; the window floor scales with the grid,
+    # so the two sizes differ
+    k = 10
+    op = _model_op(model, k, npoints)
+    counted = _counting_passes(monkeypatch)
     assert solver._warm_values(op, k) is not None, "fell back"
     assert sum(counted) == passes
+
+
+def test_warm_start_cost_over_the_benchmark_space(monkeypatch):
+    # the fine-grid passes of the 16 models `test_warm_start_never_falls_back`
+    # draws: windows widened for no gain show here, not only in timings
+    counted = _counting_passes(monkeypatch)
+    for model, k, npoints in _benchmark_space(18, 16):
+        assert solver._warm_values(_model_op(model, k, npoints), k) is not None
+    assert sum(counted) == 1471
 
 
 def test_warm_start_makes_one_thread_pool(monkeypatch):
@@ -533,6 +554,72 @@ def test_warm_start_widens_a_window_missed_by_rounding():
     assert widened and warm[0].tobytes() == oracle.tobytes()
 
 
+def _levels_at_the_window_ends(predict):
+    # level j in the outermost 2^-(steps + 1) of its window, at the lower end
+    # for even j and the upper end for odd j: every probe of the first
+    # `_PROBE_STEPS` steps moves the other end
+    def edged(op, k, *pmap):
+        centre, half = predict(op, k, *pmap)
+        offset = half * (1 - 2.0 ** -solver._PROBE_STEPS)
+        return (_index_bisection(op, k)
+                + np.where(np.arange(k) % 2, -offset, offset)), half
+    return edged
+
+
+@pytest.mark.parametrize("model", [
+    Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+    Case2Params(3, Fraction(19, 7), 4),
+], ids=["case1", "case2"])
+def test_window_with_an_end_no_probe_moved_is_counted(monkeypatch, model):
+    k = 10
+    op = _model_op(model, k, 40001)
+    monkeypatch.setattr(solver, "_predicted_windows",
+                        _levels_at_the_window_ends(solver._predicted_windows))
+    calls = []
+    laebz = solver._laebz
+
+    def recording(ijob, *args, **kwargs):
+        calls.append(ijob)
+        return laebz(ijob, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_laebz", recording)
+    warm = solver._warm_values(op, k)
+    assert warm is not None, "fell back"
+    # each window: its probes, the count of its ends, the rest of its steps
+    assert sorted(calls) == [1] * k + [2] * (2 * k)
+    oracle, widened = _dstebz_windows(op, k)
+    assert not widened and warm[0].tobytes() == oracle.tobytes()
+
+
+_PERTURBED = [Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+              Case2Params(3, Fraction(19, 7), 4)]
+
+
+@functools.cache
+def _perturbed_problem(index):
+    """A 10-level problem at 40001 points, its predicted windows and its
+    index-bisected levels."""
+    op = _model_op(_PERTURBED[index], 10, 40001)
+    return op, solver._predicted_windows(op, 10), _index_bisection(op, 10)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, len(_PERTURBED) - 1),
+       st.lists(st.floats(-3, 3), min_size=10, max_size=10))
+def test_perturbed_windows_give_their_own_level(index, shifts):
+    # centres moved by up to 3 half-widths: a window certified by its probes,
+    # by a count, or after widening gives level j, never another level
+    op, (centre, half), ref = _perturbed_problem(index)
+    moved = centre + np.array(shifts) * half
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_predicted_windows",
+                      lambda op, k, *pmap: (moved.copy(), half.copy()))
+        warm = solver._warm_values(op, 10)
+    # one widening by `_WIDEN_FACTOR` reaches every level, so none falls back
+    assert warm is not None, "fell back"
+    assert np.all(np.abs(warm[0] - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
+
+
 @pytest.mark.parametrize("model", [
     Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
     Case2Params(3, Fraction(19, 7), 4),
@@ -571,14 +658,17 @@ def test_warm_start_does_not_depend_on_thread_count(monkeypatch, model):
         assert one.tobytes() == two.tobytes()
 
 
-@pytest.mark.parametrize("breaker, counts", [
-    (_level_one_repeats_level_zero, 0),   # refused before any Sturm count
-    (_shift_up_one_level, 10),            # refused by the count certificate
+@pytest.mark.parametrize("breaker, sequence", [
+    (_level_one_repeats_level_zero, []),   # refused before any Sturm count
+    # every window holds the level above its own, so no probe moves its
+    # lower end: refused by the counts that follow each window's probes
+    (_shift_up_one_level, [2, 1] * 10),
 ], ids=["overlapping-windows", "shifted-predictions"])
 def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
-                                                       counts):
+                                                       sequence):
     k = 10
     op = _model_op(Case2Params(3, Fraction(19, 7), 4), k, 40001)
+    monkeypatch.setattr(solver, "_WORKERS", 1)     # the calls in order
     monkeypatch.setattr(solver, "_predicted_windows",
                         breaker(solver._predicted_windows))
     stebz, laebz = solver._stebz, solver._laebz
@@ -596,7 +686,7 @@ def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
     monkeypatch.setattr(solver, "_stebz", stebz_counting)
     monkeypatch.setattr(solver, "_laebz", laebz_counting)
     assert solver._warm_values(op, k) is None
-    assert calls == [1] * counts
+    assert calls == sequence
 
 
 def test_hand_built_operator_takes_plain_path(monkeypatch):
