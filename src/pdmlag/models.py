@@ -21,7 +21,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .orthopoly import XmFamilySpec, eval_poly, eval_xm_laguerre, laguerre_data
+from .orthopoly import (XmFamilySpec, _integer, eval_poly, eval_xm_laguerre,
+                        laguerre_data)
 
 
 def _frac(value) -> Fraction:
@@ -29,14 +30,6 @@ def _frac(value) -> Fraction:
     if isinstance(value, (numbers.Rational, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
-
-
-def _integer(value, name: str, least: int) -> int:
-    """``value`` as an int; ValueError unless it is a non-bool integer >= least."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _susy_vc(b2: Fraction, alpha: Fraction, m: int) -> Fraction:
@@ -293,7 +286,7 @@ def wavefunction(model: ModelKind, n: int, x):
     """
     n = _integer(n, "n", 0)
     pm, xa = _points(model, x, closed=True)
-    spec = XmFamilySpec(model.m, model.alpha, "standard")
+    spec = XmFamilySpec(model.m, model.alpha)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g, pref = _prefactor(model, pm, xa)
         poly = eval_xm_laguerre(n + model.m, spec, g)

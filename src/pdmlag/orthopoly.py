@@ -15,6 +15,7 @@ importing this module loads no scipy submodule.  The checks of the family
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +31,14 @@ def _exact_scalar(value: Scalar) -> Fraction:
     if isinstance(value, (int, float, Fraction)):
         return Fraction(value)
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError unless it is a non-bool integer >= least."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -184,7 +193,7 @@ def _eval_genlaguerre(n: int, alpha: float, x):
 
 
 def _laguerre_or_zero(n: int, alpha) -> Polynomial:
-    """L_n^(alpha), with the convention L_{-1} = L_{-2} = 0."""
+    """L_n^(alpha), with L_{-1} = L_{-2} = 0."""
     if n < 0:
         return Polynomial(())
     return classical_laguerre(n, alpha)
@@ -221,27 +230,17 @@ class XmFamilySpec:
     """Parameters of an X_m (codimension-m) exceptional Laguerre family.
 
     `alpha` is stored as an exact Fraction (an int, Fraction or float is
-    converted exactly).  `convention` fixes the scale of the returned
-    polynomials; the sign always makes the leading coefficient positive.
-
-    - "monic": unit leading coefficient (default).
-    - "standard": leading coefficient 1/(m! * n!) with n = degree - m; this is
-      the scale for which the weighted norm of the degree-(n+m) member is
-      (n+m+alpha) * Gamma(n+alpha) / n!.  Hence monic = m! * n! * standard.
+    converted exactly), and `m` as an int (any integer type but bool).
     """
 
     m: int
     alpha: Fraction
-    convention: str = "monic"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _exact_scalar(self.alpha))
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", _integer(self.m, "m", 1))
         if not self.alpha > 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
-        if self.convention not in ("monic", "standard"):
-            raise ValueError(f"unknown convention {self.convention!r}")
 
 
 @lru_cache(maxsize=None)
@@ -253,10 +252,10 @@ def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
 
         (-1)^n [L_m^(a)(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_{n-1}^(a)(g)]
 
-    (L_{-1} = 0), whose leading coefficient is 1/(m! n!): the "standard"
-    convention.  The "monic" member is m! n! times it.  It is the unique
-    (up to scale) degree-nu polynomial solving the family ODE with
-    parameter nu.
+    (L_{-1} = 0), whose leading coefficient is 1/(m! n!): the standard
+    scale, in which the squared weighted norm is (n+m+a) Gamma(n+a) / n!.
+    It is the unique (up to scale) degree-nu polynomial solving the family
+    ODE with parameter nu.
     """
     if nu < spec.m:
         raise ValueError(f"nu must be >= m (family starts at degree m): "
@@ -264,10 +263,7 @@ def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
     m, n, a = spec.m, nu - spec.m, spec.alpha
     poly = (classical_laguerre(m, a).reflected() * classical_laguerre(n, a - 1)
             + classical_laguerre(m, a - 1).reflected() * _laguerre_or_zero(n - 1, a))
-    scale = (-1) ** n
-    if spec.convention == "monic":
-        scale *= math.factorial(m) * math.factorial(n)
-    return poly * scale
+    return poly * (-1) ** n
 
 
 def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
@@ -291,8 +287,5 @@ def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
     out = _eval_genlaguerre(m, a, -ga) * _eval_genlaguerre(n, a - 1.0, ga)
     if n > 0:
         out = out + _eval_genlaguerre(m, a - 1.0, -ga) * _eval_genlaguerre(n - 1, a, ga)
-    scale = -1.0 if n % 2 else 1.0
-    if spec.convention == "monic":
-        scale *= math.factorial(m) * math.factorial(n)
-    out = scale * out
+    out = -out if n % 2 else out
     return float(out) if np.ndim(g) == 0 else out

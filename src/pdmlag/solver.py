@@ -7,15 +7,15 @@ and fills the matrix in blocks of `_BLOCK` points, so that it allocates the
 grid and the matrix and nothing else of their size.  Eigenvalues come from
 Sturm bisection (Barth, Martin & Wilkinson) on the tridiagonal matrix:
 LAPACK `dstebz` over the whole spectrum, or its kernel `dlaebz` inside the
-warm start's windows; eigenvectors come from inverse iteration (LAPACK
-`dstein`), and only where a caller asks for them (`eigen_lowest`,
-`solve_model`).  The three routines are called through one ctypes binding,
-made on the first solve, to the OpenBLAS that numpy's wheel already loads;
-so no part of the solver loads a scipy submodule.  Only where numpy exports
-no such routines (a numpy built from source, or on MKL or Accelerate) are
-all three taken from scipy.linalg.cython_lapack instead.  Everything here
-is independent of the closed-form machinery so it can serve as an oracle
-for it.
+warm start's windows; eigenvectors come from one inverse iteration (LAPACK
+`dstein`) on those values, with the matrix as one block, and only where a
+caller asks for them (`eigen_lowest`, `solve_model`).  The three routines
+are called through one ctypes binding, made on the first solve, to the
+OpenBLAS that numpy's wheel already loads; so no part of the solver loads a
+scipy submodule.  Only where numpy exports no such routines (a numpy built
+from source, or on MKL or Accelerate) are all three taken from
+scipy.linalg.cython_lapack instead.  Everything here is independent of the
+closed-form machinery so it can serve as an oracle for it.
 
 Large grids are warm-started.  When an operator built by `discretize` has at
 least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
@@ -59,8 +59,8 @@ _BISECT_TOL = 1e-12
 # for the grid in one piece.
 _BLOCK = 16384
 
-# Warm start (see `_bisect_lowest`).  On one thread it breaks even with the
-# plain path at about 12001 points for 10 levels and 16001-24001 for 40;
+# Warm start (see `lowest_eigenvalues`).  On one thread it breaks even with
+# the plain path at about 12001 points for 10 levels and 16001-24001 for 40;
 # grids of 12001 points or fewer, which are all that `verify` and the CLI
 # defaults use, keep the plain path.  From about 60 levels the 501-point grid
 # no longer resolves the top levels, and some solves fall back.
@@ -303,9 +303,9 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: bytes, vl: float, vu: float,
     """One `dstebz` call on the tridiagonal matrix (d, e), ordered by value.
 
     `select` b"V" bisects the eigenvalues in (vl, vu], b"I" those of
-    (1-based) index il..iu, b"A" all.  Returns (m, w, iblock, isplit,
-    info) as scipy's `stebz` does, with w and iblock cut to the m values
-    found and isplit to the blocks.
+    (1-based) index il..iu, b"A" all.  Returns (m, w, info), with w cut to
+    the m values found; the block index and splitting that `dstebz` also
+    writes are workspace here.
     """
     import ctypes
 
@@ -322,8 +322,7 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: bytes, vl: float, vu: float,
            ctypes.byref(ctypes.c_double(tol)), d, e, ctypes.byref(m),
            ctypes.byref(nsplit), w, iblock, isplit, np.empty(4 * n),
            np.empty(3 * n, dtype=integer), ctypes.byref(info))
-    return (m.value, w[:m.value].copy(), iblock[:m.value].copy(),
-            isplit[:nsplit.value].copy(), info.value)
+    return m.value, w[:m.value].copy(), info.value
 
 
 def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
@@ -332,25 +331,19 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
     (point counts over `op`'s interval), extrapolated to squared spacing t,
     and an error estimate.
 
-    The grids are index-bisected, the finest first, through `pmap` (`map`,
-    or a thread pool's to run them at once).  Neville's scheme evaluates at
-    t the polynomial in h^2 through the levels of all the grids; the
-    estimate is its distance from the one through all but the coarsest.
+    The grids are solved by `lowest_eigenvalues` (below `_WARM_MIN`, so
+    by plain index bisection), the finest first, through `pmap` (`map`, or
+    a thread pool's to run them at once).  Neville's scheme evaluates at t
+    the polynomial in h^2 through the levels of all the grids; the estimate
+    is its distance from the one through all but the coarsest.
     """
     massfn, potfn = op.coefficients
     coarse = [discretize(massfn, potfn, Grid(op.grid.lo, op.grid.hi, npoints))
               for npoints in ladder]
-    if not all(np.all(np.isfinite(c.diag)) and np.all(np.isfinite(c.offdiag))
-               for c in coarse):
-        raise ValueError("a coarse-grid matrix is not finite")
     _lapack("dstebz")           # bound here, so that no thread binds it
-    solved = list(pmap(lambda c: _stebz(c.diag, c.offdiag, b"I", 0.0, 1.0, 1,
-                                        k, _BISECT_TOL), reversed(coarse)))
-    for m, _, _, _, info in solved:
-        if info or m != k:
-            raise RuntimeError(f"coarse-grid bisection returned info={info}")
+    fits = list(pmap(lambda c: lowest_eigenvalues(c, k), reversed(coarse)))
+    fits.reverse()
     h2 = [c.grid.h ** 2 for c in coarse]
-    fits = [w for _, w, _, _, _ in reversed(solved)]
     for span in range(1, len(fits)):    # fits[i]: through grids i..i+span
         finer = fits[-1]
         fits = [a + (b - a) * ((t - h2[i]) / (h2[i + span] - h2[i]))
@@ -415,8 +408,7 @@ def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
 
 
 def _warm_values(op: DiscretizedOperator, k: int):
-    """The lowest k eigenvalues bisected inside predicted windows, with the
-    block index of each and the block splitting `dstein` needs, or None
+    """The lowest k eigenvalues bisected inside predicted windows, or None
     when a coarse grid fails or the windows cannot be certified.
 
     The windows must be disjoint and ascending, and the matrix must not
@@ -489,48 +481,21 @@ def _warm_values(op: DiscretizedOperator, k: int):
         # them out first leaves short ones for the end
         if any(list(pool.map(finish, range(k - 1, -1, -1)))):
             return None
-    return (0.5 * (ab[:, 0] + ab[:, 1]), np.ones(k, dtype=integer),
-            np.array([d.size], dtype=integer))
+    return 0.5 * (ab[:, 0] + ab[:, 1])
 
 
-def _inverse_iteration(op: DiscretizedOperator, vals: np.ndarray,
-                       blocks: np.ndarray, isplit: np.ndarray) -> np.ndarray:
-    """Eigenvectors for ascending `vals` by one `dstein` call, which takes
-    them grouped by block (the order `dstebz` gives for ORDER = "B")."""
-    import ctypes
-
-    n, k = op.size, vals.size
-    dstein, integer = _lapack("dstein")
-    order = np.argsort(blocks, kind="stable")
-    v = np.empty((n, k), order="F")
-    info = integer()
-    dstein(ctypes.byref(integer(n)), np.ascontiguousarray(op.diag),
-           np.ascontiguousarray(op.offdiag), ctypes.byref(integer(k)),
-           vals[order], blocks[order], isplit, v, ctypes.byref(integer(n)),
-           np.empty(5 * n), np.empty(n, dtype=integer),
-           np.empty(k, dtype=integer), ctypes.byref(info))
-    if info.value:
-        raise RuntimeError(f"tridiagonal eigensolve failed: inverse iteration "
-                           f"returned info={info.value}")
-    vecs = np.empty_like(v)
-    vecs[:, order] = v
-    return vecs
-
-
-def _bisect_lowest(op: DiscretizedOperator, k: int):
-    """Lowest k eigenvalues by LAPACK bisection, with the block index of
-    each and the block splitting that `_inverse_iteration` needs.
+def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
+    """Lowest k eigenvalues, ascending, by LAPACK bisection alone.
 
     The plain path bisects levels 0..k-1 by index over the whole spectrum.
     An operator from `discretize` on at least `_WARM_MIN` points, asked for
     at most `_WARM_MAX_K` levels, is warm-started instead: its values are
     bisected to the same `_BISECT_TOL` inside windows predicted from coarse
-    grids and certified by Sturm counts (`_warm_values`).
-    `lowest_eigenvalues` and `eigen_lowest` both take their values from
-    here.  A warm value lies within `_BISECT_TOL` of the plain one; when the
-    windows cannot be certified or the matrix splits, the plain path's
-    results and errors are returned.  A matrix with an infinite or NaN entry
-    is refused before either path runs.
+    grids and certified by Sturm counts (`_warm_values`).  A warm value lies
+    within `_BISECT_TOL` of the plain one; when the windows cannot be
+    certified or the matrix splits, the plain path's results and errors are
+    returned.  A matrix with an infinite or NaN entry is refused before
+    either path runs.
     """
     n = op.size
     if not isinstance(k, int) or k < 1 or k > n:
@@ -538,37 +503,42 @@ def _bisect_lowest(op: DiscretizedOperator, k: int):
     d, e = np.ascontiguousarray(op.diag), np.ascontiguousarray(op.offdiag)
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("array must not contain infs or NaNs")
-    out = None
+    vals = None
     if (op.coefficients is not None and op.grid is not None
             and op.grid.npoints >= _WARM_MIN and k <= _WARM_MAX_K):
         with np.errstate(all="ignore"):
-            out = _warm_values(op, k)
-    if out is None:
-        m, vals, blocks, isplit, info = _stebz(d, e, b"I", 0.0, 1.0, 1, k,
-                                               _BISECT_TOL)
+            vals = _warm_values(op, k)
+    if vals is None:
+        m, vals, info = _stebz(d, e, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
         if info or m != k:
             raise RuntimeError(f"tridiagonal eigensolve failed: bisection "
                                f"found {m} of {k} values (info={info})")
-        out = vals, blocks, isplit
-    if np.any(np.diff(out[0]) <= 0):
+    if np.any(np.diff(vals) <= 0):
         raise RuntimeError("eigenvalues are not strictly increasing")
-    return out
-
-
-def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
-    """Lowest k eigenvalues, ascending, by Sturm bisection alone.
-
-    The values are those `eigen_lowest` returns, without the cost of
-    computing eigenvectors.
-    """
-    return _bisect_lowest(op, k)[0]
+    return vals
 
 
 def eigen_lowest(op: DiscretizedOperator, k: int) -> SpectrumResult:
-    """Lowest k eigenpairs: values by Sturm bisection, vectors by inverse
-    iteration."""
-    vals, blocks, isplit = _bisect_lowest(op, k)
-    vecs = _inverse_iteration(op, vals, blocks, isplit)
+    """Lowest k eigenpairs: the values of `lowest_eigenvalues`, and vectors
+    by inverse iteration, one `dstein` call that takes the matrix as one
+    block.  Where `dstebz` finds one block, as on every model's matrix, the
+    vectors are bit for bit those of a call block by block."""
+    import ctypes
+
+    vals = lowest_eigenvalues(op, k)
+    n = op.size
+    dstein, integer = _lapack("dstein")
+    vecs = np.empty((n, k), order="F")
+    info = integer()
+    dstein(ctypes.byref(integer(n)), np.ascontiguousarray(op.diag),
+           np.ascontiguousarray(op.offdiag), ctypes.byref(integer(k)), vals,
+           np.ones(k, dtype=integer), np.array([n], dtype=integer), vecs,
+           ctypes.byref(integer(n)), np.empty(5 * n),
+           np.empty(n, dtype=integer), np.empty(k, dtype=integer),
+           ctypes.byref(info))
+    if info.value:
+        raise RuntimeError(f"tridiagonal eigensolve failed: inverse iteration "
+                           f"returned info={info.value}")
     residuals = np.empty(k)
     for j in range(k):
         v = vecs[:, j]

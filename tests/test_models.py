@@ -201,10 +201,10 @@ def test_case2_wavefunction_domain():
 
 
 def _quad_norm_constant(model, n: int) -> float:
-    """Reference normalizer of the monic-scale state, by adaptive quadrature.
+    """Reference normalizer of the state, by adaptive quadrature.
 
     Independent of the closed-form constant: the polynomial is the exact
-    monic X_m member (``xm_laguerre``, checked against the nullspace oracle
+    X_m member (``xm_laguerre``, checked against the nullspace oracle
     in test_orthopoly), and the norm comes from adaptive quadrature over the
     certified domain padded by half again, so the discarded tail mass is far
     below the quadrature tolerance.
@@ -227,16 +227,14 @@ def _quad_norm_constant(model, n: int) -> float:
 def test_norm_constant_ratio_is_convention_constant():
     """The closed-form N applies to the 1/(m! n!)-leading polynomial scale.
 
-    Rebased to that scale, N over the quadrature normalizer is exactly 1 for
-    both families, independent of n: the prefactor carries the Jacobian
-    |g'| (b e^(-b x), l x^(l-1)), so N is the constant of the weighted norm
-    in g alone.
+    N over the quadrature normalizer is exactly 1 for both families,
+    independent of n: the prefactor carries the Jacobian |g'| (b e^(-b x),
+    l x^(l-1)), so N is the constant of the weighted norm in g alone.
     """
     for model in (Case1Params(1, 2, 1), Case1Params(Fraction(3, 2), 2, 1),
                   Case2Params(1, 2, 2)):
         for n in range(5):
-            scale = math.factorial(model.m) * math.factorial(n)
-            ratio = norm_constant_closed_form(model, n) / (scale * _quad_norm_constant(model, n))
+            ratio = norm_constant_closed_form(model, n) / _quad_norm_constant(model, n)
             assert ratio == pytest.approx(1.0, rel=1e-9), (model, n)
 
 
@@ -260,20 +258,27 @@ def test_product_form_is_the_standard_xm_polynomial(m, alpha):
         if n > 0:
             prod = prod + (classical_laguerre(m, alpha - 1).reflected()
                            * classical_laguerre(n - 1, alpha))
-        expected = xm_nullspace_oracle(n + m, XmFamilySpec(m, alpha, "standard"))
+        expected = xm_nullspace_oracle(n + m, XmFamilySpec(m, alpha))
         assert ((-1) ** n * prod).coeffs == expected.coeffs, n
 
 
-@pytest.mark.parametrize("convention", ["standard", "monic"])
+@pytest.mark.parametrize("reference", ["standard", "monic"])
 @pytest.mark.parametrize("m, alpha", [(1, Fraction(2)), (2, Fraction(7, 3)),
                                       (3, Fraction(2)), (4, Fraction(7, 3))])
-def test_closed_form_values_match_exact_evaluation(m, alpha, convention):
+def test_closed_form_values_match_exact_evaluation(m, alpha, reference):
     # The monomial expansion in floats is off by up to 5e-4 here at g = 50.
-    spec = XmFamilySpec(m, alpha, convention)
+    # "standard": against ``xm_laguerre``; "monic": m! n! times the values
+    # against the ODE's unit-leading solution (the nullspace oracle)
+    spec = XmFamilySpec(m, alpha)
+    scale = 1
     exact = xm_laguerre(30, spec)
+    if reference == "monic":
+        scale = math.factorial(m) * math.factorial(30 - m)
+        exact = xm_nullspace_oracle(30, spec, lead=Fraction(1))
     for g in (Fraction(1, 2), Fraction(10), Fraction(50)):
         want = float(eval_poly(exact, g))
-        assert eval_xm_laguerre(30, spec, float(g)) == pytest.approx(want, rel=1e-12), g
+        got = scale * eval_xm_laguerre(30, spec, float(g))
+        assert got == pytest.approx(want, rel=1e-12), g
 
 
 @pytest.mark.parametrize("model", [Case1Params(Fraction(3, 2), Fraction(7, 3), 2),

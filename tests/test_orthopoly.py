@@ -129,19 +129,18 @@ def _xm_nullspace(nu: int, m: int, alpha: Fraction) -> list:
     return _fraction_nullspace(_ode_matrix(nu, XmFamilySpec(m, alpha)), nu + 1)
 
 
-def xm_nullspace_oracle(nu: int, spec: XmFamilySpec) -> Polynomial:
+def xm_nullspace_oracle(nu: int, spec: XmFamilySpec, lead=None) -> Polynomial:
     """The degree-nu X_m member as the ODE's unique polynomial solution.
 
     Asserts that the nullspace is one-dimensional and its polynomial has
-    degree nu, then scales it to the leading coefficient of
-    ``spec.convention``: 1 (monic) or 1/(m! n!) (standard).
+    degree nu, then scales it to the leading coefficient `lead`, by default
+    the standard scale's 1/(m! n!).
     """
     null = _xm_nullspace(nu, spec.m, spec.alpha)
     assert len(null) == 1, f"nullspace dimension {len(null)} at nu={nu}, {spec}"
     poly = Polynomial(tuple(null[0]))
     assert poly.degree == nu, f"nullspace degree {poly.degree} at nu={nu}, {spec}"
-    lead = Fraction(1)
-    if spec.convention == "standard":
+    if lead is None:
         lead = Fraction(1, math.factorial(spec.m) * math.factorial(nu - spec.m))
     return poly * (lead / poly.coeffs[-1])
 
@@ -150,23 +149,23 @@ def xm_nullspace_oracle(nu: int, spec: XmFamilySpec) -> Polynomial:
                                    Fraction(19, 7)])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_xm_laguerre_equals_nullspace_oracle(m, alpha):
-    for convention in ("monic", "standard"):
-        spec = XmFamilySpec(m, alpha, convention)
-        for nu in range(m, m + 9):
-            assert xm_laguerre(nu, spec).coeffs == xm_nullspace_oracle(nu, spec).coeffs, \
-                f"nu={nu}, {spec}"
+    spec = XmFamilySpec(m, alpha)
+    for nu in range(m, m + 9):
+        assert xm_laguerre(nu, spec).coeffs == xm_nullspace_oracle(nu, spec).coeffs, \
+            f"nu={nu}, {spec}"
 
 
 def test_xm_lowest_member_is_monic_shift():
-    # nu = m member, monic scale: x + alpha + 1 for m = 1
+    # nu = m = 1: leading coefficient 1/(1! 0!) = 1, so x + alpha + 1
     p = xm_laguerre(1, XmFamilySpec(1, Fraction(2)))
     assert p.coeffs == (Fraction(3), Fraction(1))
 
 
 def test_xm_even_member_frozen_coeffs():
-    # m=2, alpha=2, nu=4 is even: x^4 - 36 x^2 + 108 in the monic scale
+    # m=2, alpha=2, nu=4 is even: x^4/4 - 9 x^2 + 27, a quarter of the
+    # monic x^4 - 36 x^2 + 108
     p = xm_laguerre(4, XmFamilySpec(2, Fraction(2)))
-    assert p.coeffs == (108, 0, -36, 0, 1)
+    assert p.coeffs == (27, 0, -9, 0, Fraction(1, 4))
 
 
 def _product_form(nu: int, m: int, alpha: Fraction) -> Polynomial:
@@ -185,7 +184,7 @@ def _product_form(nu: int, m: int, alpha: Fraction) -> Polynomial:
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_xm_matches_product_form_exactly(m):
     alpha = Fraction(2)
-    spec = XmFamilySpec(m, alpha, convention="standard")
+    spec = XmFamilySpec(m, alpha)
     for nu in range(m, m + 5):
         n = nu - m
         built = xm_nullspace_oracle(nu, spec)
@@ -196,14 +195,31 @@ def test_xm_matches_product_form_exactly(m):
 
 
 def test_monic_is_scaled_standard():
-    spec_m = XmFamilySpec(2, Fraction(2))
-    spec_s = XmFamilySpec(2, Fraction(2), convention="standard")
+    # m! n! times the standard member is the monic one: the ODE's solution
+    # with unit leading coefficient
+    spec = XmFamilySpec(2, Fraction(2))
     for nu in (2, 3, 5):
-        n = nu - 2
-        scale = math.factorial(2) * math.factorial(n)
-        monic = xm_laguerre(nu, spec_m)
-        standard = xm_laguerre(nu, spec_s)
-        assert monic.coeffs == tuple(scale * c for c in standard.coeffs)
+        scale = math.factorial(2) * math.factorial(nu - 2)
+        monic = xm_nullspace_oracle(nu, spec, lead=Fraction(1))
+        assert monic.coeffs == tuple(scale * c for c in
+                                     xm_laguerre(nu, spec).coeffs)
+
+
+def test_xm_spec_takes_a_numpy_integer_m():
+    spec = XmFamilySpec(np.int64(2), Fraction(2))
+    assert type(spec.m) is int and spec == XmFamilySpec(2, Fraction(2))
+    assert xm_laguerre(4, spec) == xm_laguerre(4, XmFamilySpec(2, Fraction(2)))
+
+
+def test_xm_spec_rejects_a_bool_m():
+    for bad in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            XmFamilySpec(bad, Fraction(2))
+
+
+def test_xm_spec_has_no_scale_option():
+    with pytest.raises(TypeError):
+        XmFamilySpec(2, Fraction(2), "standard")
 
 
 def test_xm_degree_below_m_rejected():
@@ -260,8 +276,7 @@ def _xm_members(draw):
         lambda a: a.denominator & (a.denominator - 1) != 0))
     m = draw(st.integers(1, 6))
     n = draw(st.integers(0, 12))
-    spec = XmFamilySpec(m, alpha, draw(st.sampled_from(["monic", "standard"])))
-    return m + n, spec
+    return m + n, XmFamilySpec(m, alpha)
 
 
 @settings(max_examples=300)
@@ -272,9 +287,7 @@ def test_xm_members_are_exact_ode_solutions(member):
     assert xm_ode_residual(p, nu, spec).is_zero
     assert p.degree == nu
     n = nu - spec.m
-    lead = 1 if spec.convention == "monic" else Fraction(
-        1, math.factorial(spec.m) * math.factorial(n))
-    assert p.coeffs[-1] == lead
+    assert p.coeffs[-1] == Fraction(1, math.factorial(spec.m) * math.factorial(n))
     for g in (Fraction(1, 2), Fraction(5), Fraction(20)):
         want = float(eval_poly(p, g))
         assert eval_xm_laguerre(nu, spec, float(g)) == pytest.approx(want, rel=1e-12), g
@@ -305,16 +318,16 @@ def test_diagonal_norms_match_closed_form():
              (1, Fraction(2), (8,)),
              (2, Fraction(7, 3), (2, 3, 5, 9))]
     for m, alpha, degrees in cases:
-        spec = XmFamilySpec(m, alpha, convention="standard")
+        spec = XmFamilySpec(m, alpha)
         for nu in degrees:
             assert xm_inner_product(nu, nu, spec) == pytest.approx(
                 _norm_closed_form(nu, spec), rel=1e-10), (m, alpha, nu)
-    assert _norm_closed_form(8, XmFamilySpec(1, 2, "standard")) == 80.0
+    assert _norm_closed_form(8, XmFamilySpec(1, 2)) == 80.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_orthogonality_off_diagonals(m):
-    spec = XmFamilySpec(m, Fraction(2), convention="standard")
+    spec = XmFamilySpec(m, Fraction(2))
     degrees = range(m, m + 4)
     for nu1 in degrees:
         for nu2 in degrees:
@@ -349,7 +362,7 @@ def test_inner_product_sweep_matches_quad_oracle(m):
     degrees = range(m, m + 8)
     for alpha in (Fraction(11, 10), Fraction(3, 2), Fraction(2),
                   Fraction(7, 3), Fraction(4), Fraction(6)):
-        spec = XmFamilySpec(m, alpha, convention="standard")
+        spec = XmFamilySpec(m, alpha)
         # the scale of an off-diagonal entry, sum |w f|, is within 2.1 % of
         # its 1024-node value on the 128-node rule
         gauss_g, gauss_w = _gauss_laguerre(float(alpha), 128)
@@ -368,6 +381,13 @@ def test_inner_product_sweep_matches_quad_oracle(m):
                      * eval_xm_laguerre(nu2, spec, gauss_g)
                      / eval_poly(laguerre_data(m, alpha).h, gauss_g) ** 2)
                 assert abs(ours) <= 1e-10 * np.sum(np.abs(gauss_w * f))
+
+
+def test_xm_orthogonality_reading_is_an_accuracy():
+    # `verify`'s reading, the largest off-diagonal entry for m = 1..3: in the
+    # standard scale it is a rounding error (4.8e-14); a scale that carried
+    # (m!)^2 n1! n2! into each entry read 2.0e-11 here
+    assert checks._check_xm_orthogonality() <= 1e-12
 
 
 def test_inner_product_refuses_an_unconverged_rule(monkeypatch):

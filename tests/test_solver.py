@@ -259,8 +259,8 @@ def _dstebz_windows(op, k):
     for _ in range(solver._WIDEN_TRIES + 1):
         empty = []
         for j in todo:
-            m, w, _, _, info = solver._stebz(d, e, b"V", lower[j], upper[j],
-                                             1, 1, solver._BISECT_TOL)
+            m, w, info = solver._stebz(d, e, b"V", lower[j], upper[j], 1, 1,
+                                       solver._BISECT_TOL)
             if info or m > 1:
                 return None
             if m == 0:
@@ -281,7 +281,7 @@ def _dstebz_windows(op, k):
     dmin, emax = float(d.min()), float(np.abs(e).max())
     eps = np.finfo(float).eps
     floor = min(dmin - 2 * emax - 4 * eps * (abs(dmin) + 2 * emax), lower[0])
-    m, _, _, _, info = solver._stebz(d, e, b"V", floor, upper[-1], 1, 1, np.inf)
+    m, _, info = solver._stebz(d, e, b"V", floor, upper[-1], 1, 1, np.inf)
     if info or m != k:
         return None
     return vals, widened
@@ -309,7 +309,7 @@ def test_warm_values_are_the_dstebz_oracle_where_the_relative_tolerance_decides(
                    k, 40001)
     warm = solver._warm_values(op, k)
     assert warm is not None, "fell back"
-    assert warm[0].tobytes() == _dstebz_windows(op, k)[0].tobytes()
+    assert warm.tobytes() == _dstebz_windows(op, k)[0].tobytes()
 
 
 @settings(max_examples=12)
@@ -319,7 +319,7 @@ def test_warm_start_matches_index_bisection(problem):
     op = _model_op(model, k, npoints)
     warm = solver._warm_values(op, k)
     assert warm is not None, "fell back"
-    assert warm[0].tobytes() == _dstebz_windows(op, k)[0].tobytes()
+    assert warm.tobytes() == _dstebz_windows(op, k)[0].tobytes()
     ref = _index_bisection(op, k)
     vals = lowest_eigenvalues(op, k)
     assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
@@ -549,9 +549,9 @@ def test_warm_start_widens_a_window_missed_by_rounding():
     op = _model_op(Case2Params(1, Fraction(15, 7), 3), k, 200001)
     warm = solver._warm_values(op, k)
     assert warm is not None, "fell back"
-    assert np.all(np.abs(warm[0] - _index_bisection(op, k)) <= 1e-12)
+    assert np.all(np.abs(warm - _index_bisection(op, k)) <= 1e-12)
     oracle, widened = _dstebz_windows(op, k)
-    assert widened and warm[0].tobytes() == oracle.tobytes()
+    assert widened and warm.tobytes() == oracle.tobytes()
 
 
 def _levels_at_the_window_ends(predict):
@@ -588,7 +588,7 @@ def test_window_with_an_end_no_probe_moved_is_counted(monkeypatch, model):
     # each window: its probes, the count of its ends, the rest of its steps
     assert sorted(calls) == [1] * k + [2] * (2 * k)
     oracle, widened = _dstebz_windows(op, k)
-    assert not widened and warm[0].tobytes() == oracle.tobytes()
+    assert not widened and warm.tobytes() == oracle.tobytes()
 
 
 _PERTURBED = [Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
@@ -617,7 +617,7 @@ def test_perturbed_windows_give_their_own_level(index, shifts):
         warm = solver._warm_values(op, 10)
     # one widening by `_WIDEN_FACTOR` reaches every level, so none falls back
     assert warm is not None, "fell back"
-    assert np.all(np.abs(warm[0] - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
+    assert np.all(np.abs(warm - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
 
 
 @pytest.mark.parametrize("model", [
@@ -718,7 +718,7 @@ def test_warm_start_declines_a_matrix_that_splits(monkeypatch):
 
 def _split_operator():
     # 300 rows whose off-diagonal has three zeros: four blocks, which the
-    # bisection and the inverse iteration treat one by one
+    # bisection treats one by one and the inverse iteration as one
     rng = np.random.default_rng(300)
     offdiag = rng.standard_normal(299)
     offdiag[[50, 140, 220]] = 0.0
@@ -743,10 +743,29 @@ _ORACLE_CASES = [
 ]
 
 
+def _one_block_stein(op, vals):
+    """Reference vectors: scipy's `dstein` on `vals` with the whole matrix
+    as one block (block index all ones, one split at n)."""
+    from scipy.linalg.lapack import dstein
+
+    n = op.size
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    vecs, info = dstein(op.diag, op.offdiag, vals, np.ones(n, dtype=np.int32),
+                        isplit)
+    assert info == 0
+    return vecs
+
+
 @pytest.mark.parametrize("build, k", _ORACLE_CASES)
 def test_plain_path_is_bitwise_the_scipy_oracle(build, k):
     op = build()
     ref_vals, ref_vecs = _index_bisection(op, k, vectors=True)
+    split = build is _split_operator
+    if split:
+        # `eigen_lowest` takes the matrix as one block, where scipy's
+        # `eigh_tridiagonal` iterates block by block
+        ref_vecs = _one_block_stein(op, ref_vals)
     res = eigen_lowest(op, k)
     assert lowest_eigenvalues(op, k).tobytes() == ref_vals.tobytes()
     assert res.eigenvalues.tobytes() == ref_vals.tobytes()
@@ -754,6 +773,42 @@ def test_plain_path_is_bitwise_the_scipy_oracle(build, k):
         v = np.ascontiguousarray(ref_vecs[:, j])
         v /= np.linalg.norm(v)              # as `eigen_lowest` normalises
         assert res.eigenvectors[:, j].tobytes() == v.tobytes(), j
+    if split:
+        vecs = res.eigenvectors
+        assert np.all(res.residual_norms <= 1e-12 * op.inf_norm())
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-14
+
+
+def _verify_fd_operators():
+    """The matrices that `verify`'s FD checks solve: the oracle spectra and
+    isochronous gaps at delta 0, the SUSY partners' spectra, and the
+    harmonic-oscillator grids of the spectrum and order checks."""
+    from pdmlag.susy import partner_model
+
+    problems = [(Case1Params(1, 2, m), 3) for m in (1, 2, 3, 4)]
+    problems += [(Case2Params(eta, 2, m), 4)
+                 for eta in (0, 1, 2, 3) for m in (1, 2)]
+    problems += [(Case2Params(eta, 2, 1), 4) for eta in (0, 1, 2, 3)]
+    problems += [(partner_model(model).comparison, 3)
+                 for model in (Case1Params.susy_zero(1, 2, 1),
+                               Case2Params.susy_zero(1, 2, 2))]
+    ops = [_model_operator(model, k) for model, k in problems]
+    return ops + [discretize(lambda t: np.ones_like(t), lambda t: t ** 2,
+                             Grid(-10.0, 10.0, npoints))
+                  for npoints in (12001, 251, 501, 1001)]
+
+
+def test_model_operators_never_split():
+    # `eigen_lowest`'s one-block `dstein` call gives the vectors of a
+    # per-block call bit for bit only where `dstebz` finds one block
+    built = [case.values[0]() for case in _ORACLE_CASES]
+    ops = [op for op in built if op.coefficients is not None]
+    ops += [_model_op(model, k, 40001) for model in _WARM_MODELS
+            for k in (10, 40)]
+    ops += _verify_fd_operators()
+    assert len(ops) == 4 + 14 + 22
+    for op in ops:
+        assert solver._sturm_squares(op.diag, op.offdiag) is not None
 
 
 def _raise(*args, **kwargs):
@@ -866,7 +921,7 @@ def test_one_numpy_symbol_alone_falls_back_for_both(monkeypatch, rebind,
     op = _model_op(_CASE2, 10, 40001)
     warm = solver._warm_values(op, 10)
     assert warm is not None, "fell back"
-    assert warm[0].tobytes() == _dstebz_windows(op, 10)[0].tobytes()
+    assert warm.tobytes() == _dstebz_windows(op, 10)[0].tobytes()
 
 
 @pytest.mark.parametrize("npoints", [4001, 40001])   # plain path, warm path
