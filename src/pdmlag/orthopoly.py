@@ -6,11 +6,14 @@ Generalized Laguerre polynomials are built by the three-term recurrence.  The
 codimension-m exceptional (X_m) Laguerre family is built from its type-I
 product form, a sum of two products of classical Laguerre polynomials
 (Gomez-Ullate, Kamran and Milson, J. Math. Anal. Appl. 359 (2009) 352).
-Float values of a family member come from the same product form with each
-classical factor evaluated in numpy by the recurrence scipy.special uses, so
-importing this module loads no scipy submodule.  The checks of the family
-(the residual in the denominator-cleared ODE and the inner product) are in
-``checks``.
+Float values of a family member come from the same form rewritten at one
+parameter alpha by the contiguous relation L_n^(alpha-1) = L_n^(alpha) -
+L_(n-1)^(alpha) (DLMF 18.9.13): with A_j = L_j^(alpha)(-g) and B_j =
+L_j^(alpha)(g), the degree-(m + n) member is (-1)^n [A_m B_n - A_(m-1)
+B_(n-1)].  Each consecutive pair is one run of the recurrence
+scipy.special uses, in numpy, so importing this module loads no scipy
+submodule.  The checks of the family (the residual in the
+denominator-cleared ODE and the inner product) are in ``checks``.
 """
 from __future__ import annotations
 
@@ -169,27 +172,39 @@ def _binom_int(n: float, k: int) -> float:
     return num / den
 
 
-def _eval_genlaguerre(n: int, alpha: float, x):
-    """Float values of L_n^(alpha) at the points `x`, for integer n >= 0.
+def _genlaguerre_pair(n: int, alpha: float, x: np.ndarray):
+    """Float values of (L_(n-1)^(alpha), L_n^(alpha)) at the points `x`.
 
-    Runs the recurrence scipy.special.eval_genlaguerre uses for an integer
-    degree, in the same operation order, vectorised over the points: it
-    tracks p_k = L_k^(alpha)(x) / C(k + alpha, k) and the step d_k =
-    p_k - p_(k-1), and scales by the binomial at the end.  Degree 1 is the
-    closed form 1 + alpha - x, as in scipy.
+    For integer n >= 0, with L_(-1) = 0, and an array `x` of at least one
+    dimension.  Runs the recurrence scipy.special.eval_genlaguerre uses for
+    an integer degree, in the same operation order, vectorised over the
+    points: it tracks p_k = L_k^(alpha)(x) / C(k + alpha, k) and the step
+    d_k = p_k - p_(k-1), and scales by the binomial.  So each member is
+    scipy's value of its degree, bit for bit below degree 20 (see
+    ``_binom_int``); degree 1 is the closed form 1 + alpha - x, as in scipy.
+    Each step writes into the buffers of the last, so a call allocates a
+    fixed handful of arrays whatever n is.
     """
     if n == 0:
-        return np.ones_like(x)
+        return np.zeros_like(x), np.ones_like(x)
     if n == 1:
-        return -x + alpha + 1
+        return np.ones_like(x), -x + alpha + 1
     nx = -x
     d = nx / (alpha + 1)
     p = d + 1
+    t = np.empty_like(p)
     for k in range(1, n):
+        if k == n - 1:
+            prev = -x + alpha + 1 if k == 1 else _binom_int(k + alpha, k) * p
+        # d = -x / c * p + (k / c) * d, then p = d + p
         c = k + alpha + 1
-        d = nx / c * p + (k / c) * d
-        p = d + p
-    return _binom_int(n + alpha, n) * p
+        np.divide(nx, c, out=t)
+        t *= p
+        d *= k / c
+        d += t
+        p += d
+    p *= _binom_int(n + alpha, n)
+    return prev, p
 
 
 def _laguerre_or_zero(n: int, alpha) -> Polynomial:
@@ -269,23 +284,31 @@ def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
 def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
     """Float values at `g` of the degree-`nu` member ``xm_laguerre(nu, spec)``.
 
-    Uses the type-I product form (Gomez-Ullate, Kamran and Milson, J. Math.
-    Anal. Appl. 359 (2009) 352), with n = nu - m and a = alpha:
+    With n = nu - m, a = alpha, A_j = L_j^(a)(-g) and B_j = L_j^(a)(g), the
+    member is
 
-        L_m^(a)(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_{n-1}^(a)(g),
+        (-1)^n [A_m B_n - A_(m-1) B_(n-1)]        (B_(-1) = 0),
 
-    whose leading coefficient is (-1)^n / (m! n!).  Each classical factor is
-    evaluated in numpy by the recurrence scipy.special.eval_genlaguerre runs
-    for an integer degree, so the monomial expansion, which cancels
+    the type-I product form of ``xm_laguerre`` rewritten at the one
+    parameter a by the contiguous relation L_j^(a-1) = L_j^(a) - L_(j-1)^(a)
+    (DLMF 18.9.13), applied to both of its a - 1 factors.  One classical
+    recurrence per argument gives both terms as consecutive pairs: m + n
+    steps in all, each in the operation order of
+    scipy.special.eval_genlaguerre.  The monomial expansion, which cancels
     catastrophically at large g, is never formed.
     """
     if nu < spec.m:
         raise ValueError(f"nu must be >= m (family starts at degree m): "
                          f"got nu={nu}, m={spec.m}")
     m, n, a = spec.m, nu - spec.m, float(spec.alpha)
-    ga = np.asarray(g, dtype=float)
-    out = _eval_genlaguerre(m, a, -ga) * _eval_genlaguerre(n, a - 1.0, ga)
+    # at least 1-d, so that every step of the recurrence writes into buffers
+    ga = np.atleast_1d(np.asarray(g, dtype=float))
+    a_prev, out = _genlaguerre_pair(m, a, -ga)
+    b_prev, b = _genlaguerre_pair(n, a, ga)
+    out *= b
     if n > 0:
-        out = out + _eval_genlaguerre(m, a - 1.0, -ga) * _eval_genlaguerre(n - 1, a, ga)
-    out = -out if n % 2 else out
-    return float(out) if np.ndim(g) == 0 else out
+        a_prev *= b_prev
+        out -= a_prev
+    if n % 2:
+        np.negative(out, out=out)
+    return float(out[0]) if np.ndim(g) == 0 else out

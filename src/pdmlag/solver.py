@@ -48,6 +48,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .models import ModelKind, default_domain, mass, v_eff
+from .orthopoly import _integer
 
 # Absolute bisection tolerance for eigenvalues.  The default (0.0) lets
 # LAPACK fall back to a norm-relative tolerance, which is useless when the
@@ -69,9 +70,15 @@ _WARM_MAX_K = 40
 # Nested grids of 500, 1000 and 2000 intervals; the 2001-point solve is the
 # coarse stage's critical path.
 _COARSE_POINTS = (501, 1001, 2001)
-# Relative floor of a window's half-width per interval of the grid.  Rounding
-# grows with the grid: levels at the floor have erred 1.9e-9 relative at
-# 200001 points (floor 1e-9) and 6.1e-11 at 32009-40001 (1.6e-10 to 2e-10).
+# Relative floor of a window's half-width per interval of the grid.  It covers
+# the rounding of the double-precision Sturm count itself, not prediction
+# error.  Measured on Case 1 b = 3/2, alpha = 7/3, m = 2 (levels 0, 1 and 3 of
+# 10): an np.longdouble Sturm bisection of the same stored matrix lies 1.0e-12
+# to 2.7e-11 (relative) from the coarse prediction, and `dlaebz`'s value lies
+# 5.1e-12 to 3.4e-11 from that bisection at 40001 points and 1.1e-10 to
+# 4.6e-10 at 200001, 13 to 22 times more for 5 times the points.  Levels at
+# the floor have erred 1.9e-9 relative at 200001 points (floor 1e-9) and
+# 6.1e-11 at 32009-40001 (1.6e-10 to 2e-10).
 _WINDOW_FLOOR = 5e-15
 # Steps of a window's bisection before an end that no probe moved is counted
 _PROBE_STEPS = 3
@@ -101,8 +108,7 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if self.lo >= self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.npoints, int) or self.npoints < 16:
-            raise ValueError(f"npoints must be an integer >= 16, got {self.npoints!r}")
+        object.__setattr__(self, "npoints", _integer(self.npoints, "npoints", 16))
 
     @property
     def h(self) -> float:

@@ -297,6 +297,19 @@ def test_high_levels_are_normalized_with_n_nodes(model):
         assert _count_sign_changes(psi) == n
 
 
+@pytest.mark.parametrize("model, n", [
+    (Case2Params(3, Fraction(19, 7), 4), 290),
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 300)])
+def test_states_are_served_up_to_the_overflow_levels(model, n):
+    # Near the top of the served range: from n = 295 (Case 2) and n = 301
+    # (Case 1) the polynomial overflows where the prefactor is not yet 0.
+    lo, hi = default_domain(model, n)
+    grid = Grid(lo, hi, 40001)
+    psi = wavefunction(model, n, grid.xs())
+    assert abs(quadrature(psi ** 2, grid) - 1.0) < 1e-10
+    assert _count_sign_changes(psi) == n
+
+
 def test_level_beyond_float_range_is_refused():
     model = Case1Params(1, 2, 2)
     lo, hi = default_domain(model, 500)

@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from pdmlag import checks
+from pdmlag import checks, orthopoly
 from pdmlag.checks import _gauss_laguerre, xm_inner_product, xm_ode_residual
-from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _eval_genlaguerre,
-                              classical_laguerre, eval_poly, eval_xm_laguerre,
-                              laguerre_data, xm_laguerre)
+from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _genlaguerre_pair,
+                              _laguerre_or_zero, classical_laguerre, eval_poly,
+                              eval_xm_laguerre, laguerre_data, xm_laguerre)
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +43,29 @@ _PORT_XS = np.concatenate([np.linspace(-100.0, 300.0, 401),
 
 @pytest.mark.parametrize("alpha", [1.0, 4 / 3, 2.0, 7 / 3, 19 / 7, 3.0, 5.0])
 def test_eval_genlaguerre_port_matches_scipy(alpha):
-    # Below degree 20 scipy runs the same recurrence and binomial loop, so the
-    # values are equal bit for bit; from 20 on scipy's binomial switches to a
-    # beta function, and only the constant scale factor may differ.
-    for n in range(20):
-        assert np.array_equal(_eval_genlaguerre(n, alpha, _PORT_XS),
-                              eval_genlaguerre(n, alpha, _PORT_XS)), n
-    for n in range(20, 201):
-        np.testing.assert_allclose(_eval_genlaguerre(n, alpha, _PORT_XS),
-                                   eval_genlaguerre(n, alpha, _PORT_XS),
-                                   rtol=1e-12, atol=0, err_msg=f"n={n}")
+    # Both members of each pair.  Below degree 20 scipy runs the same
+    # recurrence and binomial loop, so the values are equal bit for bit; from
+    # 20 on scipy's binomial switches to a beta function, and only the
+    # constant scale factor may differ.
+    prev, curr = _genlaguerre_pair(0, alpha, _PORT_XS)
+    assert not prev.any() and np.array_equal(curr, np.ones_like(_PORT_XS))
+    for n in range(1, 202):
+        for k, got in zip((n - 1, n), _genlaguerre_pair(n, alpha, _PORT_XS)):
+            want = eval_genlaguerre(k, alpha, _PORT_XS)
+            if k < 20:
+                assert np.array_equal(got, want), (n, k)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                           err_msg=f"n={n}, k={k}")
+    # A scalar g is lifted to one point, and the value is that point's.
+    if alpha > 1:
+        spec, line = XmFamilySpec(3, alpha), _PORT_XS[::7]
+        for nu in (3, 4, 5, 17):
+            values = eval_xm_laguerre(nu, spec, line)
+            for g, want in zip(line, values):
+                for scalar in (float(g), np.float64(g), np.array(g)):
+                    got = eval_xm_laguerre(nu, spec, scalar)
+                    assert type(got) is float and got == want, (nu, g)
 
 
 def test_classical_laguerre_small_cases():
@@ -194,6 +207,28 @@ def test_xm_matches_product_form_exactly(m):
         assert built.coeffs == oracle.coeffs, f"nu={nu}, m={m}"
 
 
+# alpha of the one-alpha form's tests: non-dyadic, near 1, integer, and half-integer
+_ONE_ALPHA = [Fraction(21, 20), Fraction(2), Fraction(7, 3), Fraction(19, 7),
+              Fraction(7, 2)]
+
+
+def test_one_alpha_two_term_form_is_the_xm_member(monkeypatch):
+    # L_j^(a-1) = L_j^(a) - L_(j-1)^(a) (DLMF 18.9.13) in both a - 1 factors
+    # of the product form leaves (-1)^n [A_m B_n - A_(m-1) B_(n-1)], A_j =
+    # L_j^(a)(-g), B_j = L_j^(a)(g): the form eval_xm_laguerre evaluates.
+    # Caching the exact classical factors changes no value, only the time.
+    monkeypatch.setattr(orthopoly, "classical_laguerre",
+                        lru_cache(maxsize=None)(classical_laguerre))
+    for alpha in _ONE_ALPHA:
+        b = [_laguerre_or_zero(j, alpha) for j in range(-1, 31)]  # b[j + 1] = B_j
+        for m in range(1, 7):
+            a_m, a_m1 = b[m + 1].reflected(), b[m].reflected()
+            spec = XmFamilySpec(m, alpha)
+            for n in range(31):
+                form = a_m * b[n + 1] - a_m1 * b[n]
+                assert form * (-1) ** n == xm_laguerre(n + m, spec), (alpha, m, n)
+
+
 def test_monic_is_scaled_standard():
     # m! n! times the standard member is the monic one: the ODE's solution
     # with unit leading coefficient
@@ -291,6 +326,55 @@ def test_xm_members_are_exact_ode_solutions(member):
     for g in (Fraction(1, 2), Fraction(5), Fraction(20)):
         want = float(eval_poly(p, g))
         assert eval_xm_laguerre(nu, spec, float(g)) == pytest.approx(want, rel=1e-12), g
+
+
+def _exact_laguerre_values(jmax: int, alpha: Fraction, x: Fraction) -> list:
+    """[L_0^(alpha)(x), ..., L_jmax^(alpha)(x)] exactly, by the recurrence,
+    each as a (numerator, denominator) pair of ints."""
+    out = [Fraction(1), 1 + alpha - x]
+    for k in range(1, jmax):
+        out.append(((2 * k + 1 + alpha - x) * out[k]
+                    - (k + alpha) * out[k - 1]) / (k + 1))
+    return [(v.numerator, v.denominator) for v in out]
+
+
+@pytest.mark.parametrize("alpha", _ONE_ALPHA)
+def test_one_alpha_form_is_accurate_to_its_factors(alpha):
+    # With A_j = L_j^(alpha)(-g) and B_j = L_j^(alpha)(g) exact, the float
+    # value errs by at most C eps (|A_m| (|B_n| + |B_(n-1)|) + |A_(m-1)|
+    # (|B_(n-1)| + |B_(n-2)|)).  Each B is weighed with its lower neighbour:
+    # near a zero of B_j the recurrence's error is set by the size of the
+    # polynomial around it, not by |B_j|, while A_m / A_(m-1) grows like g / m.
+    # C is fixed beforehand from the dtype; the largest reading on this sweep
+    # is 54.
+    c = 256
+    rng = np.random.default_rng(2009)
+    gs = np.sort(np.concatenate([[0.01, 20.0, 150.0],
+                                 10.0 ** rng.uniform(-2.0, np.log10(150.0), 37)]))
+    exact_a, exact_b, float_a, float_b = [], [], [], []
+    for g in gs:
+        a = _exact_laguerre_values(6, alpha, -Fraction(g))
+        b = [(0, 1), (0, 1)] + _exact_laguerre_values(40, alpha, Fraction(g))
+        exact_a.append(a)
+        exact_b.append(b)  # b[j + 2] = B_j, with B_(-1) = B_(-2) = 0
+        float_a.append([num / den for num, den in a])
+        float_b.append([num / den for num, den in b])
+    float_a, float_b = np.abs(float_a), np.abs(float_b)
+    for m in range(1, 7):
+        spec = XmFamilySpec(m, alpha)
+        for n in range(41):
+            got = eval_xm_laguerre(n + m, spec, gs)
+            want = []
+            for a, b in zip(exact_a, exact_b):
+                (p1, q1), (p2, q2) = a[m], b[n + 2]
+                (p3, q3), (p4, q4) = a[m - 1], b[n + 1]
+                # exact P rounded once: int / int is correctly rounded
+                want.append((-1) ** n * (p1 * p2 * q3 * q4 - p3 * p4 * q1 * q2)
+                            / (q1 * q2 * q3 * q4))
+            scale = (float_a[:, m] * (float_b[:, n + 2] + float_b[:, n + 1])
+                     + float_a[:, m - 1] * (float_b[:, n + 1] + float_b[:, n]))
+            bad = np.abs(got - np.array(want)) > c * np.finfo(float).eps * scale
+            assert not bad.any(), (m, n, gs[bad])
 
 
 # ---------------------------------------------------------------------------

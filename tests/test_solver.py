@@ -40,6 +40,18 @@ def test_grid_validation():
         Grid(0.0, math.inf, 101)
 
 
+def test_grid_npoints_follows_the_package_integer_rule():
+    # the rule of m, eta, n and XmFamilySpec.m: a numpy integer is taken
+    # and stored as int; a bool, a float or too few points keep the message
+    grid = Grid(0, 1, np.int64(101))
+    assert grid.npoints == 101 and type(grid.npoints) is int
+    assert grid == Grid(0, 1, 101)
+    for bad in (True, 101.0, 15):
+        with pytest.raises(ValueError, match=f"^npoints must be an integer >= 16, "
+                                             f"got {bad!r}$"):
+            Grid(0.0, 1.0, bad)
+
+
 def test_grid_geometry():
     grid = Grid(0.0, 1.0, 101)
     assert grid.h == pytest.approx(0.01)
