@@ -26,11 +26,11 @@ from .cli import _default_config, _plot_grid, _profile_grid
 from .models import (Case1Params, Case2Params, ModelKind, _bracket, _points,
                      _ret, default_domain, energy, energy_fraction, mass,
                      v_eff, wavefunction)
-from .orthopoly import (Polynomial, XmFamilySpec, _laguerre_or_zero,
-                        eval_poly, eval_xm_laguerre, laguerre_data,
-                        xm_laguerre)
-from .solver import (Grid, _auto_grid, _model_operator, _stebz, align_sign,
-                     discretize, lowest_eigenvalues, quadrature)
+from .orthopoly import (Polynomial, XmFamilySpec, _integer,
+                        _laguerre_or_zero, eval_poly, eval_xm_laguerre,
+                        laguerre_data, xm_laguerre)
+from .solver import (Grid, _auto_grid, _model_operator, _nested_fit, _stebz,
+                     align_sign, discretize, lowest_eigenvalues, quadrature)
 from .susy import (_inv_sqrt_mass, _ratio_s, _w1, apply_A, apply_A_dagger,
                    partner_model, partner_wavefunction)
 
@@ -246,22 +246,19 @@ def convergence_order(model, level: int, base_points: int = 251) -> float:
 
     `level` counts grid halvings from the base grid, so `level` >= 2 gives
     the minimum three nested grids; accepts a ModelKind or a raw problem
-    tuple (massfn, potfn, lo, hi).
+    tuple (massfn, potfn, lo, hi).  The nested grids are solved by the
+    solver's `_nested_fit`.
     """
-    if not isinstance(level, int) or level < 2:
-        raise ValueError("need at least 3 grids: level must be an integer >= 2")
+    level = _integer(level, "level", 2)
     if isinstance(model, tuple):
         massfn, potfn, lo, hi = model
+        op = discretize(massfn, potfn, Grid(lo, hi, base_points))
     else:
-        massfn = lambda t: mass(model, t)
-        potfn = lambda t: v_eff(model, t)
-        lo, hi = default_domain(model, 0)
-    lowest = []
-    for j in range(level + 1):
-        grid = Grid(lo, hi, (base_points - 1) * 2 ** j + 1)
-        op = discretize(massfn, potfn, grid)
-        lowest.append(lowest_eigenvalues(op, 1)[0])
-    diffs = np.diff(np.asarray(lowest))
+        op = _model_operator(model, 1,
+                             Grid(*default_domain(model, 0), base_points))
+    ladder = tuple((base_points - 1) * 2 ** j + 1 for j in range(level + 1))
+    levels = _nested_fit(op, 1, ladder, 0.0)[2]
+    diffs = np.diff([values[0] for values in levels])
     orders = []
     for j in range(diffs.size - 1):
         if diffs[j] * diffs[j + 1] <= 0 or abs(diffs[j + 1]) >= abs(diffs[j]):

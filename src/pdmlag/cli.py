@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Optional
@@ -243,13 +243,12 @@ def _versions() -> dict:
 
 def _metadata(command: str, cfg: RunConfig, model: ModelKind,
               grid: Optional[Grid]) -> dict:
-    params = {"case": cfg.case, "b": str(model.b) if cfg.case == 1 else None,
-              "eta": model.eta if cfg.case == 2 else None,
-              "alpha": str(model.alpha), "m": model.m, "vc": str(model.vc),
-              "nmax": cfg.nmax}
-    md = {"command": command,
-          "parameters": {k: v for k, v in params.items() if v is not None},
-          "versions": _versions()}
+    params = {"case": cfg.case}
+    for f in fields(model):     # b or eta, alpha, m, vc
+        value = getattr(model, f.name)
+        params[f.name] = str(value) if isinstance(value, Fraction) else value
+    params["nmax"] = cfg.nmax
+    md = {"command": command, "parameters": params, "versions": _versions()}
     if grid is not None:
         md["grid"] = {"lo": grid.lo, "hi": grid.hi, "npoints": grid.npoints}
     return md

@@ -5,8 +5,9 @@ X_m-Laguerre equation: a change of variable g(x) and a mass M(x) with
 g'^2/(M g) = C constant.  Case 1 has M = g = e^(-b x) on the whole line
 (C = b^2), Case 2 M = l^2 x^(l-2), g = x^l on the half line (l = 2*eta + 2,
 C = 1).  A params class supplies only its map (``pct_map``); the effective
-potential, the equispaced spectrum, the closed-form bound states and the
-superpotential of ``susy`` are derived from it once, for both families.
+potential, the equispaced spectrum and the constant vc that puts its ground
+level at 0, the closed-form bound states and the superpotential of ``susy``
+are derived from it once, for both families.
 Each family's hand-derived potential, the reference that ``v_eff`` is
 checked against, is in ``checks``.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
@@ -32,9 +33,13 @@ def _frac(value) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
-def _susy_vc(b2: Fraction, alpha: Fraction, m: int) -> Fraction:
-    """Additive constant that places the ground level exactly at zero."""
-    return -b2 * (2 * m + alpha + alpha * alpha) / (2 * alpha)
+def _family_fields(params) -> None:
+    """Coerce alpha, vc and m, the fields both families share; alpha > 1."""
+    object.__setattr__(params, "alpha", _frac(params.alpha))
+    object.__setattr__(params, "vc", _frac(params.vc))
+    object.__setattr__(params, "m", _integer(params.m, "m", 1))
+    if params.alpha <= 1:
+        raise ValueError(f"alpha must be > 1, got {params.alpha}")
 
 
 @dataclass(frozen=True)
@@ -89,13 +94,9 @@ class Case1Params:
 
     def __post_init__(self):
         object.__setattr__(self, "b", _frac(self.b))
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "vc", _frac(self.vc))
-        object.__setattr__(self, "m", _integer(self.m, "m", 1))
+        _family_fields(self)
         if self.b <= 0:
             raise ValueError(f"b must be > 0, got {self.b}")
-        if self.alpha <= 1:
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
 
     @property
     def lam(self) -> Fraction:
@@ -110,8 +111,8 @@ class Case1Params:
     @classmethod
     def susy_zero(cls, b, alpha, m: int) -> "Case1Params":
         """Instance with vc chosen so the ground-state energy is exactly 0."""
-        b, alpha = _frac(b), _frac(alpha)
-        return cls(b, alpha, m, _susy_vc(b * b, alpha, m))
+        base = cls(b, alpha, m)
+        return replace(base, vc=susy_constant(base))
 
 
 @lru_cache(maxsize=64)
@@ -137,12 +138,8 @@ class Case2Params:
     vc: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "vc", _frac(self.vc))
         object.__setattr__(self, "eta", _integer(self.eta, "eta", 0))
-        object.__setattr__(self, "m", _integer(self.m, "m", 1))
-        if self.alpha <= 1:
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
+        _family_fields(self)
 
     @property
     def nu(self) -> Fraction:
@@ -160,15 +157,16 @@ class Case2Params:
     @classmethod
     def susy_zero(cls, eta: int, alpha, m: int) -> "Case2Params":
         """Instance with vc chosen so the ground-state energy is exactly 0."""
-        return cls(eta, _frac(alpha), m, _susy_vc(Fraction(1), _frac(alpha), m))
+        base = cls(eta, alpha, m)
+        return replace(base, vc=susy_constant(base))
 
 
 ModelKind = Union[Case1Params, Case2Params]
 
 
 def susy_constant(model: ModelKind) -> Fraction:
-    """The vc value for which the model's ground level sits exactly at 0."""
-    return _susy_vc(model.pct_map.c, model.alpha, model.m)
+    """The vc that puts the ground level at 0: -C ((alpha+1)/2 + m/alpha)."""
+    return -model.pct_map.c * ((model.alpha + 1) / 2 + model.m / model.alpha)
 
 
 def _ret(x, out):

@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,11 +36,14 @@ def _exact_scalar(value: Scalar) -> Fraction:
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
 
 
-def _integer(value, name: str, least: int) -> int:
-    """``value`` as an int; ValueError unless it is a non-bool integer >= least."""
+def _integer(value, name: str, least: int, most: Optional[int] = None) -> int:
+    """``value`` as an int; ValueError unless it is a non-bool integer >= least
+    and, when `most` is given, <= most."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            or value < least or (most is not None and value > most)):
+        bounds = (f"an integer >= {least}" if most is None
+                  else f"in {least}..{most}")
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
     return int(value)
 
 
@@ -132,10 +135,14 @@ def eval_poly(p: Polynomial, x):
     return acc
 
 
+@lru_cache(maxsize=1024)
 def classical_laguerre(n: int, alpha: Scalar) -> Polynomial:
     """Generalized Laguerre polynomial L_n^(alpha) via the three-term recurrence.
 
-    Coefficients are exact Fractions.
+    Coefficients are exact Fractions.  The last 1024 results are cached: a
+    Polynomial is frozen, so the X_m members that share a factor share one
+    instance, and a process that meets a new alpha at every call holds a
+    bounded number of them.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

@@ -108,6 +108,9 @@ class Grid:
             raise ValueError("grid endpoints must be finite")
         if self.lo >= self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"grid span hi - lo overflows: [{self.lo}, "
+                             f"{self.hi}]")
         object.__setattr__(self, "npoints", _integer(self.npoints, "npoints", 16))
 
     @property
@@ -181,10 +184,15 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
 
     The coefficients are sampled, and the matrix filled, `_BLOCK` points at
     a time, so that beyond the grid and the matrix only block-sized arrays
-    are made.  Every midpoint's mass is checked before any potential.
+    are made.  Every midpoint's mass is checked before any potential; a
+    spacing whose square overflows is refused first.
     """
+    try:
+        h2 = grid.h ** 2
+    except OverflowError:
+        raise ValueError(f"the grid leaves double precision: the square of "
+                         f"its spacing {grid.h:.17g} overflows") from None
     xs = grid.xs()
-    h2 = grid.h ** 2
     n = grid.npoints - 2
     # 1/M at the n + 1 midpoints; the potential pass turns its first n
     # entries into the diagonal in place
@@ -335,7 +343,8 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
                 t: float, pmap: Callable = map):
     """The lowest k levels of `op`'s problem on the nested grids `ladder`
     (point counts over `op`'s interval), extrapolated to squared spacing t,
-    and an error estimate.
+    an error estimate, and the levels of each grid (a list of arrays, in
+    `ladder`'s order).
 
     The grids are solved by `lowest_eigenvalues` (below `_WARM_MIN`, so
     by plain index bisection), the finest first, through `pmap` (`map`, or
@@ -349,12 +358,13 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
     _lapack("dstebz")           # bound here, so that no thread binds it
     fits = list(pmap(lambda c: lowest_eigenvalues(c, k), reversed(coarse)))
     fits.reverse()
+    levels = fits
     h2 = [c.grid.h ** 2 for c in coarse]
     for span in range(1, len(fits)):    # fits[i]: through grids i..i+span
         finer = fits[-1]
         fits = [a + (b - a) * ((t - h2[i]) / (h2[i + span] - h2[i]))
                 for i, (a, b) in enumerate(zip(fits, fits[1:]))]
-    return fits[0], np.abs(fits[0] - finer)
+    return fits[0], np.abs(fits[0] - finer), levels
 
 
 def _predicted_windows(op: DiscretizedOperator, k: int,
@@ -362,7 +372,8 @@ def _predicted_windows(op: DiscretizedOperator, k: int,
     """Centres and half-widths of k windows predicted to hold the fine
     grid's lowest k levels: `_nested_fit` on `_COARSE_POINTS`, and a
     sixteenth of its estimate, at least `_WINDOW_FLOOR` per grid interval."""
-    centre, spread = _nested_fit(op, k, _COARSE_POINTS, op.grid.h ** 2, pmap)
+    centre, spread, _ = _nested_fit(op, k, _COARSE_POINTS, op.grid.h ** 2,
+                                    pmap)
     floor = _WINDOW_FLOOR * (op.grid.npoints - 1)
     return centre, np.maximum(spread / 16, floor * np.maximum(1, abs(centre)))
 
@@ -371,7 +382,8 @@ def _sturm_squares(d: np.ndarray, e: np.ndarray):
     """The squared off-diagonal of the matrix (d, e) and the pivot floor
     that `dstebz` takes for it, or None where `dstebz` would split the
     matrix into blocks (at an off-diagonal entry negligible beside its two
-    diagonal ones) or the floor overflows."""
+    diagonal ones).  `lowest_eigenvalues` has refused a matrix whose
+    squares overflow."""
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     e2 = e * e
     negligible = d[1:] * d[:-1]
@@ -380,8 +392,7 @@ def _sturm_squares(d: np.ndarray, e: np.ndarray):
     negligible += tiny
     if np.any(negligible > e2):
         return None
-    pivmin = max(1.0, float(e2.max())) * tiny
-    return (e2, pivmin) if np.isfinite(pivmin) else None
+    return e2, max(1.0, float(e2.max())) * tiny
 
 
 def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
@@ -500,15 +511,18 @@ def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
     grids and certified by Sturm counts (`_warm_values`).  A warm value lies
     within `_BISECT_TOL` of the plain one; when the windows cannot be
     certified or the matrix splits, the plain path's results and errors are
-    returned.  A matrix with an infinite or NaN entry is refused before
-    either path runs.
+    returned.  A matrix with an infinite or NaN entry, or with an
+    off-diagonal entry whose square overflows (Sturm counts square them, and
+    bisection then finds no value), is refused before either path runs.
     """
-    n = op.size
-    if not isinstance(k, int) or k < 1 or k > n:
-        raise ValueError(f"k must be in 1..{n}, got {k!r}")
+    k = _integer(k, "k", 1, op.size)
     d, e = np.ascontiguousarray(op.diag), np.ascontiguousarray(op.offdiag)
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+    top = float(np.abs(e).max(initial=0.0))
+    if not (np.all(np.isfinite(d)) and math.isfinite(top)):
         raise ValueError("array must not contain infs or NaNs")
+    if not math.isfinite(top * top):
+        raise ValueError(f"the matrix leaves double precision: the square of "
+                         f"its off-diagonal entry {top:.3g} overflows")
     vals = None
     if (op.coefficients is not None and op.grid is not None
             and op.grid.npoints >= _WARM_MIN and k <= _WARM_MAX_K):

@@ -131,6 +131,36 @@ def test_large_finite_parameter_exits_one(tmp_path, capsys, command, key):
     assert not path.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, shown", [
+    (["--grid-lo", "0", "--grid-hi", "1e200", "--npoints", "101"],
+     "the grid leaves double precision: the square of its spacing 1e+198 "
+     "overflows"),
+    (["--case", "2", "--grid-hi", "1e160"],
+     "the grid leaves double precision: the square of its spacing 2.5e+156 "
+     "overflows"),
+    # the barrier's off-diagonal entries reach 2.6e159 at the origin, and
+    # their squares overflow in the Sturm counts
+    (["--case", "2", "--eta", "25"],
+     "the matrix leaves double precision: the square of its off-diagonal "
+     "entry 2.61e+159 overflows"),
+], ids=["grid-span", "grid-hi", "eta-25"])
+def test_spectrum_past_double_precision_exits_one(tmp_path, capsys, argv,
+                                                  shown):
+    path = tmp_path / "spectrum.csv"
+    code, out, err = _run(capsys, ["spectrum", *argv, "--out", str(path)])
+    assert (code, out, err) == (1, "", f"error: {shown}\n")
+    assert not path.exists()
+
+
+def test_spectrum_serves_eta_24(tmp_path):
+    # the last eta whose off-diagonal squares stay finite at the defaults
+    path = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--case", "2", "--eta", "24", "--out",
+                 str(path)]) == 0
+    assert len(path.read_text().splitlines()) == 5
+
+
 @pytest.mark.parametrize("message, shown", [
     ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
      "and data type float64",

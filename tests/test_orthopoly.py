@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from pdmlag import checks, orthopoly
+from pdmlag import checks
 from pdmlag.checks import _gauss_laguerre, xm_inner_product, xm_ode_residual
 from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _genlaguerre_pair,
                               _laguerre_or_zero, classical_laguerre, eval_poly,
@@ -212,13 +212,10 @@ _ONE_ALPHA = [Fraction(21, 20), Fraction(2), Fraction(7, 3), Fraction(19, 7),
               Fraction(7, 2)]
 
 
-def test_one_alpha_two_term_form_is_the_xm_member(monkeypatch):
+def test_one_alpha_two_term_form_is_the_xm_member():
     # L_j^(a-1) = L_j^(a) - L_(j-1)^(a) (DLMF 18.9.13) in both a - 1 factors
     # of the product form leaves (-1)^n [A_m B_n - A_(m-1) B_(n-1)], A_j =
     # L_j^(a)(-g), B_j = L_j^(a)(g): the form eval_xm_laguerre evaluates.
-    # Caching the exact classical factors changes no value, only the time.
-    monkeypatch.setattr(orthopoly, "classical_laguerre",
-                        lru_cache(maxsize=None)(classical_laguerre))
     for alpha in _ONE_ALPHA:
         b = [_laguerre_or_zero(j, alpha) for j in range(-1, 31)]  # b[j + 1] = B_j
         for m in range(1, 7):

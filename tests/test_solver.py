@@ -63,6 +63,23 @@ def test_grid_geometry():
     assert interior[0] == pytest.approx(0.01)
 
 
+def test_grid_refuses_a_span_that_overflows():
+    # both ends are finite, but hi - lo is not: h would be inf and xs() NaN
+    with pytest.raises(ValueError, match=r"^grid span hi - lo overflows"):
+        Grid(-1e308, 1e308, 101)
+
+
+def test_discretize_refuses_a_spacing_whose_square_overflows():
+    # h = 1e198 is a float and h^2 is not: a ValueError, never an
+    # OverflowError, and before any coefficient is sampled
+    def unreachable(x):
+        raise AssertionError("a coefficient was sampled")
+
+    with pytest.raises(ValueError, match=r"square of its spacing 1e\+198 "
+                                         r"overflows$"):
+        discretize(unreachable, unreachable, Grid(0.0, 1e200, 101))
+
+
 # ---------------------------------------------------------------------------
 # discretize + eigen_lowest on textbook operators
 
@@ -211,6 +228,48 @@ def test_lowest_eigenvalues_k_bounds_match_eigen_lowest():
         with pytest.raises(ValueError) as pairs:
             eigen_lowest(op, k)
         assert str(vals_only.value) == str(pairs.value), k
+
+
+def test_k_follows_the_package_integer_rule():
+    # a numpy integer is taken as its int; a bool, a float or an integer out
+    # of range keeps the range message
+    op = DiscretizedOperator(diag=np.array([2.0, 2.0]),
+                             offdiag=np.array([-1.0]))
+    assert np.array_equal(lowest_eigenvalues(op, np.int64(1)),
+                          lowest_eigenvalues(op, 1))
+    assert np.array_equal(eigen_lowest(op, np.int64(2)).eigenvectors,
+                          eigen_lowest(op, 2).eigenvectors)
+    for bad in (True, 1.0, np.float64(1.0), 0, np.int64(3)):
+        for solve in (lowest_eigenvalues, eigen_lowest):
+            with pytest.raises(ValueError) as err:
+                solve(op, bad)
+            assert str(err.value) == f"k must be in 1..2, got {bad!r}"
+
+
+def test_matrix_whose_squares_overflow_is_refused_before_either_path(
+        monkeypatch):
+    # Sturm counts square the off-diagonal, and past sqrt(max double)
+    # bisection finds no value: Case 2 at eta = 25 on the default 4001
+    # points, and at eta = 19 on 40001, where the warm start would run
+    top = math.sqrt(np.finfo(float).max)
+    edge = DiscretizedOperator(diag=np.zeros(2), offdiag=np.array([top]))
+    np.testing.assert_allclose(lowest_eigenvalues(edge, 2), [-top, top],
+                               rtol=1e-12)
+    above = math.nextafter(top, math.inf)
+    over = DiscretizedOperator(diag=np.zeros(2), offdiag=np.array([above]))
+    ops = [(over, 2), (_model_op(Case2Params(25, 2, 1), 4, 4001), 4),
+           (_model_op(Case2Params(19, 2, 1), 4, 40001), 4)]
+
+    def unreachable(*args):
+        raise AssertionError("a solver path ran")
+
+    monkeypatch.setattr(solver, "_stebz", unreachable)
+    monkeypatch.setattr(solver, "_warm_values", unreachable)
+    for op, k in ops:
+        for solve in (lowest_eigenvalues, eigen_lowest):
+            with pytest.raises(ValueError, match="^the matrix leaves double "
+                                                 "precision: the square of"):
+                solve(op, k)
 
 
 def _assert_values_only_identical(op, k):
@@ -1112,3 +1171,25 @@ def test_convergence_order_case1():
 def test_convergence_order_needs_three_grids():
     with pytest.raises(ValueError):
         convergence_order(Case1Params(1, 2, 1), level=1)
+
+
+def test_convergence_order_level_follows_the_package_integer_rule():
+    problem = (lambda x: np.ones_like(x), lambda x: x ** 2, -8.0, 8.0)
+    assert (convergence_order(problem, np.int64(2))
+            == convergence_order(problem, 2))
+    for bad in (True, 2.0, 1):
+        with pytest.raises(ValueError, match="^level must be an integer >= 2"):
+            convergence_order(problem, bad)
+
+
+def test_convergence_order_matches_a_ladder_solved_grid_by_grid():
+    # the reference: the model's M and V_eff on each halving of the base
+    # grid, each solved alone
+    model = Case1Params(1, 2, 1)
+    lo, hi = default_domain(model, 0)
+    lowest = [lowest_eigenvalues(discretize(
+        lambda x: mass(model, x), lambda x: v_eff(model, x),
+        Grid(lo, hi, 250 * 2 ** j + 1)), 1)[0] for j in range(4)]
+    diffs = np.diff(lowest)
+    assert convergence_order(model, level=3) == float(
+        np.log2(abs(diffs[1]) / abs(diffs[2])))
