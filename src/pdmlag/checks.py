@@ -92,10 +92,8 @@ def xm_inner_product(nu1: int, nu2: int, spec: XmFamilySpec) -> float:
     zeros lie at g < 0, so the Gauss rule for g^alpha e^(-g) is applied to
     the smooth f = X_nu1 X_nu2 / h^2, with `_GAUSS_NODES` nodes in turn
     until two rules agree to `_GAUSS_RTOL` of sum |w f|; RuntimeError if
-    the last two do not.
+    the last two do not.  ``eval_xm_laguerre`` checks both degrees.
     """
-    if nu1 < spec.m or nu2 < spec.m:
-        raise ValueError("both degrees must be >= m")
     h = laguerre_data(spec.m, spec.alpha).h
     value = math.nan
     for n in _GAUSS_NODES:

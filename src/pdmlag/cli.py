@@ -35,6 +35,7 @@ import scipy
 from . import __version__, emit
 from .models import (Case1Params, Case2Params, ModelKind, default_domain,
                      energy, mass, susy_constant, v_eff, wavefunction)
+from .orthopoly import _integer
 from .solver import Grid, _auto_grid, _model_operator, lowest_eigenvalues
 
 OUTDIR_ENV = "PDMLAG_OUTDIR"
@@ -69,7 +70,11 @@ _OPTIONS = {
     "n2": (0, int, ("density2d",), "y-direction quantum number"),
     "corrupt_veff": (0.0, float, ("verify",), argparse.SUPPRESS),
 }
-_CHOICES = {"format": ("csv", "json"), "preset": ("susy-zero",)}
+_CHOICES = {"case": (1, 2), "format": ("csv", "json"), "preset": ("susy-zero",)}
+# The least value of each integer setting the models do not check.
+_LEAST = {"nmax": 0, "npoints": 16, "n1": 0, "n2": 0}
+# The JSON types each kind takes (a float or Fraction kind: a number).
+_JSON_KINDS = {int: ((int, str), "an integer"), str: ((str,), "a string")}
 
 
 @dataclass(frozen=True)
@@ -96,12 +101,8 @@ class RunConfig:
     def model(self) -> ModelKind:
         if self.vc is not None and self.preset is not None:
             raise ValueError("give either vc or preset, not both")
-        if self.case == 1:
-            base = Case1Params(self.b, self.alpha, self.m)
-        elif self.case == 2:
-            base = Case2Params(self.eta, self.alpha, self.m)
-        else:
-            raise ValueError(f"case must be 1 or 2, got {self.case}")
+        base = (Case1Params(self.b, self.alpha, self.m) if self.case == 1
+                else Case2Params(self.eta, self.alpha, self.m))
         if self.preset == "susy-zero":
             return replace(base, vc=susy_constant(base))
         return base if self.vc is None else replace(base, vc=self.vc)
@@ -136,53 +137,41 @@ def _parse_config_file(path: str) -> dict:
 def _coerce(key: str, value):
     """A setting from a flag, a config line or JSON as its RunConfig field.
     Strings are parsed; a JSON value must be an integer for an int key, a
-    number for a Fraction or float key, a string for the rest (never empty,
-    and one of its `_CHOICES`), and null only where the default is."""
+    number for a Fraction or float key, a string for the rest (never
+    empty), and null only where the default is.  The value must be one of
+    its `_CHOICES`, and an integer at least its `_LEAST`."""
     if key not in _OPTIONS:
         raise ValueError(f"unknown config key {key!r}")
     default, kind = _OPTIONS[key][:2]
     if value is None and default is None:
         return None
-    if kind is int:
-        kinds, expected = (int, str), "an integer"
-    elif kind is str:
-        kinds, expected = (str,), "a string"
-    else:
-        kinds, expected = (int, float, str), "a number"
+    kinds, expected = _JSON_KINDS.get(kind, ((int, float, str), "a number"))
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"invalid value for {key}: {value!r} (not {expected})")
     try:
         if kind is Fraction:
-            frac = Fraction(str(value))
-            float(frac)                     # OverflowError beyond ~1.8e308
-            return frac
-        if kind is not str:
-            return kind(value)
+            parsed = Fraction(str(value))
+            float(parsed)                   # OverflowError beyond ~1.8e308
+        else:
+            parsed = kind(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid value for {key}: {value!r} ({exc})") from None
     except OverflowError:
         raise ValueError(f"invalid value for {key}: {value!r} "
                          "(too large for a float)") from None
-    if not value:
+    if parsed == "":
         raise ValueError(f"invalid value for {key}: '' (empty)")
-    if value not in _CHOICES.get(key, (value,)):
-        raise ValueError(f"invalid value for {key}: {value!r} "
-                         f"(known: {', '.join(_CHOICES[key])})")
-    return value
+    if parsed not in _CHOICES.get(key, (parsed,)):
+        raise ValueError(f"invalid value for {key}: {value!r} (known: "
+                         f"{', '.join(str(c) for c in _CHOICES[key])})")
+    return _integer(parsed, key, _LEAST[key]) if key in _LEAST else parsed
 
 
 def _default_config(**overrides) -> RunConfig:
-    """The defaults with `overrides` in their place, coerced and checked."""
+    """The defaults with `overrides` in their place, each coerced."""
     values = {key: row[0] for key, row in _OPTIONS.items()}
     values.update({k: _coerce(k, v) for k, v in overrides.items()})
-    cfg = RunConfig(**values)
-    if cfg.nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {cfg.nmax}")
-    if cfg.npoints is not None and cfg.npoints < 16:
-        raise ValueError(f"npoints must be >= 16, got {cfg.npoints}")
-    if cfg.n1 < 0 or cfg.n2 < 0:
-        raise ValueError("n1 and n2 must be >= 0")
-    return cfg
+    return RunConfig(**values)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:

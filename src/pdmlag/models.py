@@ -8,13 +8,14 @@ C = 1).  A params class supplies only its map (``pct_map``); the effective
 potential, the equispaced spectrum and the constant vc that puts its ground
 level at 0, the closed-form bound states and the superpotential of ``susy``
 are derived from it once, for both families.
+The constructors apply the input rules of ``orthopoly``: b, alpha and vc
+are stored as exact Fractions (never parsed from strings), m and eta as ints.
 Each family's hand-derived potential, the reference that ``v_eff`` is
 checked against, is in ``checks``.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -22,24 +23,16 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .orthopoly import (XmFamilySpec, _integer, eval_poly, eval_xm_laguerre,
-                        laguerre_data)
-
-
-def _frac(value) -> Fraction:
-    """Coerce int/float/str/Fraction to an exact Fraction."""
-    if isinstance(value, (numbers.Rational, float, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
+from .orthopoly import (XmFamilySpec, _exact_scalar, _family_params, _integer,
+                        eval_poly, eval_xm_laguerre, laguerre_data)
 
 
 def _family_fields(params) -> None:
-    """Coerce alpha, vc and m, the fields both families share; alpha > 1."""
-    object.__setattr__(params, "alpha", _frac(params.alpha))
-    object.__setattr__(params, "vc", _frac(params.vc))
-    object.__setattr__(params, "m", _integer(params.m, "m", 1))
-    if params.alpha <= 1:
-        raise ValueError(f"alpha must be > 1, got {params.alpha}")
+    """Check m >= 1, alpha > 1 and vc, the fields both families share."""
+    m, alpha = _family_params(params.m, params.alpha)
+    object.__setattr__(params, "m", m)
+    object.__setattr__(params, "alpha", alpha)
+    object.__setattr__(params, "vc", _exact_scalar(params.vc, "vc"))
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,7 @@ class Case1Params:
     vc: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _frac(self.b))
+        object.__setattr__(self, "b", _exact_scalar(self.b, "b"))
         _family_fields(self)
         if self.b <= 0:
             raise ValueError(f"b must be > 0, got {self.b}")

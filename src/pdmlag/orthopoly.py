@@ -1,7 +1,9 @@
 """Classical and exceptional (X_m) Laguerre polynomials.
 
-Everything exact here is in rational arithmetic: every parameter is an int,
-Fraction or float, and a float is taken at its exact binary value.
+Everything exact here is in rational arithmetic.  The package's two input
+rules are here, each applied once where a value enters and before any
+cache: ``_exact_scalar`` (any rational but bool, or a float at its exact
+binary value) and ``_integer`` (any integer type but bool, in its bounds).
 Generalized Laguerre polynomials are built by the three-term recurrence.  The
 codimension-m exceptional (X_m) Laguerre family is built from its type-I
 product form, a sum of two products of classical Laguerre polynomials
@@ -26,14 +28,16 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-Scalar = Union[int, float, Fraction]
+Scalar = Union[numbers.Rational, float]
 
 
-def _exact_scalar(value: Scalar) -> Fraction:
-    """Return `value` as an exact Fraction; a float keeps its binary value."""
-    if isinstance(value, (int, float, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"unsupported scalar type {type(value).__name__}")
+def _exact_scalar(value: Scalar, name: str) -> Fraction:
+    """``value`` as an exact Fraction; TypeError unless it is a rational
+    (any but bool) or a float, which keeps its binary value."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (numbers.Rational, float))):
+        raise TypeError(f"{name} must be a rational or a float, got {value!r}")
+    return Fraction(value)
 
 
 def _integer(value, name: str, least: int, most: Optional[int] = None) -> int:
@@ -45,6 +49,15 @@ def _integer(value, name: str, least: int, most: Optional[int] = None) -> int:
                   else f"in {least}..{most}")
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
     return int(value)
+
+
+def _family_params(m, alpha) -> tuple:
+    """(m, alpha) of an X_m family as (int, Fraction): m an integer >= 1,
+    alpha exact and > 1."""
+    m, alpha = _integer(m, "m", 1), _exact_scalar(alpha, "alpha")
+    if alpha <= 1:
+        raise ValueError(f"alpha must be > 1, got {alpha}")
+    return m, alpha
 
 
 @dataclass(frozen=True)
@@ -135,18 +148,22 @@ def eval_poly(p: Polynomial, x):
     return acc
 
 
-@lru_cache(maxsize=1024)
 def classical_laguerre(n: int, alpha: Scalar) -> Polynomial:
     """Generalized Laguerre polynomial L_n^(alpha) via the three-term recurrence.
 
-    Coefficients are exact Fractions.  The last 1024 results are cached: a
-    Polynomial is frozen, so the X_m members that share a factor share one
-    instance, and a process that meets a new alpha at every call holds a
-    bounded number of them.
+    n is an integer >= 0 and alpha follows ``_exact_scalar``; coefficients
+    are exact Fractions.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    a = _exact_scalar(alpha)
+    return _classical_laguerre(_integer(n, "n", 0), _exact_scalar(alpha, "alpha"))
+
+
+@lru_cache(maxsize=1024)
+def _classical_laguerre(n: int, a: Fraction) -> Polynomial:
+    """``classical_laguerre`` of a checked n and a.  The last 1024 results
+    are cached, as are those of ``laguerre_data`` and ``_xm_laguerre``:
+    Polynomials are frozen, so the members that share a factor share one
+    instance, and a process that meets a new alpha at every call holds a
+    bounded number of them."""
     prev = Polynomial((Fraction(1),))
     if n == 0:
         return prev
@@ -214,11 +231,11 @@ def _genlaguerre_pair(n: int, alpha: float, x: np.ndarray):
     return prev, p
 
 
-def _laguerre_or_zero(n: int, alpha) -> Polynomial:
-    """L_n^(alpha), with L_{-1} = L_{-2} = 0."""
+def _laguerre_or_zero(n: int, alpha: Fraction) -> Polynomial:
+    """L_n^(alpha) of a checked n and alpha, with L_{-1} = L_{-2} = 0."""
     if n < 0:
         return Polynomial(())
-    return classical_laguerre(n, alpha)
+    return _classical_laguerre(n, alpha)
 
 
 class LaguerreData(NamedTuple):
@@ -237,7 +254,7 @@ class LaguerreData(NamedTuple):
     ha: Polynomial
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def laguerre_data(m: int, alpha: Fraction) -> LaguerreData:
     def refl(n, a):
         return _laguerre_or_zero(n, a).reflected().as_float()
@@ -251,26 +268,29 @@ def laguerre_data(m: int, alpha: Fraction) -> LaguerreData:
 class XmFamilySpec:
     """Parameters of an X_m (codimension-m) exceptional Laguerre family.
 
-    `alpha` is stored as an exact Fraction (an int, Fraction or float is
-    converted exactly), and `m` as an int (any integer type but bool).
+    `m` is stored as an int and `alpha` as an exact Fraction, by the rule
+    of ``_family_params``.
     """
 
     m: int
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _exact_scalar(self.alpha))
-        object.__setattr__(self, "m", _integer(self.m, "m", 1))
-        if not self.alpha > 1:
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
+        m, alpha = _family_params(self.m, self.alpha)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "alpha", alpha)
 
 
-@lru_cache(maxsize=None)
+def _member_degree(nu, spec: XmFamilySpec) -> int:
+    """``nu`` as an int: an integer >= m, where the family starts."""
+    return _integer(nu, "nu", spec.m)
+
+
 def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
     """Degree-`nu` member of the X_m-Laguerre family described by `spec`.
 
-    The family starts at degree m, so `nu >= spec.m` is required.  With
-    n = nu - m and a = alpha the member is, exactly in Fractions,
+    The family starts at degree m, so `nu` must be an integer >= spec.m.
+    With n = nu - m and a = alpha the member is, exactly in Fractions,
 
         (-1)^n [L_m^(a)(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_{n-1}^(a)(g)]
 
@@ -279,12 +299,16 @@ def xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
     It is the unique (up to scale) degree-nu polynomial solving the family
     ODE with parameter nu.
     """
-    if nu < spec.m:
-        raise ValueError(f"nu must be >= m (family starts at degree m): "
-                         f"got nu={nu}, m={spec.m}")
+    return _xm_laguerre(_member_degree(nu, spec), spec)
+
+
+@lru_cache(maxsize=1024)
+def _xm_laguerre(nu: int, spec: XmFamilySpec) -> Polynomial:
+    """``xm_laguerre`` of a checked degree; the last 1024 are cached."""
     m, n, a = spec.m, nu - spec.m, spec.alpha
-    poly = (classical_laguerre(m, a).reflected() * classical_laguerre(n, a - 1)
-            + classical_laguerre(m, a - 1).reflected() * _laguerre_or_zero(n - 1, a))
+    poly = (_classical_laguerre(m, a).reflected() * _classical_laguerre(n, a - 1)
+            + _classical_laguerre(m, a - 1).reflected()
+            * _laguerre_or_zero(n - 1, a))
     return poly * (-1) ** n
 
 
@@ -304,10 +328,7 @@ def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
     scipy.special.eval_genlaguerre.  The monomial expansion, which cancels
     catastrophically at large g, is never formed.
     """
-    if nu < spec.m:
-        raise ValueError(f"nu must be >= m (family starts at degree m): "
-                         f"got nu={nu}, m={spec.m}")
-    m, n, a = spec.m, nu - spec.m, float(spec.alpha)
+    m, n, a = spec.m, _member_degree(nu, spec) - spec.m, float(spec.alpha)
     # at least 1-d, so that every step of the recurrence writes into buffers
     ga = np.atleast_1d(np.asarray(g, dtype=float))
     a_prev, out = _genlaguerre_pair(m, a, -ga)

@@ -11,6 +11,7 @@ and loads no scipy submodule either.
 Each case runs in a fresh interpreter, because this test process has
 imported all of scipy already.
 """
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ import pdmlag
 from pdmlag import solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 DEFERRED = ("scipy.linalg", "scipy.special", "scipy.integrate",
             "scipy.optimize", "scipy.sparse", "scipy.linalg.cython_lapack",
@@ -116,3 +118,17 @@ def test_public_names_are_pinned_and_resolve():
     assert pdmlag.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(pdmlag, name), name
+
+
+def test_every_traced_name_is_a_function_of_its_layer():
+    # the benchmark's tracer wraps these by name; a refactor that folds one
+    # away would otherwise break only `bench/run.py --trace`
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"pdmlag.{layer}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert callable(fn), f"pdmlag.{layer}.{name}"
+            assert fn.__module__ == module.__name__, f"pdmlag.{layer}.{name}"
