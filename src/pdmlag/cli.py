@@ -73,8 +73,6 @@ _OPTIONS = {
 _CHOICES = {"case": (1, 2), "format": ("csv", "json"), "preset": ("susy-zero",)}
 # The least value of each integer setting the models do not check.
 _LEAST = {"nmax": 0, "npoints": 16, "n1": 0, "n2": 0}
-# The JSON types each kind takes (a float or Fraction kind: a number).
-_JSON_KINDS = {int: ((int, str), "an integer"), str: ((str,), "a string")}
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,10 @@ class RunConfig:
     def model(self) -> ModelKind:
         if self.vc is not None and self.preset is not None:
             raise ValueError("give either vc or preset, not both")
-        base = (Case1Params(self.b, self.alpha, self.m) if self.case == 1
-                else Case2Params(self.eta, self.alpha, self.m))
+        if self.case == 1:
+            base = Case1Params(self.b, self.alpha, self.m)
+        else:
+            base = Case2Params(self.eta, self.alpha, self.m)
         if self.preset == "susy-zero":
             return replace(base, vc=susy_constant(base))
         return base if self.vc is None else replace(base, vc=self.vc)
@@ -145,7 +145,12 @@ def _coerce(key: str, value):
     default, kind = _OPTIONS[key][:2]
     if value is None and default is None:
         return None
-    kinds, expected = _JSON_KINDS.get(kind, ((int, float, str), "a number"))
+    if kind is int:
+        kinds, expected = (int, str), "an integer"
+    elif kind is str:
+        kinds, expected = (str,), "a string"
+    else:
+        kinds, expected = (int, float, str), "a number"
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"invalid value for {key}: {value!r} (not {expected})")
     try:

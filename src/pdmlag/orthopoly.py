@@ -2,8 +2,8 @@
 
 Everything exact here is in rational arithmetic.  The package's two input
 rules are here, each applied once where a value enters and before any
-cache: ``_exact_scalar`` (any rational but bool, or a float at its exact
-binary value) and ``_integer`` (any integer type but bool, in its bounds).
+cache: ``_exact_scalar`` (any rational but bool, or a finite float at its
+exact value) and ``_integer`` (any integer type but bool, in its bounds).
 Generalized Laguerre polynomials are built by the three-term recurrence.  The
 codimension-m exceptional (X_m) Laguerre family is built from its type-I
 product form, a sum of two products of classical Laguerre polynomials
@@ -32,12 +32,16 @@ Scalar = Union[numbers.Rational, float]
 
 
 def _exact_scalar(value: Scalar, name: str) -> Fraction:
-    """``value`` as an exact Fraction; TypeError unless it is a rational
-    (any but bool) or a float, which keeps its binary value."""
-    if (isinstance(value, bool)
-            or not isinstance(value, (numbers.Rational, float))):
-        raise TypeError(f"{name} must be a rational or a float, got {value!r}")
-    return Fraction(value)
+    """``value`` as an exact Fraction of Python ints; TypeError unless it is
+    a rational (any but bool) or a finite float, which keeps its binary
+    value."""
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Rational):
+        raise TypeError(f"{name} must be a rational or a finite float, "
+                        f"got {value!r}")
+    # int(): a numpy integer's numerator is itself, and Fraction keeps it
+    return Fraction(int(value.numerator), int(value.denominator))
 
 
 def _integer(value, name: str, least: int, most: Optional[int] = None) -> int:

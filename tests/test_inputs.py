@@ -1,8 +1,8 @@
 """The package's two input rules, over every entry point that takes a number.
 
 An exact rational (b, alpha, vc) is any rational but bool, numpy integers
-included, or a float at its exact binary value; anything else raises
-TypeError ``<name> must be a rational or a float, got <value>``.  An
+included, or a finite float at its exact binary value; anything else raises
+TypeError ``<name> must be a rational or a finite float, got <value>``.  An
 integer (m, eta, a level or degree, and the CLI's nmax, npoints, n1, n2) is
 any integer type but bool, within its bounds; anything else raises
 ValueError ``<name> must be an integer >= <least>, got <value>``.  Each
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pdmlag import cli
+from pdmlag import cli, orthopoly
 from pdmlag.checks import xm_inner_product
 from pdmlag.models import Case1Params, Case2Params
 from pdmlag.orthopoly import (XmFamilySpec, classical_laguerre,
@@ -63,8 +63,8 @@ def test_rational_inputs_follow_the_one_rule(entry):
     # a non-integral float is taken at its exact binary value
     assert _same(call(2.75), call(Fraction(11, 4)))
     assert _same(call(np.float64(2.75)), call(Fraction(11, 4)))
-    for bad in (True, "3", "7/3", None, 2.75j):
-        message = f"{name} must be a rational or a float, got {bad!r}"
+    for bad in (True, "3", "7/3", None, 2.75j, float("inf"), float("nan")):
+        message = f"{name} must be a rational or a finite float, got {bad!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call(bad)
 
@@ -78,6 +78,32 @@ def test_integer_inputs_follow_the_one_rule(entry):
         message = f"{name} must be an integer >= {least}, got {bad!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(bad)
+
+
+def _python_ints(p):
+    return all(type(c.numerator) is int and type(c.denominator) is int
+               for c in p.coeffs)
+
+
+def test_a_numpy_integer_alpha_builds_in_python_ints():
+    # A numpy integer's numerator is the numpy integer itself.  Kept in a
+    # Fraction, it would make every coefficient fixed-width arithmetic
+    # (wrong past 2**63, about degree 20), and the caches, keyed on equal
+    # Fractions, would hand that result to later int callers too.
+    builds = (lambda a: classical_laguerre(25, a),
+              lambda a: xm_laguerre(30, XmFamilySpec(2, a)))
+    caches = (orthopoly._classical_laguerre, orthopoly.laguerre_data,
+              orthopoly._xm_laguerre)
+    for build in builds:
+        for cache in caches:
+            cache.cache_clear()
+        from_numpy = build(np.int64(2))
+        assert _python_ints(from_numpy)
+        for cache in caches:
+            cache.cache_clear()
+        assert from_numpy == build(2)
+    spec = XmFamilySpec(2, np.int64(2))
+    assert type(spec.alpha.numerator) is int
 
 
 def test_a_float_degree_is_refused_before_and_after_the_int_is_cached():
