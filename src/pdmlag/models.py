@@ -23,8 +23,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .orthopoly import (XmFamilySpec, _exact_scalar, _family_params, _integer,
-                        eval_poly, eval_xm_laguerre, laguerre_data)
+from .orthopoly import (_exact_scalar, _family_params, _integer, _xm_values,
+                        eval_poly, laguerre_data)
 
 
 def _family_fields(params) -> None:
@@ -277,11 +277,10 @@ def wavefunction(model: ModelKind, n: int, x):
     """
     n = _integer(n, "n", 0)
     pm, xa = _points(model, x, closed=True)
-    spec = XmFamilySpec(model.m, model.alpha)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g, pref = _prefactor(model, pm, xa)
-        poly = eval_xm_laguerre(n + model.m, spec, g)
-        psi = norm_constant_closed_form(model, n) * pref * poly
+        poly = _xm_values(model.m, n, float(model.alpha), g)
+        psi = _norm_constant(model, n) * pref * poly
     psi = np.where(pref == 0.0, 0.0, psi)
     if not np.all(np.isfinite(psi)):
         raise RuntimeError(f"bound state n={n} overflows in floating point")
@@ -295,7 +294,11 @@ def norm_constant_closed_form(model: ModelKind, n: int) -> float:
     ``pct_prefactor`` carries the Jacobian; the tests check it against a
     quadrature normalizer.
     """
-    n = _integer(n, "n", 0)
+    return _norm_constant(model, _integer(n, "n", 0))
+
+
+def _norm_constant(model: ModelKind, n: int) -> float:
+    """``norm_constant_closed_form`` for an n >= 0 already checked."""
     af, m = float(model.alpha), model.m
     # n!/Gamma(n+alpha) via log-gamma: each factor alone overflows past n = 170
     return math.sqrt(1.0 / (n + m + af)) * math.exp(

@@ -332,7 +332,13 @@ def eval_xm_laguerre(nu: int, spec: XmFamilySpec, g):
     scipy.special.eval_genlaguerre.  The monomial expansion, which cancels
     catastrophically at large g, is never formed.
     """
-    m, n, a = spec.m, _member_degree(nu, spec) - spec.m, float(spec.alpha)
+    return _xm_values(spec.m, _member_degree(nu, spec) - spec.m,
+                      float(spec.alpha), g)
+
+
+def _xm_values(m: int, n: int, a: float, g):
+    """``eval_xm_laguerre`` of the member of degree n + m at parameter a,
+    for an m >= 1 and n >= 0 already checked."""
     # at least 1-d, so that every step of the recurrence writes into buffers
     ga = np.atleast_1d(np.asarray(g, dtype=float))
     a_prev, out = _genlaguerre_pair(m, a, -ga)

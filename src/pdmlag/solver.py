@@ -36,6 +36,18 @@ the matrix's size that the warm start keeps.  A ctypes call releases the GIL,
 so the coarse solves, the counts and the windows run on one pool of up to one
 thread per available CPU; each result depends only on its own inputs, so the
 values do not depend on the number of threads.
+
+The windows' counts and bisections are `dlaebz`'s, run by a small C kernel,
+`_sturm.c`, that advances the Sturm chains of a whole batch of windows in the
+same pass over the matrix: each row's divisions for different windows do
+not wait on each other, where `dlaebz` runs one window's chain at a time.
+Each chain keeps `dlaebz`'s arithmetic and order, so the bits are its own.
+The kernel is compiled on the first warm solve, never at import, with the
+compiler Python was built with (`_KERNEL_FLAGS`), into a file named by the
+hash of source and command in pdmlag's folder of the user cache directory
+(a directory of the process's own where that cannot be written), and loaded
+through ctypes.  Where it cannot be built or loaded, each window goes through
+`dlaebz` instead, with the same bits.
 """
 from __future__ import annotations
 
@@ -60,11 +72,14 @@ _BISECT_TOL = 1e-12
 # for the grid in one piece.
 _BLOCK = 16384
 
-# Warm start (see `lowest_eigenvalues`).  On one thread it breaks even with
-# the plain path at about 12001 points for 10 levels and 16001-24001 for 40;
-# grids of 12001 points or fewer, which are all that `verify` and the CLI
-# defaults use, keep the plain path.  From about 60 levels the 501-point grid
-# no longer resolves the top levels, and some solves fall back.
+# Warm start (see `lowest_eigenvalues`).  On one thread, with the batch
+# kernel, it breaks even with the plain path at about 4001 points for 10
+# levels and 4001-6001 for 40 (through `dlaebz` alone, 6001 and
+# 12001-16001), measured on Case 1 b = 3/2 alpha = 7/3 m = 2 and Case 2
+# eta = 3 alpha = 19/7 m = 4.  The bound stays where it was: grids of 12001
+# points or fewer, which are all that `verify` and the CLI defaults use,
+# keep the plain path's bits.  From about 60 levels the 501-point grid no
+# longer resolves the top levels, and some solves fall back.
 _WARM_MIN = 32009
 _WARM_MAX_K = 40
 # Nested grids of 500, 1000 and 2000 intervals; the 2001-point solve is the
@@ -424,23 +439,156 @@ def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     return info.value
 
 
+# How `_sturm.c` is built, with the compiler Python was built with; no
+# multiply and add may be fused, which would change the bits
+_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _built_kernel() -> Optional[str]:
+    """The path of `_sturm.c` built as a shared library, or None where the
+    compiler is missing or fails.
+
+    The file is named by a hash of the source and the build command, so
+    that a change to either builds anew.  It is built in pdmlag's folder of
+    the user cache directory (`XDG_CACHE_HOME`, else ~/.cache), or in a
+    directory of this process's own, removed at exit, where that cannot be
+    written; it is written whole or not at all, so that processes that
+    build at the same time each load a complete library.
+    """
+    import atexit
+    import shlex
+    import shutil
+    import subprocess
+    import sysconfig
+    import tempfile
+    import zlib
+    from importlib import resources
+
+    source = resources.files(__package__).joinpath("_sturm.c").read_bytes()
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
+               *_KERNEL_FLAGS]
+    # CRC-32, not hashlib: importing hashlib loads OpenSSL, 3.5 MB of
+    # resident memory for one name
+    digest = zlib.crc32(b"\0".join([source, *map(str.encode, command)]))
+    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
+    name = f"_sturm-{digest:08x}{suffix}"
+    folder = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                          or os.path.join(os.path.expanduser("~"), ".cache"),
+                          "pdmlag")
+    if os.path.exists(os.path.join(folder, name)):
+        return os.path.join(folder, name)
+    try:
+        os.makedirs(folder, exist_ok=True)
+        fd, partial = tempfile.mkstemp(suffix=suffix, dir=folder)
+    except OSError:
+        try:
+            folder = tempfile.mkdtemp(prefix="pdmlag-")
+            fd, partial = tempfile.mkstemp(suffix=suffix, dir=folder)
+        except OSError:
+            return None
+        atexit.register(shutil.rmtree, folder, True)
+    os.close(fd)
+    try:
+        subprocess.run([*command, "-x", "c", "-", "-o", partial],
+                       input=source, capture_output=True, check=True,
+                       timeout=120)
+        os.replace(partial, os.path.join(folder, name))
+    except (OSError, subprocess.SubprocessError):
+        if os.path.exists(partial):     # the compiler removes it on failure
+            os.unlink(partial)
+        return None
+    return os.path.join(folder, name)
+
+
+@cache
+def _sturm_kernel():
+    """The routines `sturm_count` and `sturm_bisect` of `_sturm.c`, bound
+    through ctypes on the first call (`_built_kernel`), or None where the
+    kernel cannot be built or loaded.  A ctypes call releases the GIL."""
+    import ctypes
+
+    path = _built_kernel()
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    size, dbl = ctypes.c_int64, ctypes.c_double
+    doubles = np.ctypeslib.ndpointer(np.double, flags="C")
+    ints = np.ctypeslib.ndpointer(np.int64, flags="C")
+    # N D E2 PIVMIN M X COUNT WORK
+    lib.sturm_count.argtypes = (size, doubles, doubles, dbl, size, doubles,
+                                ints, doubles)
+    # N D E2 PIVMIN ABSTOL RELTOL M AB NAB NITMAX STEPS INFO WORK IWORK
+    lib.sturm_bisect.argtypes = (size, doubles, doubles, dbl, dbl, dbl, size,
+                                 doubles, ints, ints, ints, ints, doubles,
+                                 ints)
+    lib.sturm_count.restype = lib.sturm_bisect.restype = None
+    return lib.sturm_count, lib.sturm_bisect
+
+
+def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
+                 pivmin: float, ab: np.ndarray, nab: np.ndarray,
+                 nitmax: Optional[np.ndarray] = None):
+    """`_laebz`'s IJOB `ijob` on a batch of windows, in place: row i of ab
+    (float, C order) is window i and row i of nab (int64, C order) the
+    counts at its ends.  IJOB 1 writes those counts; IJOB 2, given them,
+    bisects each window in at most nitmax[i] steps and returns each
+    window's INFO and the steps it made (int64 arrays).
+
+    The kernel (`_sturm_kernel`) advances every window's Sturm chain in the
+    same pass over the matrix; where it cannot be built or loaded, each
+    window goes through `_laebz`, with the same bits.  That takes one step
+    per call, so that the steps are exact, at about 44 us of ctypes per
+    call: some 9 ms of a 10-level warm solve, 3 % of it at 200001 points
+    and 14 % at 40001.
+    """
+    w = len(ab)
+    if (e.size != d.size - 1 or e2.size != d.size - 1 or ab.shape != (w, 2)
+            or nab.shape != (w, 2)
+            or (ijob == 2 and np.shape(nitmax) != (w,))):
+        raise ValueError("arrays do not fit the matrix")
+    info, steps = np.ones(w, dtype=np.int64), np.zeros(w, dtype=np.int64)
+    kernel = _sturm_kernel()
+    if kernel is not None and ijob == 1:
+        kernel[0](d.size, d, e2, pivmin, 2 * w, ab, nab, np.empty(2 * w))
+    elif kernel is not None:
+        kernel[1](d.size, d, e2, pivmin, _BISECT_TOL, 2 * np.finfo(float).eps,
+                  w, ab, nab, np.ascontiguousarray(nitmax, dtype=np.int64),
+                  steps, info, np.empty(2 * w),
+                  np.empty(2 * w, dtype=np.int64))
+    else:
+        integer = _lapack("dlaebz")[1]
+        for i, (window, counts) in enumerate(zip(ab, nab)):
+            pair = counts.astype(integer)
+            if ijob == 1:
+                _laebz(1, d, e, e2, pivmin, window, pair)
+            while ijob == 2 and info[i] == 1 and steps[i] < nitmax[i]:
+                info[i] = _laebz(2, d, e, e2, pivmin, window, pair, 1)
+                steps[i] += 1
+            counts[:] = pair
+    return (info, steps) if ijob == 2 else None
+
+
 def _warm_values(op: DiscretizedOperator, k: int):
     """The lowest k eigenvalues bisected inside predicted windows, or None
     when a coarse grid fails or the windows cannot be certified.
 
     The windows must be disjoint and ascending, and the matrix must not
-    split into blocks.  One thread pool runs the coarse solves, then
-    bisects each window j (`dlaebz`, IJOB 2) `_PROBE_STEPS` steps as if
-    N(lower) = j and N(upper) = j + 1: a probe moves the lower end only if
-    it counts at most j, the upper end only if at least j + 1.  A window
-    with an end that no probe moved has its ends counted (IJOB 1): if it
-    holds no value it is widened about its centre by `_WIDEN_FACTOR`, clear
-    of its neighbours, and started again, at most `_WIDEN_TRIES` times, and
-    counts other than (j, j + 1) are refused.  Then every window finishes
-    its bisection, concurrently; each value is bit for bit the one `dstebz`
-    gives for level j on that window.  Callers ignore floating-point errors
-    here: an overflow shows as a non-finite window or pivot floor, which is
-    refused.
+    split into blocks.  One thread pool runs the coarse solves, then hands
+    each worker its share of the windows (j::`_WORKERS`), one
+    `_sturm_batch` call per share and phase.  The probes bisect each window
+    j (`dlaebz`, IJOB 2) `_PROBE_STEPS` steps as if N(lower) = j and
+    N(upper) = j + 1: a probe moves the lower end only if it counts at most
+    j, the upper end only if at least j + 1.  A window with an end that no
+    probe moved has its ends counted (IJOB 1): if it holds no value it is
+    widened about its centre by `_WIDEN_FACTOR`, clear of its neighbours,
+    and started again, at most `_WIDEN_TRIES` times, and counts other than
+    (j, j + 1) are refused.  Then every window finishes its bisection; each
+    value is bit for bit the one `dstebz` gives for level j on that window.
+    Callers ignore floating-point errors here: an overflow shows as a
+    non-finite window or pivot floor, which is refused.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -449,25 +597,39 @@ def _warm_values(op: DiscretizedOperator, k: int):
     if sturm is None:
         return None
     e2, pivmin = sturm
-    integer = _lapack("dlaebz")[1]
+    _sturm_kernel()             # built here, so that no thread builds it
     # row j: window j's interval, and the counts at its ends
     ab = np.empty((k, 2))
-    nab = np.empty((k, 2), dtype=integer)
-    expected = np.arange(k)[:, None] + [0, 1]
-    running = [1] * k       # the INFO of each window's probes: 0 once done
+    nab = np.empty((k, 2), dtype=np.int64)
+    expected = np.arange(k, dtype=np.int64)[:, None] + [0, 1]
+    running = np.ones(k, dtype=np.int64)    # each window's INFO: 0 once done
 
-    def probe(j):
-        window = np.array([lower[j], upper[j]])
-        ab[j], nab[j] = window, expected[j]
-        running[j] = _laebz(2, d, e, e2, pivmin, ab[j], nab[j], _PROBE_STEPS)
-        unmoved = np.any(ab[j] == window)
-        return unmoved and _laebz(1, d, e, e2, pivmin, window, nab[j])
+    def shares(windows):
+        return [windows[w::_WORKERS]
+                for w in range(min(_WORKERS, len(windows)))]
 
-    def finish(j):
+    def probe(share):
+        window = np.column_stack((lower[share], upper[share]))
+        rows, counts = window.copy(), expected[share]
+        running[share] = _sturm_batch(2, d, e, e2, pivmin, rows, counts,
+                                      np.full(len(share), _PROBE_STEPS))[0]
+        unmoved = np.any(rows == window, axis=1)
+        if np.any(unmoved):
+            ends = counts[unmoved]
+            _sturm_batch(1, d, e, e2, pivmin, window[unmoved], ends)
+            counts[unmoved] = ends
+        ab[share], nab[share] = rows, counts
+
+    def finish(share):
+        share = share[running[share] != 0]
         # `dstebz`'s cap on the number of steps, less those taken
-        steps = int((math.log(upper[j] - lower[j] + pivmin) - math.log(pivmin))
-                    / math.log(2.0)) + 2 - _PROBE_STEPS
-        return running[j] and _laebz(2, d, e, e2, pivmin, ab[j], nab[j], steps)
+        caps = [int((math.log(upper[j] - lower[j] + pivmin) - math.log(pivmin))
+                    / math.log(2.0)) + 2 - _PROBE_STEPS for j in share]
+        rows = ab[share]
+        info = _sturm_batch(2, d, e, e2, pivmin, rows, nab[share],
+                            np.array(caps, dtype=np.int64))[0]
+        ab[share] = rows
+        return np.any(info)
 
     with ThreadPoolExecutor(_WORKERS) as pool:
         try:
@@ -478,10 +640,9 @@ def _warm_values(op: DiscretizedOperator, k: int):
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
                 and np.all(lower < upper) and np.all(upper[:-1] <= lower[1:])):
             return None
-        todo = range(k)
+        todo = np.arange(k)
         for tries in range(_WIDEN_TRIES + 1):
-            if any(list(pool.map(probe, todo))):    # every result read
-                return None
+            list(pool.map(probe, shares(todo)))     # every result read
             missed = np.flatnonzero(np.any(nab != expected, axis=1))
             if not missed.size:
                 break
@@ -494,15 +655,14 @@ def _warm_values(op: DiscretizedOperator, k: int):
                 upper[j] = min(centre[j] + half[j],
                                lower[j + 1] if j + 1 < k else np.inf)
             todo = missed
-        # the top windows are the widest and take the most steps; handing
-        # them out first leaves short ones for the end
-        if any(list(pool.map(finish, range(k - 1, -1, -1)))):
+        if any(list(pool.map(finish, shares(np.arange(k))))):
             return None
     return 0.5 * (ab[:, 0] + ab[:, 1])
 
 
 def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
-    """Lowest k eigenvalues, ascending, by LAPACK bisection alone.
+    """Lowest k eigenvalues, ascending, by LAPACK's bisection arithmetic
+    alone (`dstebz`, and `dlaebz`'s in the warm windows).
 
     The plain path bisects levels 0..k-1 by index over the whole spectrum.
     An operator from `discretize` on at least `_WARM_MIN` points, asked for

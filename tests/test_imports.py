@@ -132,3 +132,13 @@ def test_every_traced_name_is_a_function_of_its_layer():
             fn = getattr(module, name, None)
             assert callable(fn), f"pdmlag.{layer}.{name}"
             assert fn.__module__ == module.__name__, f"pdmlag.{layer}.{name}"
+
+
+def test_the_sturm_kernel_source_is_package_data():
+    # the solver reads the warm start's kernel through importlib.resources,
+    # so an installed package must carry it
+    from importlib import resources
+
+    source = resources.files("pdmlag").joinpath("_sturm.c")
+    assert source.is_file()
+    assert b"void sturm_bisect(" in source.read_bytes()

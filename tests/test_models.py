@@ -200,6 +200,32 @@ def test_case2_wavefunction_domain():
         wavefunction(p, 0, -0.5)
 
 
+@pytest.mark.parametrize("model", [
+    Case1Params(Fraction(3, 2), Fraction(7, 3), 2),
+    Case2Params(1, Fraction(19, 7), 4),
+], ids=["case1", "case2"])
+def test_wavefunction_checks_n_once_and_builds_no_family(monkeypatch, model):
+    # the model's constructor checked m and alpha; the state checks n alone
+    import pdmlag.orthopoly as orthopoly
+
+    x = np.linspace(*default_domain(model, 3), 201)
+    values = [wavefunction(model, 3, x), wavefunction(model, 3, float(x[50]))]
+    checked = []
+    for module in (models, orthopoly):
+        def recording(value, name, *bounds, check=module._integer):
+            checked.append(name)
+            return check(value, name, *bounds)
+        monkeypatch.setattr(module, "_integer", recording)
+
+    def no_family(m, alpha):
+        raise AssertionError("a family spec was built")
+
+    monkeypatch.setattr(orthopoly, "_family_params", no_family)
+    assert wavefunction(model, 3, x).tobytes() == values[0].tobytes()
+    assert wavefunction(model, 3, float(x[50])) == values[1]
+    assert checked == ["n", "n"]
+
+
 def _quad_norm_constant(model, n: int) -> float:
     """Reference normalizer of the state, by adaptive quadrature.
 

@@ -11,6 +11,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,20 +455,18 @@ def test_warm_start_never_falls_back(monkeypatch, model, k, npoints):
 
 
 def _counting_passes(monkeypatch):
-    """Sturm passes over the fine matrix, recorded per `_laebz` call: two
-    per pair of endpoint counts, one per halving of a bisected window.  The
-    host is too noisy to time."""
+    """Sturm passes over the fine matrix, recorded per `_sturm_batch` call:
+    two per window whose ends are counted, and each window's reported steps
+    of bisection.  The host is too noisy to time."""
     counted = []
-    laebz = solver._laebz
+    batch = solver._sturm_batch
 
-    def counting(ijob, d, e, e2, pivmin, ab, nab, nitmax=0):
-        width = ab[1] - ab[0]
-        info = laebz(ijob, d, e, e2, pivmin, ab, nab, nitmax)
-        counted.append(2 if ijob == 1
-                       else round(math.log2(width / (ab[1] - ab[0]))))
-        return info
+    def counting(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
+        out = batch(ijob, d, e, e2, pivmin, ab, nab, nitmax)
+        counted.append(2 * len(ab) if ijob == 1 else int(out[1].sum()))
+        return out
 
-    monkeypatch.setattr(solver, "_laebz", counting)
+    monkeypatch.setattr(solver, "_sturm_batch", counting)
     return counted
 
 
@@ -618,8 +617,19 @@ def test_warm_start_widens_a_window_missed_by_rounding():
     # fell back
     k = 4
     op = _model_op(Case2Params(1, Fraction(15, 7), 3), k, 200001)
-    warm = solver._warm_values(op, k)
+    probed = []
+    batch = solver._sturm_batch
+
+    def recording(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
+        if ijob == 2 and np.all(nitmax == solver._PROBE_STEPS):
+            probed.append(len(ab))
+        return batch(ijob, d, e, e2, pivmin, ab, nab, nitmax)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_sturm_batch", recording)
+        warm = solver._warm_values(op, k)
     assert warm is not None, "fell back"
+    assert sum(probed) == k + 1                 # level 0's window twice
     assert np.all(np.abs(warm - _index_bisection(op, k)) <= 1e-12)
     oracle, widened = _dstebz_windows(op, k)
     assert widened and warm.tobytes() == oracle.tobytes()
@@ -646,18 +656,18 @@ def test_window_with_an_end_no_probe_moved_is_counted(monkeypatch, model):
     op = _model_op(model, k, 40001)
     monkeypatch.setattr(solver, "_predicted_windows",
                         _levels_at_the_window_ends(solver._predicted_windows))
-    calls = []
-    laebz = solver._laebz
+    windows = {1: 0, 2: 0}
+    batch = solver._sturm_batch
 
-    def recording(ijob, *args, **kwargs):
-        calls.append(ijob)
-        return laebz(ijob, *args, **kwargs)
+    def recording(ijob, d, e, e2, pivmin, ab, *args):
+        windows[ijob] += len(ab)
+        return batch(ijob, d, e, e2, pivmin, ab, *args)
 
-    monkeypatch.setattr(solver, "_laebz", recording)
+    monkeypatch.setattr(solver, "_sturm_batch", recording)
     warm = solver._warm_values(op, k)
     assert warm is not None, "fell back"
     # each window: its probes, the count of its ends, the rest of its steps
-    assert sorted(calls) == [1] * k + [2] * (2 * k)
+    assert windows == {1: k, 2: 2 * k}
     oracle, widened = _dstebz_windows(op, k)
     assert not widened and warm.tobytes() == oracle.tobytes()
 
@@ -732,8 +742,8 @@ def test_warm_start_does_not_depend_on_thread_count(monkeypatch, model):
 @pytest.mark.parametrize("breaker, sequence", [
     (_level_one_repeats_level_zero, []),   # refused before any Sturm count
     # every window holds the level above its own, so no probe moves its
-    # lower end: refused by the counts that follow each window's probes
-    (_shift_up_one_level, [2, 1] * 10),
+    # lower end: refused by the counts that follow the windows' probes
+    (_shift_up_one_level, [(2, 10), (1, 10)]),
 ], ids=["overlapping-windows", "shifted-predictions"])
 def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
                                                        sequence):
@@ -742,7 +752,7 @@ def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
     monkeypatch.setattr(solver, "_WORKERS", 1)     # the calls in order
     monkeypatch.setattr(solver, "_predicted_windows",
                         breaker(solver._predicted_windows))
-    stebz, laebz = solver._stebz, solver._laebz
+    stebz, batch = solver._stebz, solver._sturm_batch
     calls = []
 
     def stebz_counting(d, e, *args):
@@ -750,12 +760,13 @@ def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
             calls.append("dstebz")
         return stebz(d, e, *args)
 
-    def laebz_counting(ijob, *args, **kwargs):
-        calls.append(ijob)                    # 1: endpoint counts, 2: bisection
-        return laebz(ijob, *args, **kwargs)
+    def batch_counting(ijob, d, e, e2, pivmin, ab, *args):
+        # 1: endpoint counts, 2: bisection; and the windows of the batch
+        calls.append((ijob, len(ab)))
+        return batch(ijob, d, e, e2, pivmin, ab, *args)
 
     monkeypatch.setattr(solver, "_stebz", stebz_counting)
-    monkeypatch.setattr(solver, "_laebz", laebz_counting)
+    monkeypatch.setattr(solver, "_sturm_batch", batch_counting)
     assert solver._warm_values(op, k) is None
     assert calls == sequence
 
@@ -887,30 +898,34 @@ def _raise(*args, **kwargs):
 
 
 def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
-    # and `dlaebz`, which the warm windows call: the three routines of
-    # `solver._binding`, and nothing of scipy's
+    # the routines of `solver._binding`, and nothing of scipy's; the warm
+    # windows call `dlaebz` only where the batch kernel cannot be loaded
     import scipy.linalg
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _raise)
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", _raise)
-    names = []
-    lapack = solver._lapack
-
-    def recording(name):
-        names.append(name)
-        return lapack(name)
-
-    monkeypatch.setattr(solver, "_lapack", recording)
+    lapack, kernel = solver._lapack, solver._sturm_kernel
     k = 10
     model = Case2Params(3, Fraction(19, 7), 4)
-    for npoints in (4001, 40001):           # the plain path, then the warm one
-        op = _model_op(model, k, npoints)
-        assert lowest_eigenvalues(op, k).shape == (k,)
-        assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)
-    monkeypatch.setattr(solver, "_predicted_windows",
-                        _shift_up_one_level(solver._predicted_windows))
-    assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)  # fallback
-    assert set(names) == {"dstebz", "dstein", "dlaebz"}
+    for loaded in (kernel, lambda: None):
+        names = []
+
+        def recording(name):
+            names.append(name)
+            return lapack(name)
+
+        monkeypatch.setattr(solver, "_lapack", recording)
+        monkeypatch.setattr(solver, "_sturm_kernel", loaded)
+        for npoints in (4001, 40001):       # the plain path, then the warm one
+            op = _model_op(model, k, npoints)
+            assert lowest_eigenvalues(op, k).shape == (k,)
+            assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_predicted_windows",
+                          _shift_up_one_level(solver._predicted_windows))
+            assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)
+        assert set(names) == ({"dstebz", "dstein"} if loaded() is not None
+                              else {"dstebz", "dstein", "dlaebz"})
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +1008,165 @@ def test_one_numpy_symbol_alone_falls_back_for_both(monkeypatch, rebind,
     warm = solver._warm_values(op, 10)
     assert warm is not None, "fell back"
     assert warm.tobytes() == _dstebz_windows(op, 10)[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel of the warm windows against `dlaebz`
+
+def _laebz_one_by_one(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
+    """Reference for `solver._sturm_batch`: each window in one `_laebz`
+    call, with the whole cap for IJOB 2.  Returns ab, nab (as int64) and,
+    for IJOB 2, each window's INFO."""
+    integer = solver._lapack("dlaebz")[1]
+    ab, nab = ab.copy(), nab.astype(integer)
+    caps = nitmax if ijob == 2 else np.zeros(len(ab))
+    info = [solver._laebz(ijob, d, e, e2, pivmin, window, counts, int(cap))
+            for window, counts, cap in zip(ab, nab, caps)]
+    return ab, nab.astype(np.int64), np.array(info, dtype=np.int64)
+
+
+def _batch_is_dlaebz(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
+    """`solver._sturm_batch` through the kernel and through `_laebz`, which
+    takes one step per call, gives the reference's bytes, and the two give
+    the same steps; returns the reference and those steps."""
+    ref = _laebz_one_by_one(ijob, d, e, e2, pivmin, ab, nab, nitmax)
+    outs = []
+    for loaded in (solver._sturm_kernel, lambda: None):
+        rows, counts = ab.copy(), nab.astype(np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_sturm_kernel", loaded)
+            outs.append(solver._sturm_batch(ijob, d, e, e2, pivmin, rows,
+                                            counts, nitmax))
+        assert rows.tobytes() == ref[0].tobytes()
+        assert counts.tobytes() == ref[1].tobytes()
+    if ijob == 1:
+        return (*ref, None)
+    (info, steps), (one_info, one_steps) = outs
+    assert info.tobytes() == one_info.tobytes() == ref[2].tobytes()
+    assert steps.tobytes() == one_steps.tobytes()
+    return (*ref, steps)
+
+
+def _phases_are_dlaebz(op, lower, upper):
+    """The phases of `solver._warm_values` on the windows [lower, upper],
+    each as one batch: probes of `_PROBE_STEPS` steps as if window j held
+    level j, the counts at the window ends, and a bisection of each window
+    from those counts under `dstebz`'s cap (which also meets windows whose
+    counts differ by 0 or by more than 1)."""
+    d, e = op.diag, op.offdiag
+    e2, pivmin = solver._sturm_squares(d, e)
+    k = lower.size
+    window = np.column_stack((lower, upper))
+    expected = np.arange(k)[:, None] + [0, 1]
+    _batch_is_dlaebz(2, d, e, e2, pivmin, window, expected,
+                     np.full(k, solver._PROBE_STEPS))
+    counts = _batch_is_dlaebz(1, d, e, e2, pivmin, window, expected)[1]
+    caps = [int((math.log(hi - lo + pivmin) - math.log(pivmin))
+                / math.log(2.0)) + 2 for lo, hi in window]
+    return _batch_is_dlaebz(2, d, e, e2, pivmin, window, counts,
+                            np.array(caps))
+
+
+def test_the_kernel_builds_and_loads_here(kernel_cache):
+    # a silent fallback to `dlaebz` would keep the bits and lose the speed
+    assert solver._sturm_kernel() is not None
+    assert Path(solver._built_kernel()).parent == kernel_cache
+
+
+@pytest.mark.parametrize("model, k, npoints", _NO_FALLBACK[:16],
+                         ids=[_label(*problem) for problem in
+                              _NO_FALLBACK[:16]])
+def test_batches_are_dlaebz_over_the_benchmark_space(model, k, npoints):
+    op = _model_op(model, k, npoints)
+    centre, half = solver._predicted_windows(op, k)
+    _phases_are_dlaebz(op, centre - half, centre + half)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, len(_PERTURBED) - 1),
+       st.lists(st.floats(-3, 3), min_size=10, max_size=10))
+def test_batches_are_dlaebz_on_perturbed_windows(index, shifts):
+    # the windows of `test_perturbed_windows_give_their_own_level`
+    op, (centre, half), _ = _perturbed_problem(index)
+    moved = centre + np.array(shifts) * half
+    _phases_are_dlaebz(op, moved - half, moved + half)
+
+
+@pytest.mark.parametrize("row, coupling", [(0, 0.0), (1, 0.0), (0, 1e-150)],
+                         ids=["row0", "row1", "row0-coupled"])
+@pytest.mark.parametrize("pivot, counted", [
+    (1.0, (0, 1)), (0.5, (1, 1)), (0.0, (1, 1)), (-0.5, (1, 1)),
+    (-1.0, (1, 1)),
+], ids=["pivmin", "half-pivmin", "zero", "minus-half-pivmin", "minus-pivmin"])
+def test_pivot_rules_are_dlaebz(pivot, counted, row, coupling):
+    # a 2x2 matrix whose pivot of row `row` at shift 0 is `pivot` times
+    # pivmin, the other diagonal entry 1: IJOB 1 counts it when |t| < pivmin
+    # and then t <= 0, IJOB 2 when t <= pivmin (then t = min(t, -pivmin)).
+    # Uncoupled, the count is that rule alone; coupled, the pivot that
+    # replaced t sets the sign of the next row's
+    pivmin = np.finfo(float).tiny
+    d, e = np.ones(2), np.array([coupling])
+    d[row] = pivot * pivmin
+    counts = _batch_is_dlaebz(1, d, e, e * e, pivmin, np.array([[0.0, 2.0]]),
+                              np.zeros((1, 2)))[1]
+    # a step from the counts (0, 2) at the window [-2, 2] probes 0: it
+    # moves the lower end on a count of 0, the upper on 2, and stops on 1
+    ab, _, info, steps = _batch_is_dlaebz(2, d, e, e * e, pivmin,
+                                          np.array([[-2.0, 2.0]]),
+                                          np.array([[0, 2]]), np.array([1]))
+    assert steps[0] == 1
+    if not coupling:
+        assert counts[0, 0] == counted[0]
+        assert (info[0] == 2) == bool(counted[1])
+        assert (ab[0, 0] == 0.0) == (not counted[1])
+
+
+def test_a_step_that_counts_between_the_ends_stops_as_dlaebz_stops():
+    # `dlaebz` with one interval returns INFO = MMAX + 1 = 2, the window as
+    # it was: the probe at 0 of [-2, 2] counts 1 of the matrix's 2 values
+    d, e = np.array([-1.0, 1.0]), np.zeros(1)
+    window = np.array([[-2.0, 2.0]])
+    ab, nab, info, steps = _batch_is_dlaebz(2, d, e, e * e,
+                                            np.finfo(float).tiny, window,
+                                            np.array([[0, 2]]),
+                                            np.array([5]))
+    assert info[0] == 2 and steps[0] == 1
+    assert ab.tobytes() == window.tobytes() and nab.tolist() == [[0, 2]]
+
+
+@pytest.fixture
+def rebuild():
+    """Clears the loaded kernel before the test and after it."""
+    solver._sturm_kernel.cache_clear()
+    yield solver._sturm_kernel.cache_clear
+    solver._sturm_kernel.cache_clear()
+
+
+def test_without_a_compiler_the_warm_start_gives_the_same_bytes(monkeypatch,
+                                                                rebuild):
+    import sysconfig
+
+    ops = [_model_op(model, 10, 40001) for model in (_CASE1, _CASE2)]
+    assert solver._sturm_kernel() is not None
+    built = [lowest_eigenvalues(op, 10).tobytes() for op in ops]
+    config = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "pdmlag-no-such-compiler" if name == "CC"
+                        else config(name))
+    rebuild()
+    assert solver._sturm_kernel() is None
+    assert [lowest_eigenvalues(op, 10).tobytes() for op in ops] == built
+
+
+def test_an_unwritable_cache_builds_in_a_directory_of_its_own(monkeypatch,
+                                                              tmp_path,
+                                                              rebuild):
+    blocked = tmp_path / "file"
+    blocked.write_text("")                  # no directory can be made in it
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    path = Path(solver._built_kernel())
+    assert path.is_file() and blocked not in path.parents
+    assert solver._sturm_kernel() is not None
 
 
 @pytest.mark.parametrize("npoints", [4001, 40001])   # plain path, warm path
