@@ -5,12 +5,13 @@ at grid midpoints, which keeps the matrix exactly symmetric and 2nd-order
 accurate; boundaries are Dirichlet.  `discretize` samples the coefficients
 and fills the matrix in blocks of `_BLOCK` points, so that it allocates the
 grid and the matrix and nothing else of their size.  Eigenvalues come from
-Sturm bisection (Barth, Martin & Wilkinson) on the tridiagonal matrix:
-LAPACK `dstebz` over the whole spectrum, or its kernel `dlaebz` inside the
-warm start's windows; eigenvectors come from one inverse iteration (LAPACK
-`dstein`) on those values, with the matrix as one block, and only where a
-caller asks for them (`eigen_lowest`, `solve_model`).  The three routines
-are called through one ctypes binding, made on the first solve, to the
+Sturm bisection (Barth, Martin & Wilkinson) on the tridiagonal matrix, in
+LAPACK's arithmetic: `dstebz`'s index bisection over the whole spectrum (the
+plain path), or its kernel `dlaebz`'s inside the warm start's windows, both
+run in a C kernel (below); eigenvectors come from one inverse iteration
+(LAPACK `dstein`) on those values, with the matrix as one block, and only
+where a caller asks for them (`eigen_lowest`, `solve_model`).  The LAPACK
+routines are called through one ctypes binding, made on first use, to the
 OpenBLAS that numpy's wheel already loads; so no part of the solver loads a
 scipy submodule.  Only where numpy exports no such routines (a numpy built
 from source, or on MKL or Accelerate) are all three taken from
@@ -37,17 +38,22 @@ so the coarse solves, the counts and the windows run on one pool of up to one
 thread per available CPU; each result depends only on its own inputs, so the
 values do not depend on the number of threads.
 
-The windows' counts and bisections are `dlaebz`'s, run by a small C kernel,
-`_sturm.c`, that advances the Sturm chains of a whole batch of windows in the
-same pass over the matrix: each row's divisions for different windows do
-not wait on each other, where `dlaebz` runs one window's chain at a time.
-Each chain keeps `dlaebz`'s arithmetic and order, so the bits are its own.
-The kernel is compiled on the first warm solve, never at import, with the
-compiler Python was built with (`_KERNEL_FLAGS`), into a file named by the
-hash of source and command in pdmlag's folder of the user cache directory
-(a directory of the process's own where that cannot be written), and loaded
-through ctypes.  Where it cannot be built or loaded, each window goes through
-`dlaebz` instead, with the same bits.
+The Sturm chains run in a small C kernel, `_sturm.c`, that advances the
+chains of many intervals in the same pass over the matrix: each row's
+divisions for different intervals do not wait on each other, where
+`dlaebz` runs one chain at a time.  The plain path is `dstebz`'s steps for a
+matrix that does not split (its Gershgorin interval, `dlaebz`'s search for
+the points that count 0 and k, and a bisection that splits an interval
+where it holds more than one value), and the windows' counts and
+bisections are `dlaebz`'s; each chain keeps LAPACK's arithmetic and order,
+so the bits are LAPACK's.  The kernel is compiled on the first
+finite-difference solve, never at import, with the compiler Python was
+built with (`_KERNEL_FLAGS`), into a file named by the hash of source and
+command in pdmlag's folder of the user cache directory (a directory of the
+process's own where that cannot be written), and loaded through ctypes.
+Where it cannot be built or loaded, the plain path calls `dstebz` and each
+window `dlaebz` instead, with the same bits; so does the plain path for a
+matrix that `dstebz` would split into blocks.
 """
 from __future__ import annotations
 
@@ -72,14 +78,16 @@ _BISECT_TOL = 1e-12
 # for the grid in one piece.
 _BLOCK = 16384
 
-# Warm start (see `lowest_eigenvalues`).  On one thread, with the batch
-# kernel, it breaks even with the plain path at about 4001 points for 10
-# levels and 4001-6001 for 40 (through `dlaebz` alone, 6001 and
-# 12001-16001), measured on Case 1 b = 3/2 alpha = 7/3 m = 2 and Case 2
-# eta = 3 alpha = 19/7 m = 4.  The bound stays where it was: grids of 12001
-# points or fewer, which are all that `verify` and the CLI defaults use,
-# keep the plain path's bits.  From about 60 levels the 501-point grid no
-# longer resolves the top levels, and some solves fall back.
+# Warm start (see `lowest_eigenvalues`).  On one thread, both paths in the
+# kernel, it breaks even with the plain path at about 6001-8001 points for
+# 10 levels and 8001-12001 for 40, measured on Case 1 b = 3/2 alpha = 7/3
+# m = 2 and Case 2 eta = 3 alpha = 19/7 m = 4: warm/plain time 1.14 and
+# 0.81 at 6001 points, 0.85 and 0.58 at 8001 for 10 levels; 1.10 and 0.98
+# at 8001, 0.99 and 0.80 at 12001 for 40.  The bound stays where it was:
+# grids of 32008 points or fewer, which include all that `verify` and the
+# CLI defaults use, keep the plain path's bits.  From about 60 levels the
+# 501-point grid no longer resolves the top levels, and some solves fall
+# back.
 _WARM_MIN = 32009
 _WARM_MAX_K = 40
 # Nested grids of 500, 1000 and 2000 intervals; the 2001-point solve is the
@@ -307,11 +315,12 @@ def _binding():
                               ints, columns, num, doubles, ints, ints,
                               num)(stein_at)
     # IJOB NITMAX N MMAX MINP NBMIN ABSTOL RELTOL PIVMIN D E E2 NVAL AB C
-    # MOUT NAB WORK IWORK INFO
+    # MOUT NAB WORK IWORK INFO, the arrays as plain pointers: `_laebz`
+    # checks them once for many calls
+    ptr = ctypes.c_void_p
     dlaebz = ctypes.CFUNCTYPE(None, num, num, num, num, num, num, dbl, dbl,
-                              dbl, doubles, doubles, doubles, ints, doubles,
-                              doubles, num, ints, doubles, ints,
-                              num)(laebz_at)
+                              dbl, ptr, ptr, ptr, ptr, ptr, ptr, num, ptr,
+                              ptr, ptr, num)(laebz_at)
     if fortran:
         def dstebz(*args):
             raw_stebz(*args, 1, 1)
@@ -370,7 +379,8 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
     massfn, potfn = op.coefficients
     coarse = [discretize(massfn, potfn, Grid(op.grid.lo, op.grid.hi, npoints))
               for npoints in ladder]
-    _lapack("dstebz")           # bound here, so that no thread binds it
+    if _sturm_kernel() is None:     # built or bound here, not in a thread
+        _lapack("dstebz")
     fits = list(pmap(lambda c: lowest_eigenvalues(c, k), reversed(coarse)))
     fits.reverse()
     levels = fits
@@ -401,42 +411,57 @@ def _sturm_squares(d: np.ndarray, e: np.ndarray):
     squares overflow."""
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     e2 = e * e
-    negligible = d[1:] * d[:-1]
+    with np.errstate(over="ignore"):    # an infinite product splits there too
+        negligible = d[1:] * d[:-1]
     np.abs(negligible, out=negligible)
     negligible *= eps * eps
     negligible += tiny
     if np.any(negligible > e2):
         return None
-    return e2, max(1.0, float(e2.max())) * tiny
+    return e2, max(1.0, float(e2.max(initial=0.0))) * tiny
 
 
 def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
            pivmin: float, ab: np.ndarray, nab: np.ndarray,
-           nitmax: int = 0) -> int:
-    """One `dlaebz` call on one interval ab = [lo, hi] of the matrix (d, e),
+           nitmax: int = 0) -> Callable[[], int]:
+    """A `dlaebz` call on one interval ab = [lo, hi] of the matrix (d, e),
     as `dstebz` makes it for an unsplit matrix: IJOB 1 writes the Sturm
     counts N(lo) and N(hi) to nab, and IJOB 2, given those counts, bisects
     the interval in place, to `_BISECT_TOL` and in at most nitmax steps.
-    Returns INFO."""
+
+    Returns a function that makes the call and returns INFO, each time it
+    is called, with the arguments checked and converted once, so that ab
+    and nab carry a bisection from one call to the next.  The arrays are
+    float, except nab, of `dlaebz`'s integer type.
+    """
     import ctypes
 
     n = d.size
-    if e.size != n - 1 or e2.size != n - 1 or ab.size != 2 or nab.size != 2:
-        raise ValueError("arrays do not fit the matrix")
     dlaebz, integer = _lapack("dlaebz")
-    one = ctypes.byref(integer(1))
+    arrays = (d, e, e2, nab, ab)
+    if (any(a.ndim != 1 or not a.flags.c_contiguous for a in arrays)
+            or any(a.dtype != np.double for a in (d, e, e2, ab))
+            or nab.dtype != np.dtype(integer)
+            or e.size != n - 1 or e2.size != n - 1 or ab.size != 2
+            or nab.size != 2):
+        raise ValueError("arrays do not fit the matrix")
     mout, info = integer(), integer()
+    d_at, e_at, e2_at, nab_at, ab_at = (a.ctypes.data for a in arrays)
     # MMAX = MINP = 1 and NBMIN = 0, the serial loop `dstebz` runs; the
     # relative tolerance is `dstebz`'s 2 ulp; nab stands in for NVAL, which
     # only IJOB 3 reads
-    dlaebz(ctypes.byref(integer(ijob)), ctypes.byref(integer(nitmax)),
-           ctypes.byref(integer(n)), one, one, ctypes.byref(integer(0)),
-           ctypes.byref(ctypes.c_double(_BISECT_TOL)),
-           ctypes.byref(ctypes.c_double(2 * np.finfo(float).eps)),
-           ctypes.byref(ctypes.c_double(pivmin)), d, e, e2, nab, ab,
-           np.empty(1), ctypes.byref(mout), nab, np.empty(1),
-           np.empty(1, dtype=integer), ctypes.byref(info))
-    return info.value
+    args = (*(ctypes.byref(integer(v)) for v in (ijob, nitmax, n, 1, 1, 0)),
+            *(ctypes.byref(ctypes.c_double(v))
+              for v in (_BISECT_TOL, 2 * np.finfo(float).eps, pivmin)),
+            d_at, e_at, e2_at, nab_at, ab_at, (ctypes.c_double * 1)(),
+            ctypes.byref(mout), nab_at, (ctypes.c_double * 1)(),
+            (integer * 1)(), ctypes.byref(info))
+
+    def call(held=arrays):      # the arrays outlive their pointers
+        dlaebz(*args)
+        return info.value
+
+    return call
 
 
 # How `_sturm.c` is built, with the compiler Python was built with; no
@@ -453,9 +478,11 @@ def _built_kernel() -> Optional[str]:
     the user cache directory (`XDG_CACHE_HOME`, else ~/.cache), or in a
     directory of this process's own, removed at exit, where that cannot be
     written; it is written whole or not at all, so that processes that
-    build at the same time each load a complete library.
+    build at the same time each load a complete library.  A new build
+    removes the folder's builds of other sources or commands.
     """
     import atexit
+    import contextlib
     import shlex
     import shutil
     import subprocess
@@ -497,14 +524,21 @@ def _built_kernel() -> Optional[str]:
         if os.path.exists(partial):     # the compiler removes it on failure
             os.unlink(partial)
         return None
+    with contextlib.suppress(OSError):
+        for other in os.listdir(folder):
+            if (other.startswith("_sturm-") and other.endswith(suffix)
+                    and other != name):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(folder, other))
     return os.path.join(folder, name)
 
 
 @cache
 def _sturm_kernel():
-    """The routines `sturm_count` and `sturm_bisect` of `_sturm.c`, bound
-    through ctypes on the first call (`_built_kernel`), or None where the
-    kernel cannot be built or loaded.  A ctypes call releases the GIL."""
+    """`_sturm.c` loaded through ctypes on the first call (`_built_kernel`),
+    with its routines `sturm_count`, `sturm_bisect` and `sturm_select`
+    bound, or None where the kernel cannot be built or loaded.  A ctypes
+    call releases the GIL."""
     import ctypes
 
     path = _built_kernel()
@@ -524,8 +558,12 @@ def _sturm_kernel():
     lib.sturm_bisect.argtypes = (size, doubles, doubles, dbl, dbl, dbl, size,
                                  doubles, ints, ints, ints, ints, doubles,
                                  ints)
+    # N D E E2 PIVMIN ABSTOL IL IU W RESULT WORK IWORK
+    lib.sturm_select.argtypes = (size, doubles, doubles, doubles, dbl, dbl,
+                                 size, size, doubles, ints, doubles, ints)
     lib.sturm_count.restype = lib.sturm_bisect.restype = None
-    return lib.sturm_count, lib.sturm_bisect
+    lib.sturm_select.restype = None
+    return lib
 
 
 def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
@@ -539,10 +577,9 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
 
     The kernel (`_sturm_kernel`) advances every window's Sturm chain in the
     same pass over the matrix; where it cannot be built or loaded, each
-    window goes through `_laebz`, with the same bits.  That takes one step
-    per call, so that the steps are exact, at about 44 us of ctypes per
-    call: some 9 ms of a 10-level warm solve, 3 % of it at 200001 points
-    and 14 % at 40001.
+    window goes through `dlaebz`, with the same bits, one step per call, so
+    that the steps are exact.  The arguments of those calls are converted
+    once per batch (`_laebz`), and the windows pass through one buffer.
     """
     w = len(ab)
     if (e.size != d.size - 1 or e2.size != d.size - 1 or ab.shape != (w, 2)
@@ -552,22 +589,25 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     info, steps = np.ones(w, dtype=np.int64), np.zeros(w, dtype=np.int64)
     kernel = _sturm_kernel()
     if kernel is not None and ijob == 1:
-        kernel[0](d.size, d, e2, pivmin, 2 * w, ab, nab, np.empty(2 * w))
+        kernel.sturm_count(d.size, d, e2, pivmin, 2 * w, ab, nab,
+                           np.empty(2 * w))
     elif kernel is not None:
-        kernel[1](d.size, d, e2, pivmin, _BISECT_TOL, 2 * np.finfo(float).eps,
-                  w, ab, nab, np.ascontiguousarray(nitmax, dtype=np.int64),
-                  steps, info, np.empty(2 * w),
-                  np.empty(2 * w, dtype=np.int64))
+        kernel.sturm_bisect(d.size, d, e2, pivmin, _BISECT_TOL,
+                            2 * np.finfo(float).eps, w, ab, nab,
+                            np.ascontiguousarray(nitmax, dtype=np.int64),
+                            steps, info, np.empty(2 * w),
+                            np.empty(2 * w, dtype=np.int64))
     else:
-        integer = _lapack("dlaebz")[1]
-        for i, (window, counts) in enumerate(zip(ab, nab)):
-            pair = counts.astype(integer)
+        window, pair = np.empty(2), np.empty(2, dtype=_lapack("dlaebz")[1])
+        step = _laebz(ijob, d, e, e2, pivmin, window, pair, 1)
+        for i in range(w):
+            window[:], pair[:] = ab[i], nab[i]
             if ijob == 1:
-                _laebz(1, d, e, e2, pivmin, window, pair)
+                step()
             while ijob == 2 and info[i] == 1 and steps[i] < nitmax[i]:
-                info[i] = _laebz(2, d, e, e2, pivmin, window, pair, 1)
+                info[i] = step()
                 steps[i] += 1
-            counts[:] = pair
+            ab[i], nab[i] = window, pair
     return (info, steps) if ijob == 2 else None
 
 
@@ -660,13 +700,40 @@ def _warm_values(op: DiscretizedOperator, k: int):
     return 0.5 * (ab[:, 0] + ab[:, 1])
 
 
+def _index_values(d: np.ndarray, e: np.ndarray, k: int):
+    """The lowest k eigenvalues of the matrix (d, e) by `dstebz`'s index
+    bisection over the whole spectrum: (m, w, info), bit for bit what
+    `_stebz(d, e, b"I", 0, 1, 1, k, _BISECT_TOL)` returns.
+
+    The kernel (`_sturm_kernel`) runs `dstebz`'s steps, with every
+    interval's Sturm chain advanced in the same pass over the matrix;
+    `_stebz` runs them where the matrix splits into blocks or the kernel
+    cannot be built or loaded.
+    """
+    kernel = _sturm_kernel()
+    sturm = None if kernel is None else _sturm_squares(d, e)
+    if sturm is None:
+        return _stebz(d, e, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
+    e2, pivmin = sturm
+    n = d.size
+    w, result = np.empty(n), np.empty(2, dtype=np.int64)
+    kernel.sturm_select(n, d, e, e2, pivmin, _BISECT_TOL, 1, k, w, result,
+                        np.empty(4 * n), np.empty(6 * n, dtype=np.int64))
+    m, info = result.tolist()
+    return m, w[:m].copy(), info
+
+
 def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
     """Lowest k eigenvalues, ascending, by LAPACK's bisection arithmetic
-    alone (`dstebz`, and `dlaebz`'s in the warm windows).
+    alone: `dstebz`'s on the plain path and `dlaebz`'s in the warm windows,
+    both run in the Sturm kernel `_sturm.c` where it can be built.
 
-    The plain path bisects levels 0..k-1 by index over the whole spectrum.
-    An operator from `discretize` on at least `_WARM_MIN` points, asked for
-    at most `_WARM_MAX_K` levels, is warm-started instead: its values are
+    The plain path bisects levels 0..k-1 by index over the whole spectrum,
+    bit for bit as `dstebz` does (`_index_values`): in the kernel, or in
+    `dstebz` itself where the kernel cannot be built or the matrix splits
+    into blocks.  An operator from `discretize` on at least `_WARM_MIN`
+    points, asked for at most `_WARM_MAX_K` levels, is warm-started
+    instead: its values are
     bisected to the same `_BISECT_TOL` inside windows predicted from coarse
     grids and certified by Sturm counts (`_warm_values`).  A warm value lies
     within `_BISECT_TOL` of the plain one; when the windows cannot be
@@ -689,7 +756,7 @@ def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
         with np.errstate(all="ignore"):
             vals = _warm_values(op, k)
     if vals is None:
-        m, vals, info = _stebz(d, e, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
+        m, vals, info = _index_values(d, e, k)
         if info or m != k:
             raise RuntimeError(f"tridiagonal eigensolve failed: bisection "
                                f"found {m} of {k} values (info={info})")

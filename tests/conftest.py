@@ -3,7 +3,7 @@
 Property tests draw a fixed sequence of examples (derandomize) and keep no
 example database, so every run of the suite checks the same cases; the
 per-example deadline is off because exact Fraction arithmetic varies in cost.
-The warm start's Sturm kernel is built in a directory of the session's own.
+The Sturm kernel is built in a directory of the session's own.
 """
 import pytest
 from hypothesis import settings

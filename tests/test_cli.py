@@ -379,6 +379,19 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_at_the_defaults_is_the_same_without_the_kernel(capsys,
+                                                                  monkeypatch,
+                                                                  fmt):
+    # the Sturm kernel runs `dstebz`'s index bisection bit for bit, so a
+    # machine without a compiler writes the same bytes
+    argv = ["spectrum", "--format", fmt]
+    _, built, _ = _run(capsys, argv)
+    monkeypatch.setattr(pdmlag.solver, "_sturm_kernel", lambda: None)
+    _, without, _ = _run(capsys, argv)
+    assert built == without
+
+
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     parser = cli._build_parser()
     base = ["spectrum", "--case", "2", "--eta", "2", "--m", "2"]

@@ -98,6 +98,20 @@ def test_spectrum_loads_no_scipy_submodule(tmp_path):
     assert threads == 1
 
 
+def test_import_and_help_build_no_kernel(tmp_path):
+    # the Sturm kernel is compiled on the first finite-difference solve,
+    # never on import, so no set-up time holds a compile
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache))
+    for args in (["-c", "import pdmlag, pdmlag.cli"],
+                 ["-m", "pdmlag.cli", "--help"]):
+        proc = subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert list(cache.iterdir()) == []
+
+
 # The public API.  The oracles of the closed forms are in `pdmlag.checks`,
 # which the package does not import, so none of them is listed here.
 PUBLIC_NAMES = [
@@ -135,7 +149,7 @@ def test_every_traced_name_is_a_function_of_its_layer():
 
 
 def test_the_sturm_kernel_source_is_package_data():
-    # the solver reads the warm start's kernel through importlib.resources,
+    # the solver reads the Sturm kernel through importlib.resources,
     # so an installed package must carry it
     from importlib import resources
 

@@ -265,6 +265,7 @@ def test_matrix_whose_squares_overflow_is_refused_before_either_path(
         raise AssertionError("a solver path ran")
 
     monkeypatch.setattr(solver, "_stebz", unreachable)
+    monkeypatch.setattr(solver, "_index_values", unreachable)
     monkeypatch.setattr(solver, "_warm_values", unreachable)
     for op, k in ops:
         for solve in (lowest_eigenvalues, eigen_lowest):
@@ -440,14 +441,14 @@ _NO_FALLBACK = [*_benchmark_space(18, 16),
 def test_warm_start_never_falls_back(monkeypatch, model, k, npoints):
     op = _model_op(model, k, npoints)
     fine = []
-    stebz = solver._stebz
+    index_values = solver._index_values
 
-    def recording(d, e, select, *args):
+    def recording(d, e, k):
         if d.size == op.size:               # index bisection of the fine grid
-            fine.append(select)
-        return stebz(d, e, select, *args)
+            fine.append(k)
+        return index_values(d, e, k)
 
-    monkeypatch.setattr(solver, "_stebz", recording)
+    monkeypatch.setattr(solver, "_index_values", recording)
     vals = lowest_eigenvalues(op, k)
     assert fine == []
     ref = _index_bisection(op, k)
@@ -590,14 +591,13 @@ def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker,
     ref = _index_bisection(op, k)
     monkeypatch.setattr(solver, name, breaker(getattr(solver, name)))
     index_solved = []
-    stebz = solver._stebz
+    index_values = solver._index_values
 
-    def recording(d, e, select, *args):
-        if select == b"I":                  # index bisection
-            index_solved.append(d.size)
-        return stebz(d, e, select, *args)
+    def recording(d, e, k):
+        index_solved.append(d.size)
+        return index_values(d, e, k)
 
-    monkeypatch.setattr(solver, "_stebz", recording)
+    monkeypatch.setattr(solver, "_index_values", recording)
     vals = lowest_eigenvalues(op, k)
     assert np.array_equal(eigen_lowest(op, k).eigenvalues, vals)
     if falls_back:
@@ -752,20 +752,20 @@ def test_bad_windows_are_refused_before_fine_bisection(monkeypatch, breaker,
     monkeypatch.setattr(solver, "_WORKERS", 1)     # the calls in order
     monkeypatch.setattr(solver, "_predicted_windows",
                         breaker(solver._predicted_windows))
-    stebz, batch = solver._stebz, solver._sturm_batch
+    index_values, batch = solver._index_values, solver._sturm_batch
     calls = []
 
-    def stebz_counting(d, e, *args):
+    def index_counting(d, e, k):
         if d.size == op.size:                 # not a coarse-grid solve
-            calls.append("dstebz")
-        return stebz(d, e, *args)
+            calls.append("index bisection")
+        return index_values(d, e, k)
 
     def batch_counting(ijob, d, e, e2, pivmin, ab, *args):
         # 1: endpoint counts, 2: bisection; and the windows of the batch
         calls.append((ijob, len(ab)))
         return batch(ijob, d, e, e2, pivmin, ab, *args)
 
-    monkeypatch.setattr(solver, "_stebz", stebz_counting)
+    monkeypatch.setattr(solver, "_index_values", index_counting)
     monkeypatch.setattr(solver, "_sturm_batch", batch_counting)
     assert solver._warm_values(op, k) is None
     assert calls == sequence
@@ -898,8 +898,9 @@ def _raise(*args, **kwargs):
 
 
 def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
-    # the routines of `solver._binding`, and nothing of scipy's; the warm
-    # windows call `dlaebz` only where the batch kernel cannot be loaded
+    # the routines of `solver._binding`, and nothing of scipy's; where the
+    # Sturm kernel loads, it gives every value and only `dstein` is bound,
+    # else the plain path calls `dstebz` and the warm windows `dlaebz`
     import scipy.linalg
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _raise)
@@ -924,7 +925,7 @@ def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
             patch.setattr(solver, "_predicted_windows",
                           _shift_up_one_level(solver._predicted_windows))
             assert eigen_lowest(op, k).eigenvectors.shape == (op.size, k)
-        assert set(names) == ({"dstebz", "dstein"} if loaded() is not None
+        assert set(names) == ({"dstein"} if loaded() is not None
                               else {"dstebz", "dstein", "dlaebz"})
 
 
@@ -1020,7 +1021,7 @@ def _laebz_one_by_one(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
     integer = solver._lapack("dlaebz")[1]
     ab, nab = ab.copy(), nab.astype(integer)
     caps = nitmax if ijob == 2 else np.zeros(len(ab))
-    info = [solver._laebz(ijob, d, e, e2, pivmin, window, counts, int(cap))
+    info = [solver._laebz(ijob, d, e, e2, pivmin, window, counts, int(cap))()
             for window, counts, cap in zip(ab, nab, caps)]
     return ab, nab.astype(np.int64), np.array(info, dtype=np.int64)
 
@@ -1167,6 +1168,146 @@ def test_an_unwritable_cache_builds_in_a_directory_of_its_own(monkeypatch,
     path = Path(solver._built_kernel())
     assert path.is_file() and blocked not in path.parents
     assert solver._sturm_kernel() is not None
+
+
+def test_a_new_build_removes_the_stale_ones(monkeypatch, tmp_path, rebuild):
+    # a build of another source or command is removed, whatever else is in
+    # the folder stays, and the new build loads
+    import sysconfig
+
+    folder = tmp_path / "pdmlag"
+    folder.mkdir()
+    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
+    (folder / f"_sturm-00000000{suffix}").write_bytes(b"an older build")
+    kept = [folder / "_sturm-00000000.c", folder / "notes.txt"]
+    for path in kept:
+        path.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = Path(solver._built_kernel())
+    assert sorted(folder.iterdir()) == sorted([path, *kept])
+    assert solver._sturm_kernel() is not None
+
+
+# ---------------------------------------------------------------------------
+# the plain path's index bisection in the kernel against `dstebz`
+
+def _select(d, e, il, iu):
+    """The kernel's `sturm_select` for levels il..iu (1-based) of the matrix
+    (d, e): (m, w, info), as `solver._stebz` gives them."""
+    e2, pivmin = solver._sturm_squares(d, e)
+    n = d.size
+    w, result = np.empty(n), np.empty(2, dtype=np.int64)
+    solver._sturm_kernel().sturm_select(n, d, e, e2, pivmin,
+                                        solver._BISECT_TOL, il, iu, w, result,
+                                        np.empty(4 * n),
+                                        np.empty(6 * n, dtype=np.int64))
+    m, info = result.tolist()
+    return m, w[:m], info
+
+
+def _assert_select_is_dstebz(d, e, il, iu):
+    m, w, info = _select(d, e, il, iu)
+    ref_m, ref_w, ref_info = solver._stebz(d, e, b"I", 0.0, 1.0, il, iu,
+                                           solver._BISECT_TOL)
+    assert (m, info) == (ref_m, ref_info)
+    assert w.tobytes() == ref_w.tobytes()
+
+
+@pytest.mark.parametrize("model, k, npoints", _NO_FALLBACK[:16],
+                         ids=[_label(*problem) for problem in
+                              _NO_FALLBACK[:16]])
+def test_index_values_are_dstebz_over_the_benchmark_space(model, k, npoints):
+    # the fine grid, the 4001 points of the plain path and the coarse ladder
+    for points in (npoints, 4001, *solver._COARSE_POINTS):
+        op = _model_op(model, k, points)
+        d, e = op.diag, op.offdiag
+        vals = solver._index_values(d, e, k)
+        ref = solver._stebz(d, e, b"I", 0.0, 1.0, 1, k, solver._BISECT_TOL)
+        assert vals[::2] == ref[::2] == (k, 0)
+        assert vals[1].tobytes() == ref[1].tobytes(), points
+
+
+@st.composite
+def _unsplit_selections(draw):
+    """A matrix that does not split and levels il..iu of it: random entries,
+    tight clusters (pairs of Wilkinson's matrix, or a few repeated diagonal
+    entries weakly coupled), or diagonal entries of 0, +-pivmin and
+    +-pivmin/2; iu from 1 to 200 or n, il mostly 1."""
+    n = draw(st.integers(1, 240))
+    kind = draw(st.sampled_from(["random", "wilkinson", "repeated", "pivots"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        d = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 8))
+        e = rng.standard_normal(n - 1)
+    elif kind == "wilkinson":
+        d, e = np.abs(np.arange(n) - n // 2).astype(float), np.ones(n - 1)
+    elif kind == "repeated":
+        d = rng.integers(0, 3, n).astype(float)
+        e = 1e-7 * (1 + rng.random(n - 1))
+    else:
+        e = rng.choice([1.0, 0.5, 1e-8], n - 1)
+        pivmin = np.finfo(float).tiny       # max(1, e^2) times tiny
+        d = pivmin * rng.choice([0.0, 1.0, -1.0, 0.5, -0.5], n)
+    iu = draw(st.one_of(st.integers(1, min(n, 200)), st.just(n)))
+    il = draw(st.one_of(st.just(1), st.integers(1, iu)))
+    return d, e, il, iu
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_unsplit_selections())
+def test_selections_are_dstebz_on_unsplit_matrices(selection):
+    d, e, il, iu = selection
+    assert solver._sturm_squares(d, e) is not None
+    _assert_select_is_dstebz(d, e, il, iu)
+
+
+@pytest.mark.parametrize("build, k, calls", [
+    (_split_operator, 30, [b"I"]),
+    (lambda: _model_op(_CASE1, 10, 4001), 10, []),
+], ids=["300x300-split", "case1-4001"])
+def test_only_a_matrix_that_splits_takes_dstebz(monkeypatch, build, k, calls):
+    op = build()
+    recorded = []
+    stebz = solver._stebz
+
+    def recording(d, e, select, *args):
+        recorded.append(select)
+        return stebz(d, e, select, *args)
+
+    monkeypatch.setattr(solver, "_stebz", recording)
+    assert lowest_eigenvalues(op, k).tobytes() == \
+        _index_bisection(op, k).tobytes()
+    assert recorded == calls
+
+
+@pytest.mark.parametrize("m, info", [(10, 1), (0, 4)],
+                         ids=["not-converged", "info-4"])
+def test_a_failed_index_bisection_keeps_its_message(monkeypatch, m, info):
+    # on a matrix that does not split and that `lowest_eigenvalues` takes,
+    # `dstebz` can neither run out of steps nor overflow its Gershgorin
+    # bounds, so the kernel and `dstebz` are each made to report a failure
+    op = _model_op(_CASE1, 10, 4001)
+
+    class Failing:
+        def sturm_select(self, *args):
+            args[9][:] = m, info            # RESULT
+
+    def failing_stebz(*args):
+        return m, np.zeros(m), info
+
+    def unreachable(*args):
+        raise AssertionError("dstebz was called")
+
+    messages = []
+    for kernel, stebz in ((Failing(), unreachable), (None, failing_stebz)):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_sturm_kernel", lambda: kernel)
+            patch.setattr(solver, "_stebz", stebz)
+            with pytest.raises(RuntimeError) as err:
+                lowest_eigenvalues(op, 10)
+        messages.append(str(err.value))
+    assert messages == [f"tridiagonal eigensolve failed: bisection found {m} "
+                        f"of 10 values (info={info})"] * 2
 
 
 @pytest.mark.parametrize("npoints", [4001, 40001])   # plain path, warm path
