@@ -2,13 +2,17 @@
 
    dlaebz, called as dstebz calls it (NBMIN = 0), runs one Sturm chain at a
    time, and every row of a chain waits on one division.  These routines run
-   the chains of many intervals side by side, rows outer and intervals inner,
-   so that the divisions of different intervals overlap.  Each chain does
-   dlaebz's arithmetic in dlaebz's order, so every count and every interval
-   end is bit for bit its own; build with -ffp-contract=off.  sturm_select
-   is dstebz's index bisection of a matrix that does not split, in dstebz's
-   arithmetic, with every value placed by its count, as dstebz places it.
-   Arrays of two per interval are (lower, upper) pairs. */
+   many chains side by side, rows outer and chains inner, so that their
+   divisions overlap, in vector lanes (in AVX2 where the CPU has it:
+   sturm_wide says which loop runs).  The bisection looks a few steps ahead:
+   one pass over the matrix counts at every point that an interval's next
+   steps can reach, and the steps are then made one at a time from those
+   counts.  Each chain does dlaebz's arithmetic in dlaebz's order, and each
+   step is dlaebz's, so every count and every interval end is bit for bit
+   its own; build with -ffp-contract=off.  sturm_select is dstebz's index
+   bisection of a matrix that does not split, in dstebz's arithmetic, with
+   every value placed by its count, as dstebz places it.  Arrays of two per
+   interval are (lower, upper) pairs. */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -36,24 +40,59 @@ void sturm_count(int64_t n, const double *d, const double *e2, double pivmin,
         }
 }
 
-/* The IJOB 2 count at the m shifts c: a pivot at most pivmin is counted and
-   then taken as min(pivot, -pivmin). */
-static void bisection_counts(int64_t n, const double *d, const double *e2,
-                             double pivmin, int64_t m, const double *c,
-                             double *t, int64_t *count)
+/* The IJOB 2 and 3 count at the m points c: a pivot at most pivmin is
+   counted and then taken as min(pivot, -pivmin).  Branch-free, with the
+   counts as doubles, so that the compiler runs the chains in vector lanes
+   (-O3), each lane in its own IEEE arithmetic; always inlined, so that the
+   AVX2 copy below compiles it for AVX2.  t: m doubles. */
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define WIDE 1
+__attribute__((always_inline))
+#endif
+static inline void counts(int64_t n, const double *restrict d,
+                          const double *restrict e2, double pivmin, int64_t m,
+                          const double *restrict c, double *restrict t,
+                          double *restrict count)
 {
     for (int64_t i = 0; i < m; i++) {
         double v = d[0] - c[i];
         count[i] = v <= pivmin;
-        t[i] = v <= pivmin && v > -pivmin ? -pivmin : v;
+        t[i] = (v <= pivmin) & (v > -pivmin) ? -pivmin : v;
     }
     for (int64_t r = 1; r < n; r++)
         for (int64_t i = 0; i < m; i++) {
             double v = d[r] - e2[r - 1] / t[i] - c[i];
             count[i] += v <= pivmin;
-            t[i] = v <= pivmin && v > -pivmin ? -pivmin : v;
+            t[i] = (v <= pivmin) & (v > -pivmin) ? -pivmin : v;
         }
 }
+
+#ifdef WIDE
+/* The same loop in AVX2, taken where the CPU has it (sturm_wide = 1). */
+__attribute__((target("avx2")))
+static void wide_counts(int64_t n, const double *d, const double *e2,
+                        double pivmin, int64_t m, const double *c, double *t,
+                        double *count)
+{
+    counts(n, d, e2, pivmin, m, c, t, count);
+}
+
+int sturm_wide;
+
+__attribute__((constructor)) static void choose_counts(void)
+{
+    __builtin_cpu_init();
+    sturm_wide = __builtin_cpu_supports("avx2") != 0;
+}
+#define COUNTS (sturm_wide ? wide_counts : counts)
+#else
+int sturm_wide = 0;
+#define COUNTS counts
+#endif
+
+/* Chains per pass over the matrix that the lookahead aims at: about as many
+   as cost one chain's time in the vector lanes. */
+#define CHAINS 16
 
 /* dlaebz's loop, IJOB 2 (nval NULL) or 3, on the intervals live[0..left) of
    ab, whose ends count nab, with c[k] the next point of interval live[k].
@@ -66,71 +105,115 @@ static void bisection_counts(int64_t n, const double *d, const double *e2,
    as it was (dlaebz's MMAX + 1).  An interval stops with info[i] = 0 once
    narrower than max(abstol, pivmin, reltol * its larger end in magnitude)
    or holding no value, and keeps info[i] = 1 when it runs out of steps
-   (room[i] counts them down); else its next point is its midpoint.  live,
-   c, t and count: room for every interval. */
+   (room[i] counts them down); else its next point is its midpoint.
+
+   Each pass over the matrix looks s steps ahead (multisection): it counts
+   at every point that an interval's next s steps can reach, the nodes of
+   its depth-s bisection tree, whose root is the next point p of [L, R] and
+   whose children are 0.5 (L + p) and 0.5 (p + R), the midpoints that a
+   step forms.  The s steps are then made one at a time, every interval's
+   step before the next, each from the count at its own node; a split
+   interval's halves go on at the two children.  So every point, count and
+   end is the serial loop's.  s is the deepest tree whose chains for all
+   live intervals fit CHAINS, at most the most steps any has left.  live, c
+   and at: room for every interval; work: 3 max(intervals + 3, CHAINS)
+   doubles. */
 static void bisect(int64_t n, const double *d, const double *e2,
                    double pivmin, double abstol, double reltol,
                    const int64_t *nval, double *ab, int64_t *nab,
                    int64_t *room, int64_t *info, int64_t *live, int64_t left,
-                   int64_t *m, int64_t mmax, double *c, double *t,
-                   int64_t *count)
+                   int64_t *m, int64_t mmax, double *c, int64_t *at,
+                   double *work)
 {
     double tol = abstol > pivmin ? abstol : pivmin;
     while (left) {
-        bisection_counts(n, d, e2, pivmin, left, c, t, count);
-        int64_t all = left;
+        int64_t s = 1, most = 0;
+        for (int64_t k = 0; k < left; k++)
+            most = room[live[k]] > most ? room[live[k]] : most;
+        while (s < most && left * ((2 << s) - 1) <= CHAINS)
+            s++;
+        /* interval live[k]'s node j (1 the root) is chain at = k size + j - 1;
+           its children are chains at + j and at + j + 1 */
+        int64_t size = ((int64_t)1 << s) - 1, chains = (left * size + 3) & ~3;
+        double *x = work, *t = work + chains, *count = t + chains;
         for (int64_t k = 0; k < left; k++) {
-            int64_t i = live[k], lo = nab[2 * i], hi = nab[2 * i + 1];
-            room[i]--;
-            if (nval) {
-                if (count[k] <= nval[i]) {
-                    ab[2 * i] = c[k];
-                    nab[2 * i] = count[k];
-                }
-                if (count[k] >= nval[i]) {
-                    ab[2 * i + 1] = c[k];
-                    nab[2 * i + 1] = count[k];
-                }
-                continue;
+            double *node = x + k * size, lo[CHAINS + 1], hi[CHAINS + 1];
+            lo[1] = ab[2 * live[k]];
+            hi[1] = ab[2 * live[k] + 1];
+            node[0] = c[k];
+            for (int64_t j = 1; 2 * j < size; j++) {
+                lo[2 * j] = lo[j];
+                hi[2 * j] = lo[2 * j + 1] = node[j - 1];
+                hi[2 * j + 1] = hi[j];
+                node[2 * j - 1] = 0.5 * (lo[j] + node[j - 1]);
+                node[2 * j] = 0.5 * (node[j - 1] + hi[j]);
             }
-            int64_t below = count[k] > lo ? count[k] : lo;
-            below = below < hi ? below : hi;
-            if (below == hi)
-                ab[2 * i + 1] = c[k];
-            else if (below == lo)
-                ab[2 * i] = c[k];
-            else if (*m < mmax) {
-                int64_t j = (*m)++;
-                ab[2 * j] = c[k];
-                ab[2 * j + 1] = ab[2 * i + 1];
-                nab[2 * j] = below;
-                nab[2 * j + 1] = hi;
-                ab[2 * i + 1] = c[k];
-                nab[2 * i + 1] = below;
-                room[j] = room[i];
-                info[j] = 1;
-                live[all++] = j;
-            } else {
-                info[i] = 2;
-                live[k] = -1;
-            }
+            at[k] = k * size;
         }
-        int64_t kept = 0;
-        for (int64_t k = 0; k < all; k++) {
-            int64_t i = live[k];
-            if (i < 0)
-                continue;
-            double a = fabs(ab[2 * i]), b = fabs(ab[2 * i + 1]);
-            double rel = reltol * (a > b ? a : b);
-            if (fabs(ab[2 * i + 1] - ab[2 * i]) < (tol > rel ? tol : rel)
-                || nab[2 * i] >= nab[2 * i + 1])
-                info[i] = 0;
-            else if (room[i] > 0) {
-                live[kept] = i;
-                c[kept++] = 0.5 * (ab[2 * i] + ab[2 * i + 1]);
+        for (int64_t k = left * size; k < chains; k++)
+            x[k] = x[0];
+        COUNTS(n, d, e2, pivmin, chains, x, t, count);
+        for (int64_t step = 0; step < s && left; step++) {
+            int64_t all = left;
+            for (int64_t k = 0; k < left; k++) {
+                int64_t i = live[k], lo = nab[2 * i], hi = nab[2 * i + 1],
+                        q = at[k], j = q % size + 1, cnt = (int64_t)count[q];
+                room[i]--;
+                at[k] = q + j;
+                if (nval) {
+                    if (cnt <= nval[i]) {
+                        ab[2 * i] = x[q];
+                        nab[2 * i] = cnt;
+                        at[k] = q + j + 1;
+                    }
+                    if (cnt >= nval[i]) {
+                        ab[2 * i + 1] = x[q];
+                        nab[2 * i + 1] = cnt;
+                    }
+                    continue;
+                }
+                int64_t below = cnt > lo ? cnt : lo;
+                below = below < hi ? below : hi;
+                if (below == hi)
+                    ab[2 * i + 1] = x[q];
+                else if (below == lo) {
+                    ab[2 * i] = x[q];
+                    at[k] = q + j + 1;
+                } else if (*m < mmax) {
+                    int64_t u = (*m)++;
+                    ab[2 * u] = x[q];
+                    ab[2 * u + 1] = ab[2 * i + 1];
+                    nab[2 * u] = below;
+                    nab[2 * u + 1] = hi;
+                    ab[2 * i + 1] = x[q];
+                    nab[2 * i + 1] = below;
+                    room[u] = room[i];
+                    info[u] = 1;
+                    at[all] = q + j + 1;
+                    live[all++] = u;
+                } else {
+                    info[i] = 2;
+                    live[k] = -1;
+                }
             }
+            int64_t kept = 0;
+            for (int64_t k = 0; k < all; k++) {
+                int64_t i = live[k];
+                if (i < 0)
+                    continue;
+                double a = fabs(ab[2 * i]), b = fabs(ab[2 * i + 1]);
+                double rel = reltol * (a > b ? a : b);
+                if (fabs(ab[2 * i + 1] - ab[2 * i]) < (tol > rel ? tol : rel)
+                    || nab[2 * i] >= nab[2 * i + 1])
+                    info[i] = 0;
+                else if (room[i] > 0) {
+                    at[kept] = at[k];
+                    live[kept] = i;
+                    c[kept++] = 0.5 * (ab[2 * i] + ab[2 * i + 1]);
+                }
+            }
+            left = kept;
         }
-        left = kept;
     }
 }
 
@@ -140,7 +223,7 @@ static void bisect(int64_t n, const double *d, const double *e2,
    steps[i] takes the steps made and info[i] dlaebz's INFO: 0 when the
    window converged, 1 when it did not, 2 when a step counted strictly
    between its ends (dlaebz's MMAX + 1, with the window as before that
-   step).  work and iwork: 2m doubles and 2m integers of workspace. */
+   step).  work: 4m + 48 doubles; iwork: 2m integers. */
 void sturm_bisect(int64_t n, const double *d, const double *e2, double pivmin,
                   double abstol, double reltol, int64_t m, double *ab,
                   int64_t *nab, const int64_t *nitmax, int64_t *steps,
@@ -157,7 +240,7 @@ void sturm_bisect(int64_t n, const double *d, const double *e2, double pivmin,
     }
     int64_t windows = m;
     bisect(n, d, e2, pivmin, abstol, reltol, 0, ab, nab, steps, info, live,
-           left, &windows, m, work, work + m, iwork + m);
+           left, &windows, m, work, iwork + m, work + m);
     for (int64_t i = 0; i < m; i++)
         steps[i] = nitmax[i] > 0 ? nitmax[i] - steps[i] : 0;
 }
@@ -208,16 +291,16 @@ static int64_t step_cap(double w, double pivmin)
    count il - 1 and iu; the Gershgorin interval from |e|, cut to those
    points; IJOB 1 at its ends; IJOB 2 on it, with room for n intervals, so
    that each value gets an interval of its own; each interval's midpoint
-   placed by its counts; and the values beyond il..iu discarded.  work: 4n
-   doubles; iwork: 6n integers. */
+   placed by its counts; and the values beyond il..iu discarded.  work:
+   6n + 48 doubles; iwork: 6n integers. */
 void sturm_select(int64_t n, const double *d, const double *e,
                   const double *e2, double pivmin, double abstol,
                   int64_t il, int64_t iu, double *w, int64_t *result,
                   double *work, int64_t *iwork)
 {
     const double reltol = 2 * DBL_EPSILON;
-    double *ab = work, *c = work + 2 * n, *t = work + 3 * n;
-    int64_t *nab = iwork, *live = iwork + 2 * n, *count = iwork + 3 * n,
+    double *ab = work, *c = work + 2 * n, *chains = work + 3 * n;
+    int64_t *nab = iwork, *live = iwork + 2 * n, *at = iwork + 3 * n,
             *room = iwork + 4 * n, *info = iwork + 5 * n;
     int all = il == 1 && iu == n, ncnvrg = 0;
     double wl = 0.0, wlu = 0.0, wul = 0.0, wu = 0.0, gl, gu, norm;
@@ -229,7 +312,7 @@ void sturm_select(int64_t n, const double *d, const double *e,
         return;
     }
     if (!all) {
-        int64_t nval[2] = {il - 1, iu}, chains = 2;
+        int64_t nval[2] = {il - 1, iu}, searches = 2;
         gershgorin(n, d, e, e2, pivmin, 2.0, &gl, &gu, &norm);
         ab[0] = ab[2] = c[0] = gl;
         ab[1] = ab[3] = c[1] = gu;
@@ -239,7 +322,7 @@ void sturm_select(int64_t n, const double *d, const double *e,
         live[0] = 0;
         live[1] = 1;
         bisect(n, d, e2, pivmin, abstol, reltol, nval, ab, nab, room, info,
-               live, room[0] > 0 ? 2 : 0, &chains, 2, c, t, count);
+               live, room[0] > 0 ? 2 : 0, &searches, 2, c, at, chains);
         wl = ab[0];
         wlu = ab[1];
         nwl = nab[0];
@@ -264,9 +347,9 @@ void sturm_select(int64_t n, const double *d, const double *e,
         }
         c[0] = gl;
         c[1] = gu;
-        sturm_count(n, d, e2, pivmin, 2, c, count, t);
-        nwl = count[0];
-        nwu = count[1];
+        sturm_count(n, d, e2, pivmin, 2, c, at, chains);
+        nwl = at[0];
+        nwu = at[1];
         ab[0] = gl;
         ab[1] = gu;
         nab[0] = nwl;
@@ -276,7 +359,7 @@ void sturm_select(int64_t n, const double *d, const double *e,
         c[0] = 0.5 * (gl + gu);
         live[0] = 0;
         bisect(n, d, e2, pivmin, abstol, reltol, 0, ab, nab, room, info, live,
-               room[0] > 0, &intervals, n, c, t, count);
+               room[0] > 0, &intervals, n, c, at, chains);
         for (int64_t i = 0; i < intervals; i++) {
             double x = 0.5 * (ab[2 * i] + ab[2 * i + 1]);
             ncnvrg |= info[i] != 0;

@@ -38,22 +38,27 @@ so the coarse solves, the counts and the windows run on one pool of up to one
 thread per available CPU; each result depends only on its own inputs, so the
 values do not depend on the number of threads.
 
-The Sturm chains run in a small C kernel, `_sturm.c`, that advances the
-chains of many intervals in the same pass over the matrix: each row's
-divisions for different intervals do not wait on each other, where
-`dlaebz` runs one chain at a time.  The plain path is `dstebz`'s steps for a
-matrix that does not split (its Gershgorin interval, `dlaebz`'s search for
-the points that count 0 and k, and a bisection that splits an interval
-where it holds more than one value), and the windows' counts and
-bisections are `dlaebz`'s; each chain keeps LAPACK's arithmetic and order,
-so the bits are LAPACK's.  The kernel is compiled on the first
-finite-difference solve, never at import, with the compiler Python was
-built with (`_KERNEL_FLAGS`), into a file named by the hash of source and
-command in pdmlag's folder of the user cache directory (a directory of the
-process's own where that cannot be written), and loaded through ctypes.
-Where it cannot be built or loaded, the plain path calls `dstebz` and each
-window `dlaebz` instead, with the same bits; so does the plain path for a
-matrix that `dstebz` would split into blocks.
+The Sturm chains run in a small C kernel, `_sturm.c`, that advances many
+chains in the same pass over the matrix, in vector lanes (AVX2 where the
+CPU has it): each row's divisions for different chains do not wait on each
+other, where `dlaebz` runs one chain at a time.  Each pass looks a few
+bisection steps ahead (multisection): it counts at every point that an
+interval's next steps can reach, as many as about fill the lanes, and the
+steps are then made one at a time from those counts.  The plain path is
+`dstebz`'s steps for a matrix that does not split (its Gershgorin interval,
+`dlaebz`'s search for the points that count 0 and k, and a bisection that
+splits an interval where it holds more than one value), and the windows'
+counts and bisections are `dlaebz`'s; each chain keeps LAPACK's arithmetic
+and order, and each step is `dlaebz`'s, so the bits and the steps are
+LAPACK's.  The kernel is compiled on the first finite-difference solve,
+never at import, with the compiler Python was built with (`_KERNEL_FLAGS`),
+into a file named by the hash of source and command in pdmlag's folder of
+the user cache directory (a directory of the process's own where that
+cannot be written), which keeps the `_KERNEL_BUILDS` most recently used
+builds, and loaded through ctypes.  Where it cannot be built or loaded, the
+plain path calls `dstebz` and each window `dlaebz` instead, with the same
+bits; so does the plain path for a matrix that `dstebz` would split into
+blocks.
 """
 from __future__ import annotations
 
@@ -79,11 +84,12 @@ _BISECT_TOL = 1e-12
 _BLOCK = 16384
 
 # Warm start (see `lowest_eigenvalues`).  On one thread, both paths in the
-# kernel, it breaks even with the plain path at about 6001-8001 points for
-# 10 levels and 8001-12001 for 40, measured on Case 1 b = 3/2 alpha = 7/3
-# m = 2 and Case 2 eta = 3 alpha = 19/7 m = 4: warm/plain time 1.14 and
-# 0.81 at 6001 points, 0.85 and 0.58 at 8001 for 10 levels; 1.10 and 0.98
-# at 8001, 0.99 and 0.80 at 12001 for 40.  The bound stays where it was:
+# kernel, it breaks even with the plain path at about 8001 points for 10
+# levels and 12001-16001 for 40, measured on Case 1 b = 3/2 alpha = 7/3
+# m = 2 and Case 2 eta = 3 alpha = 19/7 m = 4: warm/plain time 1.39 and
+# 1.06 at 6001 points, 1.03 and 0.81 at 8001, 0.78 and 0.47 at 12001 for
+# 10 levels; 1.28 and 1.02 at 8001, 0.97 and 0.83 at 12001, 1.00 and 0.76
+# at 16001 for 40.  The bound stays where it was:
 # grids of 32008 points or fewer, which include all that `verify` and the
 # CLI defaults use, keep the plain path's bits.  From about 60 levels the
 # 501-point grid no longer resolves the top levels, and some solves fall
@@ -464,9 +470,13 @@ def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     return call
 
 
-# How `_sturm.c` is built, with the compiler Python was built with; no
-# multiply and add may be fused, which would change the bits
-_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# How `_sturm.c` is built, with the compiler Python was built with: -O3
+# runs the count loop's chains in vector lanes; no multiply and add may be
+# fused, which would change the bits
+_KERNEL_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+# Builds kept in the cache folder, the most recently used: two source trees
+# that share the folder, run in turn, then compile once each
+_KERNEL_BUILDS = 4
 
 
 def _built_kernel() -> Optional[str]:
@@ -478,8 +488,9 @@ def _built_kernel() -> Optional[str]:
     the user cache directory (`XDG_CACHE_HOME`, else ~/.cache), or in a
     directory of this process's own, removed at exit, where that cannot be
     written; it is written whole or not at all, so that processes that
-    build at the same time each load a complete library.  A new build
-    removes the folder's builds of other sources or commands.
+    build at the same time each load a complete library.  A build found
+    there is touched; a new build removes all but the `_KERNEL_BUILDS`
+    most recently touched or built.
     """
     import atexit
     import contextlib
@@ -503,6 +514,8 @@ def _built_kernel() -> Optional[str]:
                           or os.path.join(os.path.expanduser("~"), ".cache"),
                           "pdmlag")
     if os.path.exists(os.path.join(folder, name)):
+        with contextlib.suppress(OSError):
+            os.utime(os.path.join(folder, name))
         return os.path.join(folder, name)
     try:
         os.makedirs(folder, exist_ok=True)
@@ -524,12 +537,15 @@ def _built_kernel() -> Optional[str]:
         if os.path.exists(partial):     # the compiler removes it on failure
             os.unlink(partial)
         return None
-    with contextlib.suppress(OSError):
-        for other in os.listdir(folder):
-            if (other.startswith("_sturm-") and other.endswith(suffix)
-                    and other != name):
-                with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(folder, other))
+    with contextlib.suppress(OSError):     # another process may remove one
+        builds = sorted((os.path.join(folder, other)
+                         for other in os.listdir(folder)
+                         if other.startswith("_sturm-")
+                         and other.endswith(suffix)),
+                        key=lambda path: os.stat(path).st_mtime_ns)
+        for old in builds[:-_KERNEL_BUILDS]:
+            with contextlib.suppress(OSError):
+                os.unlink(old)
     return os.path.join(folder, name)
 
 
@@ -575,8 +591,10 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     bisects each window in at most nitmax[i] steps and returns each
     window's INFO and the steps it made (int64 arrays).
 
-    The kernel (`_sturm_kernel`) advances every window's Sturm chain in the
-    same pass over the matrix; where it cannot be built or loaded, each
+    The kernel (`_sturm_kernel`) advances every window's Sturm chains in
+    the same pass over the matrix, and each IJOB 2 pass counts ahead at the
+    points of the window's next few steps; the steps it reports are
+    `dlaebz`'s, not passes.  Where it cannot be built or loaded, each
     window goes through `dlaebz`, with the same bits, one step per call, so
     that the steps are exact.  The arguments of those calls are converted
     once per batch (`_laebz`), and the windows pass through one buffer.
@@ -595,7 +613,7 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
         kernel.sturm_bisect(d.size, d, e2, pivmin, _BISECT_TOL,
                             2 * np.finfo(float).eps, w, ab, nab,
                             np.ascontiguousarray(nitmax, dtype=np.int64),
-                            steps, info, np.empty(2 * w),
+                            steps, info, np.empty(4 * w + 48),
                             np.empty(2 * w, dtype=np.int64))
     else:
         window, pair = np.empty(2), np.empty(2, dtype=_lapack("dlaebz")[1])
@@ -706,7 +724,8 @@ def _index_values(d: np.ndarray, e: np.ndarray, k: int):
     `_stebz(d, e, b"I", 0, 1, 1, k, _BISECT_TOL)` returns.
 
     The kernel (`_sturm_kernel`) runs `dstebz`'s steps, with every
-    interval's Sturm chain advanced in the same pass over the matrix;
+    interval's Sturm chains, at the points of its next few steps, advanced
+    in the same pass over the matrix;
     `_stebz` runs them where the matrix splits into blocks or the kernel
     cannot be built or loaded.
     """
@@ -718,7 +737,7 @@ def _index_values(d: np.ndarray, e: np.ndarray, k: int):
     n = d.size
     w, result = np.empty(n), np.empty(2, dtype=np.int64)
     kernel.sturm_select(n, d, e, e2, pivmin, _BISECT_TOL, 1, k, w, result,
-                        np.empty(4 * n), np.empty(6 * n, dtype=np.int64))
+                        np.empty(6 * n + 48), np.empty(6 * n, dtype=np.int64))
     m, info = result.tolist()
     return m, w[:m].copy(), info
 
@@ -726,7 +745,9 @@ def _index_values(d: np.ndarray, e: np.ndarray, k: int):
 def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
     """Lowest k eigenvalues, ascending, by LAPACK's bisection arithmetic
     alone: `dstebz`'s on the plain path and `dlaebz`'s in the warm windows,
-    both run in the Sturm kernel `_sturm.c` where it can be built.
+    both run in the Sturm kernel `_sturm.c` where it can be built, which
+    counts ahead at the points of each interval's next few steps in one pass
+    over the matrix and then makes those steps one at a time.
 
     The plain path bisects levels 0..k-1 by index over the whole spectrum,
     bit for bit as `dstebz` does (`_index_values`): in the kernel, or in

@@ -5,6 +5,7 @@ Calibration targets with known exact spectra: the Dirichlet Laplacian on
 these units (eigenvalues 2n+1).  The position-dependent-mass models are
 then checked against their closed-form linear spectra.
 """
+import contextlib
 import ctypes
 import functools
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmlag import solver
@@ -1026,15 +1027,31 @@ def _laebz_one_by_one(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
     return ab, nab.astype(np.int64), np.array(info, dtype=np.int64)
 
 
+@contextlib.contextmanager
+def _portable_counts(portable=True):
+    """The kernel's counts in its portable loop, not its AVX2 copy, while
+    the block runs (where `portable`)."""
+    wide = ctypes.c_int.in_dll(solver._sturm_kernel(), "sturm_wide")
+    taken = wide.value
+    wide.value = taken and not portable
+    try:
+        yield
+    finally:
+        wide.value = taken
+
+
 def _batch_is_dlaebz(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
-    """`solver._sturm_batch` through the kernel and through `_laebz`, which
-    takes one step per call, gives the reference's bytes, and the two give
-    the same steps; returns the reference and those steps."""
+    """`solver._sturm_batch` through the kernel, with either count loop,
+    and through `_laebz`, which takes one step per call, gives the
+    reference's bytes, and all three give the same steps; returns the
+    reference and those steps."""
     ref = _laebz_one_by_one(ijob, d, e, e2, pivmin, ab, nab, nitmax)
     outs = []
-    for loaded in (solver._sturm_kernel, lambda: None):
+    for loaded, portable in ((solver._sturm_kernel, False),
+                             (solver._sturm_kernel, True),
+                             (lambda: None, False)):
         rows, counts = ab.copy(), nab.astype(np.int64)
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, _portable_counts(portable):
             patch.setattr(solver, "_sturm_kernel", loaded)
             outs.append(solver._sturm_batch(ijob, d, e, e2, pivmin, rows,
                                             counts, nitmax))
@@ -1042,9 +1059,10 @@ def _batch_is_dlaebz(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
         assert counts.tobytes() == ref[1].tobytes()
     if ijob == 1:
         return (*ref, None)
-    (info, steps), (one_info, one_steps) = outs
-    assert info.tobytes() == one_info.tobytes() == ref[2].tobytes()
-    assert steps.tobytes() == one_steps.tobytes()
+    (info, steps), *others = outs
+    for other_info, other_steps in others:
+        assert info.tobytes() == other_info.tobytes() == ref[2].tobytes()
+        assert steps.tobytes() == other_steps.tobytes()
     return (*ref, steps)
 
 
@@ -1068,10 +1086,31 @@ def _phases_are_dlaebz(op, lower, upper):
                             np.array(caps))
 
 
+def _cpu_has_avx2():
+    """Whether the CPU has AVX2, from /proc/cpuinfo, or None where that
+    cannot be read."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            return any(line.startswith("flags") and "avx2" in line.split()
+                       for line in info)
+    except OSError:
+        return None
+
+
 def test_the_kernel_builds_and_loads_here(kernel_cache):
-    # a silent fallback to `dlaebz` would keep the bits and lose the speed
-    assert solver._sturm_kernel() is not None
+    # a silent fallback to `dlaebz`, or to the portable count loop, would
+    # keep the bits and lose the speed
+    import platform
+
+    kernel = solver._sturm_kernel()
+    assert kernel is not None
     assert Path(solver._built_kernel()).parent == kernel_cache
+    wide = ctypes.c_int.in_dll(kernel, "sturm_wide").value
+    avx2 = _cpu_has_avx2()
+    if platform.machine() not in ("x86_64", "AMD64"):
+        assert wide == 0
+    elif avx2 is not None:
+        assert wide == avx2
 
 
 @pytest.mark.parametrize("model, k, npoints", _NO_FALLBACK[:16],
@@ -1093,20 +1132,23 @@ def test_batches_are_dlaebz_on_perturbed_windows(index, shifts):
     _phases_are_dlaebz(op, moved - half, moved + half)
 
 
-@pytest.mark.parametrize("row, coupling", [(0, 0.0), (1, 0.0), (0, 1e-150)],
-                         ids=["row0", "row1", "row0-coupled"])
+@pytest.mark.parametrize("row, coupling", [(0, 0.0), (1, 0.0), (0, 1e-150),
+                                           (1, 1e-150)],
+                         ids=["row0", "row1", "row0-coupled", "row1-coupled"])
 @pytest.mark.parametrize("pivot, counted", [
     (1.0, (0, 1)), (0.5, (1, 1)), (0.0, (1, 1)), (-0.5, (1, 1)),
     (-1.0, (1, 1)),
 ], ids=["pivmin", "half-pivmin", "zero", "minus-half-pivmin", "minus-pivmin"])
 def test_pivot_rules_are_dlaebz(pivot, counted, row, coupling):
-    # a 2x2 matrix whose pivot of row `row` at shift 0 is `pivot` times
-    # pivmin, the other diagonal entry 1: IJOB 1 counts it when |t| < pivmin
-    # and then t <= 0, IJOB 2 when t <= pivmin (then t = min(t, -pivmin)).
-    # Uncoupled, the count is that rule alone; coupled, the pivot that
-    # replaced t sets the sign of the next row's
+    # a matrix of row + 2 rows whose pivot of row `row` at shift 0 is
+    # `pivot` times pivmin, the other diagonal entries 1: IJOB 1 counts it
+    # when |t| < pivmin and then t <= 0, IJOB 2 when t <= pivmin (then
+    # t = min(t, -pivmin)).  Uncoupled, the count is that rule alone;
+    # coupled to the next row, the pivot that replaced t sets the sign of
+    # that row's
     pivmin = np.finfo(float).tiny
-    d, e = np.ones(2), np.array([coupling])
+    d, e = np.ones(row + 2), np.zeros(row + 1)
+    e[row] = coupling
     d[row] = pivot * pivmin
     counts = _batch_is_dlaebz(1, d, e, e * e, pivmin, np.array([[0.0, 2.0]]),
                               np.zeros((1, 2)))[1]
@@ -1133,6 +1175,64 @@ def test_a_step_that_counts_between_the_ends_stops_as_dlaebz_stops():
                                             np.array([5]))
     assert info[0] == 2 and steps[0] == 1
     assert ab.tobytes() == window.tobytes() and nab.tolist() == [[0, 2]]
+
+
+def test_a_later_step_that_counts_between_the_ends_stops_as_dlaebz_stops():
+    # the first step, at 2, moves the upper end; the second, at 0, counts 1
+    # of the 2 values: INFO 2 after two steps, the window as the first left
+    d, e = np.array([-1.0, 1.0]), np.zeros(1)
+    ab, nab, info, steps = _batch_is_dlaebz(2, d, e, e * e,
+                                            np.finfo(float).tiny,
+                                            np.array([[-2.0, 6.0]]),
+                                            np.array([[0, 2]]),
+                                            np.array([5]))
+    assert info[0] == 2 and steps[0] == 2
+    assert ab.tolist() == [[-2.0, 2.0]] and nab.tolist() == [[0, 2]]
+
+
+@pytest.mark.parametrize("caps", [(1, 2, 3, 5), (5, 3, 2, 1), (1,) * 4,
+                                  (3,) * 4, (2, 5)],
+                         ids=["1-2-3-5", "5-3-2-1", "1", "probe", "2-5"])
+def test_batches_are_dlaebz_where_steps_run_out_inside_a_tree(caps):
+    # windows around levels 0..3 of a model, each holding its own: a window
+    # with fewer steps left than the pass looks ahead stops inside its tree
+    op = _model_op(_CASE1, 5, 4001)
+    d, e = op.diag, op.offdiag
+    e2, pivmin = solver._sturm_squares(d, e)
+    vals = _index_bisection(op, 5)
+    ends = np.concatenate(([vals[0] - 1.0], 0.5 * (vals[1:] + vals[:-1])))
+    k = len(caps)
+    window = np.column_stack((ends[:k], ends[1:k + 1]))
+    steps = _batch_is_dlaebz(2, d, e, e2, pivmin, window,
+                             np.arange(k)[:, None] + [0, 1],
+                             np.array(caps))[3]
+    assert steps.tolist() == list(caps)
+
+
+@pytest.mark.parametrize("caps, deepest", [
+    ((1,), 1), ((2,), 2), ((3,), 3), ((5,), 4), ((40,), 4), ((3, 1), 3),
+    ((5, 5), 3), ((5,) * 5, 2), ((5,) * 6, 1), ((1,) * 9, 1),
+], ids=["1", "2", "probe", "5", "40", "3-1", "5-5", "5x5", "5x6", "1x9"])
+def test_a_pass_counts_no_deeper_than_the_steps_left(caps, deepest):
+    # after the windows' first points the kernel's workspace holds a pass's
+    # points, pivots and counts, each padded to a multiple of four: the
+    # deepest pass counts at every node of a tree of `deepest` levels per
+    # window, as deep as the chains fit 16 and the steps left reach, and
+    # nothing is written past the workspace
+    d, e = np.arange(1.0, 41.0), np.full(39, 1e-3)
+    e2, pivmin = solver._sturm_squares(d, e)
+    w = len(caps)
+    ab = np.column_stack((np.arange(w) + 0.6, np.arange(w) + 1.4))
+    nab = np.arange(w, dtype=np.int64)[:, None] + [0, 1]
+    work = np.full(4 * w + 48 + 8, np.nan)
+    steps, info = np.empty(w, dtype=np.int64), np.empty(w, dtype=np.int64)
+    solver._sturm_kernel().sturm_bisect(
+        d.size, d, e2, pivmin, solver._BISECT_TOL, 2 * np.finfo(float).eps,
+        w, ab, nab, np.array(caps, dtype=np.int64), steps, info, work,
+        np.empty(2 * w, dtype=np.int64))
+    chains = -(-w * (2 ** deepest - 1) // 4) * 4
+    assert np.flatnonzero(~np.isnan(work[w:])).max() == 3 * chains - 1
+    assert steps.tolist() == list(caps)
 
 
 @pytest.fixture
@@ -1170,22 +1270,66 @@ def test_an_unwritable_cache_builds_in_a_directory_of_its_own(monkeypatch,
     assert solver._sturm_kernel() is not None
 
 
-def test_a_new_build_removes_the_stale_ones(monkeypatch, tmp_path, rebuild):
-    # a build of another source or command is removed, whatever else is in
-    # the folder stays, and the new build loads
+def _older_builds(folder, count):
+    """`count` builds of other sources in `folder`, the first the oldest."""
+    import os
     import sysconfig
+    import time
 
+    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
+    builds = [folder / f"_sturm-0000000{j}{suffix}" for j in range(count)]
+    for j, path in enumerate(builds):
+        path.write_bytes(b"an older build")
+        os.utime(path, (time.time() - 100 * (count - j),) * 2)
+    return builds
+
+
+def test_a_new_build_removes_the_stale_ones(monkeypatch, tmp_path, rebuild):
+    # of five builds, the new one and four older, the oldest is removed;
+    # whatever else is in the folder stays, and the new build loads
     folder = tmp_path / "pdmlag"
     folder.mkdir()
-    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
-    (folder / f"_sturm-00000000{suffix}").write_bytes(b"an older build")
+    older = _older_builds(folder, solver._KERNEL_BUILDS)
     kept = [folder / "_sturm-00000000.c", folder / "notes.txt"]
     for path in kept:
         path.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     path = Path(solver._built_kernel())
-    assert sorted(folder.iterdir()) == sorted([path, *kept])
+    assert sorted(folder.iterdir()) == sorted([path, *older[1:], *kept])
     assert solver._sturm_kernel() is not None
+
+
+def test_two_trees_in_turn_compile_once_each(monkeypatch, tmp_path, rebuild):
+    # two sources that share a cache folder, run in turn, each compile
+    # once; the build each loads is touched, so two builds of other sources
+    # older than both go first
+    import importlib.resources
+    import subprocess
+    import types
+
+    folder = tmp_path / "pdmlag"
+    folder.mkdir()
+    older = _older_builds(folder, 3)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    source = importlib.resources.files("pdmlag").joinpath("_sturm.c")
+    sources = [source.read_bytes(), source.read_bytes() + b"/* another */\n"]
+    compiled, run = [], subprocess.run
+
+    def compiling(*args, **kwargs):
+        compiled.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", compiling)
+    paths = []
+    for text in sources * 3:
+        tree = types.SimpleNamespace(read_bytes=lambda text=text: text)
+        monkeypatch.setattr(importlib.resources, "files",
+                            lambda package: types.SimpleNamespace(
+                                joinpath=lambda name: tree))
+        paths.append(Path(solver._built_kernel()))
+    assert len(compiled) == 2 and paths == paths[:2] * 3
+    assert paths[0] != paths[1]
+    assert sorted(folder.iterdir()) == sorted([*paths[:2], *older[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -1199,18 +1343,30 @@ def _select(d, e, il, iu):
     w, result = np.empty(n), np.empty(2, dtype=np.int64)
     solver._sturm_kernel().sturm_select(n, d, e, e2, pivmin,
                                         solver._BISECT_TOL, il, iu, w, result,
-                                        np.empty(4 * n),
+                                        np.empty(6 * n + 48),
                                         np.empty(6 * n, dtype=np.int64))
     m, info = result.tolist()
     return m, w[:m], info
 
 
 def _assert_select_is_dstebz(d, e, il, iu):
-    m, w, info = _select(d, e, il, iu)
+    # with either count loop of the kernel
     ref_m, ref_w, ref_info = solver._stebz(d, e, b"I", 0.0, 1.0, il, iu,
                                            solver._BISECT_TOL)
-    assert (m, info) == (ref_m, ref_info)
-    assert w.tobytes() == ref_w.tobytes()
+    for portable in (False, True):
+        with _portable_counts(portable):
+            m, w, info = _select(d, e, il, iu)
+        assert (m, info) == (ref_m, ref_info)
+        assert w.tobytes() == ref_w.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_selections_are_dstebz_where_the_tree_outgrows_the_matrix(n):
+    # a pass counts at up to 16 points, more than the matrix has rows
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    for il, iu in ((1, n), (1, max(1, n // 2)), (max(1, n // 2), n)):
+        _assert_select_is_dstebz(d, e, il, iu)
 
 
 @pytest.mark.parametrize("model, k, npoints", _NO_FALLBACK[:16],
@@ -1253,8 +1409,18 @@ def _unsplit_selections(draw):
     return d, e, il, iu
 
 
+# A pair of values 1e-10 apart that splits in a later step of a pass, and
+# an IJOB 3 search that lands on its count in a later step
+_CLUSTER = (np.array([0.0, 1.0, 1.0 + 1e-10, 3.0, 7.0]), np.full(4, 1e-13))
+_GAP = (np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0]), np.full(5, 1e-3))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_unsplit_selections())
+@example((*_CLUSTER, 1, 3))
+@example((*_CLUSTER, 2, 3))
+@example((*_GAP, 1, 3))
+@example((*_GAP, 2, 3))
 def test_selections_are_dstebz_on_unsplit_matrices(selection):
     d, e, il, iu = selection
     assert solver._sturm_squares(d, e) is not None
