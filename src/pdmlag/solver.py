@@ -10,28 +10,27 @@ LAPACK's arithmetic: `dstebz`'s index bisection over the whole spectrum (the
 plain path), or its kernel `dlaebz`'s inside the warm start's windows, both
 run in a C kernel (below); eigenvectors come from one inverse iteration
 (LAPACK `dstein`) on those values, with the matrix as one block, and only
-where a caller asks for them (`eigen_lowest`, `solve_model`).  The LAPACK
-routines are called through one ctypes binding, made on first use, to the
-OpenBLAS that numpy's wheel already loads; so no part of the solver loads a
-scipy submodule.  Only where numpy exports no such routines (a numpy built
-from source, or on MKL or Accelerate) are all three taken from
-scipy.linalg.cython_lapack instead.  Everything here is independent of the
+where a caller asks for them (`eigen_lowest`, `solve_model`).  LAPACK is
+bound on first use, for `dstein` and what the kernel does not run, through
+ctypes to the OpenBLAS in numpy's wheel, or where numpy exports no such
+routines (built from source, or on MKL or Accelerate) to
+scipy.linalg.cython_lapack.  Everything here is independent of the
 closed-form machinery so it can serve as an oracle for it.
 
-Large grids are warm-started.  When an operator built by `discretize` has at
-least `_WARM_MIN` points and at most `_WARM_MAX_K` levels are asked for, the
-same problem is first solved on the nested coarse grids `_COARSE_POINTS`
-over the same interval; Neville's extrapolation of their levels in h^2
-predicts each fine-grid level with an error estimate, and bisection then runs
-only inside a window around each prediction.  Sturm counts certify that
-window j holds level j, most of them the bisection's own probes, so a warm
-value carries the plain path's guarantee: the midpoint of a bisection
-interval no wider than `_BISECT_TOL` that holds the eigenvalue.  It differs
-from the plain path's value by at most that width, and is bit for bit what
-`dstebz` gives for level j on the same window.  A window found empty is
-widened about its centre, clear of its neighbours, a few times before the
-solve gives up; whatever cannot be certified, and a matrix that `dstebz`
-would split into blocks, falls back to plain index bisection.
+Large grids are warm-started, for any number of levels: the same problem is
+first solved on a ladder of three nested grids over the same interval, sized
+from the number of levels (`_ladder`), the finest with at most 1/`_WARM_RATIO`
+of the intervals; Neville's extrapolation of their levels in h^2 predicts each
+fine-grid level with an error estimate, and bisection then runs only inside a
+window around each prediction.  Sturm counts certify that window j holds level
+j, most of them the bisection's own probes, so a warm value carries the plain
+path's guarantee: the midpoint of a bisection interval no wider than
+`_BISECT_TOL` that holds the eigenvalue.  It differs from the plain path's
+value by at most that width, and is bit for bit what `dstebz` gives for level
+j on the same window.  A window found empty is widened about its centre, clear
+of its neighbours, a few times before the solve gives up; whatever cannot be
+certified, and a matrix that `dstebz` would split into blocks, falls back to
+plain index bisection.
 The windows share one array of squared off-diagonal entries, the one array of
 the matrix's size that the warm start keeps.  A ctypes call releases the GIL,
 so the coarse solves, the counts and the windows run on one pool of up to one
@@ -83,22 +82,20 @@ _BISECT_TOL = 1e-12
 # for the grid in one piece.
 _BLOCK = 16384
 
-# Warm start (see `lowest_eigenvalues`).  On one thread, both paths in the
-# kernel, it breaks even with the plain path at about 8001 points for 10
-# levels and 12001-16001 for 40, measured on Case 1 b = 3/2 alpha = 7/3
-# m = 2 and Case 2 eta = 3 alpha = 19/7 m = 4: warm/plain time 1.39 and
-# 1.06 at 6001 points, 1.03 and 0.81 at 8001, 0.78 and 0.47 at 12001 for
-# 10 levels; 1.28 and 1.02 at 8001, 0.97 and 0.83 at 12001, 1.00 and 0.76
-# at 16001 for 40.  The bound stays where it was:
-# grids of 32008 points or fewer, which include all that `verify` and the
-# CLI defaults use, keep the plain path's bits.  From about 60 levels the
-# 501-point grid no longer resolves the top levels, and some solves fall
-# back.
-_WARM_MIN = 32009
-_WARM_MAX_K = 40
-# Nested grids of 500, 1000 and 2000 intervals; the 2001-point solve is the
-# coarse stage's critical path.
-_COARSE_POINTS = (501, 1001, 2001)
+# Warm start (see `lowest_eigenvalues`) of k levels: the coarsest grid of its
+# ladder has 500 intervals per 40 levels or part of 40 (12.5 per level), and
+# the ladder doubles it twice, so k <= 40 takes 501, 1001 and 2001 points.
+_LADDER_STEP = (500, 40)
+# It runs where the fine grid has at least this many times the intervals of
+# the ladder's finest grid, so no ladder grid warm-starts itself: from 32001
+# points for k <= 40, 64001 for k <= 80.  That is far above the break-even
+# with the plain path on one thread (about 8001 points for 10 levels, 16001
+# for 40), because the barrier model Case 2 eta = 0 alpha = 5/4 m = 1, whose
+# windows all widen, ran slower warm than plain at 40001 points: 90 against
+# 83 ms for 41 levels, 338 against 269 ms for 200.  Grids of 32000 points or
+# fewer, all that `verify` and the CLI defaults use, keep the plain path's
+# bits.
+_WARM_RATIO = 16
 # Relative floor of a window's half-width per interval of the grid.  It covers
 # the rounding of the double-precision Sturm count itself, not prediction
 # error.  Measured on Case 1 b = 3/2, alpha = 7/3, m = 2 (levels 0, 1 and 3 of
@@ -376,9 +373,9 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
     an error estimate, and the levels of each grid (a list of arrays, in
     `ladder`'s order).
 
-    The grids are solved by `lowest_eigenvalues` (below `_WARM_MIN`, so
-    by plain index bisection), the finest first, through `pmap` (`map`, or
-    a thread pool's to run them at once).  Neville's scheme evaluates at t
+    The grids are solved by `lowest_eigenvalues` (those of `_ladder(k)` by
+    plain index bisection), the finest first, through `pmap` (`map`, or a
+    thread pool's to run them at once).  Neville's scheme evaluates at t
     the polynomial in h^2 through the levels of all the grids; the estimate
     is its distance from the one through all but the coarsest.
     """
@@ -398,13 +395,18 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
     return fits[0], np.abs(fits[0] - finer), levels
 
 
+def _ladder(k: int) -> Tuple[int, ...]:
+    """Point counts of the warm start's coarse grids for k levels."""
+    coarsest = _LADDER_STEP[0] * -(-k // _LADDER_STEP[1])
+    return coarsest + 1, 2 * coarsest + 1, 4 * coarsest + 1
+
+
 def _predicted_windows(op: DiscretizedOperator, k: int,
                        pmap: Callable = map):
     """Centres and half-widths of k windows predicted to hold the fine
-    grid's lowest k levels: `_nested_fit` on `_COARSE_POINTS`, and a
-    sixteenth of its estimate, at least `_WINDOW_FLOOR` per grid interval."""
-    centre, spread, _ = _nested_fit(op, k, _COARSE_POINTS, op.grid.h ** 2,
-                                    pmap)
+    grid's lowest k levels: `_nested_fit` on `_ladder(k)`, and a sixteenth
+    of its estimate, at least `_WINDOW_FLOOR` per grid interval."""
+    centre, spread, _ = _nested_fit(op, k, _ladder(k), op.grid.h ** 2, pmap)
     floor = _WINDOW_FLOOR * (op.grid.npoints - 1)
     return centre, np.maximum(spread / 16, floor * np.maximum(1, abs(centre)))
 
@@ -745,23 +747,21 @@ def _index_values(d: np.ndarray, e: np.ndarray, k: int):
 def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
     """Lowest k eigenvalues, ascending, by LAPACK's bisection arithmetic
     alone: `dstebz`'s on the plain path and `dlaebz`'s in the warm windows,
-    both run in the Sturm kernel `_sturm.c` where it can be built, which
-    counts ahead at the points of each interval's next few steps in one pass
-    over the matrix and then makes those steps one at a time.
+    both run in the Sturm kernel `_sturm.c` where it can be built.
 
     The plain path bisects levels 0..k-1 by index over the whole spectrum,
     bit for bit as `dstebz` does (`_index_values`): in the kernel, or in
     `dstebz` itself where the kernel cannot be built or the matrix splits
-    into blocks.  An operator from `discretize` on at least `_WARM_MIN`
-    points, asked for at most `_WARM_MAX_K` levels, is warm-started
-    instead: its values are
-    bisected to the same `_BISECT_TOL` inside windows predicted from coarse
-    grids and certified by Sturm counts (`_warm_values`).  A warm value lies
-    within `_BISECT_TOL` of the plain one; when the windows cannot be
-    certified or the matrix splits, the plain path's results and errors are
-    returned.  A matrix with an infinite or NaN entry, or with an
-    off-diagonal entry whose square overflows (Sturm counts square them, and
-    bisection then finds no value), is refused before either path runs.
+    into blocks.  An operator from `discretize` whose grid has at least
+    `_WARM_RATIO` times the intervals of the finest grid of `_ladder(k)` is
+    warm-started instead: its values are bisected to the same `_BISECT_TOL`
+    inside windows predicted from that ladder and certified by Sturm counts
+    (`_warm_values`).  A warm value lies within `_BISECT_TOL` of the plain
+    one; when the windows cannot be certified or the matrix splits, the plain
+    path's results and errors are returned.  A matrix with an infinite or NaN
+    entry, or with an off-diagonal entry whose square overflows (Sturm counts
+    square them, and bisection then finds no value), is refused before either
+    path runs.
     """
     k = _integer(k, "k", 1, op.size)
     d, e = np.ascontiguousarray(op.diag), np.ascontiguousarray(op.offdiag)
@@ -773,7 +773,7 @@ def lowest_eigenvalues(op: DiscretizedOperator, k: int) -> np.ndarray:
                          f"its off-diagonal entry {top:.3g} overflows")
     vals = None
     if (op.coefficients is not None and op.grid is not None
-            and op.grid.npoints >= _WARM_MIN and k <= _WARM_MAX_K):
+            and op.grid.npoints - 1 >= _WARM_RATIO * (_ladder(k)[-1] - 1)):
         with np.errstate(all="ignore"):
             vals = _warm_values(op, k)
     if vals is None:

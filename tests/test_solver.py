@@ -433,27 +433,65 @@ def _label(model, k, npoints):
     return f"{shape}-alpha={model.alpha}-m={model.m}-k={k}-{npoints}"
 
 
+# the benchmark's draws; 20 and 40 levels on those seven models; and 41-200
+# levels at 200001 points, where the ladder grows with k, on three of them
 _NO_FALLBACK = [*_benchmark_space(18, 16),
-                *((model, k, 40001) for k in (20, 40) for model in _WARM_MODELS)]
+                *((model, k, 40001) for k in (20, 40) for model in _WARM_MODELS),
+                *((model, k, 200001) for k in (41, 100, 200)
+                  for model in (_WARM_MODELS[0], _WARM_MODELS[2],
+                                _WARM_MODELS[6]))]
 
 
 @pytest.mark.parametrize("model, k, npoints", _NO_FALLBACK,
                          ids=[_label(*problem) for problem in _NO_FALLBACK])
 def test_warm_start_never_falls_back(monkeypatch, model, k, npoints):
+    # against the plain path, `dstebz`'s index bisection in the kernel:
+    # scipy's `dstebz` takes seconds for 100 levels on 200001 points
     op = _model_op(model, k, npoints)
-    fine = []
-    index_values = solver._index_values
+    calls = []
+    index_values, warm_values = solver._index_values, solver._warm_values
 
     def recording(d, e, k):
         if d.size == op.size:               # index bisection of the fine grid
-            fine.append(k)
+            calls.append("index bisection")
         return index_values(d, e, k)
 
+    def warm_recording(op, k):
+        calls.append("warm")
+        return warm_values(op, k)
+
     monkeypatch.setattr(solver, "_index_values", recording)
+    monkeypatch.setattr(solver, "_warm_values", warm_recording)
     vals = lowest_eigenvalues(op, k)
-    assert fine == []
-    ref = _index_bisection(op, k)
+    assert calls == ["warm"]
+    ref = index_values(op.diag, op.offdiag, k)[1]
     assert np.all(np.abs(vals - ref) <= np.maximum(1e-12, 1e-15 * np.abs(ref)))
+
+
+@pytest.mark.parametrize("k, npoints, path", [
+    (40, 32001, "warm"), (40, 32000, "plain"),
+    (41, 64001, "warm"), (41, 64000, "plain"),
+    (41, 40001, "plain"), (100, 40001, "plain"), (200, 40001, "plain"),
+])
+def test_warm_start_runs_from_sixteen_times_the_ladders_intervals(
+        monkeypatch, k, npoints, path):
+    # the ladder's finest grid has 2000 intervals for at most 40 levels,
+    # 4000 for 41-80, 10000 for 200; the solves are stubbed
+    op = _model_op(_WARM_MODELS[0], k, npoints)
+    calls = []
+
+    def warm(op, k):
+        calls.append("warm")
+        return np.arange(k, dtype=float)
+
+    def plain(d, e, k):
+        calls.append("plain")
+        return k, np.arange(k, dtype=float), 0
+
+    monkeypatch.setattr(solver, "_warm_values", warm)
+    monkeypatch.setattr(solver, "_index_values", plain)
+    lowest_eigenvalues(op, k)
+    assert calls == [path]
 
 
 def _counting_passes(monkeypatch):
@@ -472,21 +510,23 @@ def _counting_passes(monkeypatch):
     return counted
 
 
-@pytest.mark.parametrize("model, npoints, passes", [
-    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 40001, 153),
-    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 200001, 162),
-    (Case2Params(3, Fraction(19, 7), 4), 40001, 127),
-    (Case2Params(3, Fraction(19, 7), 4), 200001, 146),
+@pytest.mark.parametrize("model, npoints, k, passes", [
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 40001, 10, 153),
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 200001, 10, 162),
+    (Case2Params(3, Fraction(19, 7), 4), 40001, 10, 127),
+    (Case2Params(3, Fraction(19, 7), 4), 200001, 10, 146),
     # the x^(-2) barrier makes the FD error non-analytic in h^2: the
     # predictions err by tens of half-widths, and every window widens
-    (Case2Params(0, Fraction(5, 4), 1), 40001, 281),
-    (Case2Params(0, Fraction(5, 4), 1), 200001, 249),
+    (Case2Params(0, Fraction(5, 4), 1), 40001, 10, 281),
+    (Case2Params(0, Fraction(5, 4), 1), 200001, 10, 249),
+    # 100 levels, predicted from a ladder of 1501, 3001 and 6001 points
+    (Case2Params(3, Fraction(19, 7), 4), 200001, 100, 2490),
 ], ids=["case1", "case1-200001", "case2", "case2-200001", "case2-eta0",
-        "case2-eta0-200001"])
-def test_warm_start_cost_in_sturm_passes(monkeypatch, model, npoints, passes):
-    # one warm solve of 10 levels; the window floor scales with the grid,
-    # so the two sizes differ
-    k = 10
+        "case2-eta0-200001", "case2-200001-k100"])
+def test_warm_start_cost_in_sturm_passes(monkeypatch, model, npoints, k,
+                                         passes):
+    # one warm solve; the window floor scales with the grid, so the two
+    # sizes differ
     op = _model_op(model, k, npoints)
     counted = _counting_passes(monkeypatch)
     assert solver._warm_values(op, k) is not None, "fell back"
@@ -1374,7 +1414,7 @@ def test_selections_are_dstebz_where_the_tree_outgrows_the_matrix(n):
                               _NO_FALLBACK[:16]])
 def test_index_values_are_dstebz_over_the_benchmark_space(model, k, npoints):
     # the fine grid, the 4001 points of the plain path and the coarse ladder
-    for points in (npoints, 4001, *solver._COARSE_POINTS):
+    for points in (npoints, 4001, *solver._ladder(k)):
         op = _model_op(model, k, points)
         d, e = op.diag, op.offdiag
         vals = solver._index_values(d, e, k)
