@@ -82,19 +82,17 @@ _BISECT_TOL = 1e-12
 # for the grid in one piece.
 _BLOCK = 16384
 
-# Warm start (see `lowest_eigenvalues`) of k levels: the coarsest grid of its
-# ladder has 500 intervals per 40 levels or part of 40 (12.5 per level), and
-# the ladder doubles it twice, so k <= 40 takes 501, 1001 and 2001 points.
-_LADDER_STEP = (500, 40)
-# It runs where the fine grid has at least this many times the intervals of
-# the ladder's finest grid, so no ladder grid warm-starts itself: from 32001
-# points for k <= 40, 64001 for k <= 80.  That is far above the break-even
-# with the plain path on one thread (about 8001 points for 10 levels, 16001
-# for 40), because the barrier model Case 2 eta = 0 alpha = 5/4 m = 1, whose
-# windows all widen, ran slower warm than plain at 40001 points: 90 against
-# 83 ms for 41 levels, 338 against 269 ms for 200.  Grids of 32000 points or
-# fewer, all that `verify` and the CLI defaults use, keep the plain path's
-# bits.
+# The warm start (see `lowest_eigenvalues`) runs where the fine grid has at
+# least this many times the intervals of the finest grid of `_ladder(k)`, so
+# no ladder grid warm-starts itself: from 32001 points for k <= 40, 64001 for
+# k <= 80.  That is far above the break-even with the plain path on one
+# thread (about 8001 points for 10 levels, 16001 for 40), because the barrier
+# model Case 2 eta = 0 alpha = 5/4 m = 1, whose windows all widen, ran slower
+# warm than plain at 40001 points: 90 against 83 ms for 41 levels, 338
+# against 269 ms for 200.  At the boundary it ran level or faster warm: 80-83
+# against 86-91 ms for 41 levels at 64001 points, 409-434 against 879-927 ms
+# for 200 at 160001.  Grids of 32000 points or fewer, all that `verify` and
+# the CLI defaults use, keep the plain path's bits.
 _WARM_RATIO = 16
 # Relative floor of a window's half-width per interval of the grid.  It covers
 # the rounding of the double-precision Sturm count itself, not prediction
@@ -396,8 +394,10 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
 
 
 def _ladder(k: int) -> Tuple[int, ...]:
-    """Point counts of the warm start's coarse grids for k levels."""
-    coarsest = _LADDER_STEP[0] * -(-k // _LADDER_STEP[1])
+    """Point counts of the warm start's coarse grids for k levels: the
+    coarsest has 500 intervals per 40 levels or part of 40 (12.5 per level),
+    doubled twice, so k <= 40 takes 501, 1001 and 2001 points."""
+    coarsest = 500 * -(-k // 40)
     return coarsest + 1, 2 * coarsest + 1, 4 * coarsest + 1
 
 

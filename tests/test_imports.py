@@ -6,9 +6,10 @@ submodule: both solver paths run in the Sturm kernel, which binds no LAPACK
 routine, and `dstein` and whatever the kernel does not run call LAPACK
 through the OpenBLAS that numpy's wheel already loads.  Only where numpy
 exports no such routines does the solver fall back to
-scipy.linalg.cython_lapack.  The warm start's thread pool is concurrent.futures, which is loaded on the first warm-started
-solve.  The verify battery, `pdmlag.checks`, is loaded by `verify` alone,
-and loads no scipy submodule either.
+scipy.linalg.cython_lapack.  The warm start's thread pool is
+concurrent.futures, which is loaded on the first warm-started solve.  The
+verify battery, `pdmlag.checks`, is loaded by `verify` alone, and loads no
+scipy submodule either.
 Each case runs in a fresh interpreter, because this test process has
 imported all of scipy already.
 """
