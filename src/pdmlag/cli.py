@@ -7,14 +7,15 @@ here, as a JSON report).
 Numbers are printed with 17 significant digits so identical configurations
 yield byte-identical files.
 
-Table data is formatted a column at a time by `emit.format_column`, which
-gives exactly the bytes of ``'%.17g' % x`` from vectorised integer digits
-and hands the rare values it cannot decide (near-ties, subnormals, the ends
-of the float range), and short columns whole, to ``'%.17g'`` itself.  Every
-column is checked for NaN and infinity before the first byte is written;
-the table is then streamed to its destination in chunks of at most
-`_CHUNK_ROWS` rows, so it is never built whole.  Metadata and the `verify`
-report go through `_fmt` and `_json_value`.
+Table data is formatted and joined a chunk of rows at a time by
+`emit.rows`, which writes every field with exactly the bytes of
+``'%.17g' % x``, in one pass of a C kernel where that can be built and value
+by value in Python where it cannot.  Every column, the level column n
+included, is a float64 array: ``'%.17g'`` of an integer below 2**53 is its
+`str`.  Every column is checked for NaN and infinity before the first byte
+is written; the table is then streamed to its destination in chunks of at
+most `_CHUNK_ROWS` rows, so it is never built whole.  Metadata and the
+`verify` report go through `_fmt` and `_json_value`.
 """
 from __future__ import annotations
 
@@ -254,19 +255,11 @@ def _check_finite(*arrays) -> None:
         raise RuntimeError("non-finite value in output")
 
 
-def _fmt_column(values: np.ndarray) -> np.ndarray:
-    """One data column as NUL-padded ASCII slots: `str` of an integer,
-    `'%.17g'` of a float (see `emit`)."""
-    if values.dtype.kind == "i":
-        return values.astype("S").view(np.uint8).reshape(len(values), -1)
-    return emit.format_column(values)
-
-
 def _column_cells(data: list):
-    """Row-range formatter over whole columns; a non-finite value is
+    """Row-range slicer over whole float columns; a non-finite value is
     refused now, not when its chunk is written."""
     _check_finite(*data)
-    return lambda start, stop: [_fmt_column(c[start:stop]) for c in data]
+    return lambda start, stop: [c[start:stop] for c in data]
 
 
 _CHUNK_ROWS = 8192
@@ -276,9 +269,9 @@ def _render_table(cfg: RunConfig, metadata: dict, columns: list, nrows: int,
                   cells) -> Iterator[str]:
     """Yield the table as text, at most `_CHUNK_ROWS` data rows per chunk.
 
-    `cells(start, stop)` gives rows [start, stop) as one slot array per
-    column (`_fmt_column`); each chunk is joined by `emit.join_rows`, so
-    the whole table never exists at once.  The JSON layout is the one
+    `cells(start, stop)` gives rows [start, stop) as one float array per
+    column; each chunk is formatted and joined by `emit.rows`, so the whole
+    table never exists at once.  The JSON layout is the one
     `_json_value` gives a {"metadata", "columns", "data"} document with one
     flat list per row.
     """
@@ -288,17 +281,13 @@ def _render_table(cfg: RunConfig, metadata: dict, columns: list, nrows: int,
                f'  "metadata": {_json_value(metadata, 1)},\n'
                f'  "columns": {_json_value(columns, 1)},\n'
                '  "data": [\n')
-        head, sep, tail = [b"    ["], b", ", b"],\n"
+        head, sep, tail = "    [", ", ", "],\n"
     else:
         yield ",".join(columns) + "\n"
-        head, sep, tail = [], b",", b"\n"
+        head, sep, tail = "", ",", "\n"
     for start in range(0, nrows, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, nrows)
-        parts = list(head)
-        for slots in cells(start, stop):
-            parts += [slots, sep]
-        parts[-1] = tail
-        text = emit.join_rows(parts).decode("ascii")
+        text = emit.rows(cells(start, stop), head, sep, tail)
         if json_format and stop == nrows:
             text = text[:-2] + "\n"        # no comma after the last row
         yield text
@@ -363,7 +352,8 @@ def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
     rel_err = np.divide(abs_err, np.abs(exact), out=abs_err.copy(),
                         where=exact != 0.0)
     columns = ["n", "E_analytic", "E_numeric", "abs_err", "rel_err"]
-    cells = _column_cells([np.arange(k), exact, numeric, abs_err, rel_err])
+    cells = _column_cells([np.arange(k, dtype=float), exact, numeric,
+                           abs_err, rel_err])
     return _render_table(cfg, _metadata("spectrum", cfg, model, grid),
                          columns, k, cells)
 
@@ -401,12 +391,11 @@ def cmd_density2d(cfg: RunConfig) -> Iterator[str]:
     # px, py >= 0, so every product px[i] * py[j] is finite iff the largest is
     _check_finite(xs, px, py, px.max() * py.max())
     npoints = grid.npoints
-    xcol = _fmt_column(xs)                  # x is formatted once
 
     def cells(start, stop):
         # row i * npoints + j is (x_i, x_j, px[i] * py[j])
         i, j = np.divmod(np.arange(start, stop), npoints)
-        return [xcol[i], xcol[j], _fmt_column(px[i] * py[j])]
+        return [xs[i], xs[j], px[i] * py[j]]
 
     md = _metadata("density2d", cfg, model, grid)
     md["parameters"]["n1"] = cfg.n1

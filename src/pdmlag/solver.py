@@ -50,14 +50,11 @@ splits an interval where it holds more than one value), and the windows'
 counts and bisections are `dlaebz`'s; each chain keeps LAPACK's arithmetic
 and order, and each step is `dlaebz`'s, so the bits and the steps are
 LAPACK's.  The kernel is compiled on the first finite-difference solve,
-never at import, with the compiler Python was built with (`_KERNEL_FLAGS`),
-into a file named by the hash of source and command in pdmlag's folder of
-the user cache directory (a directory of the process's own where that
-cannot be written), which keeps the `_KERNEL_BUILDS` most recently used
-builds, and loaded through ctypes.  Where it cannot be built or loaded, the
-plain path calls `dstebz` and each window `dlaebz` instead, with the same
-bits; so does the plain path for a matrix that `dstebz` would split into
-blocks.
+never at import, and loaded through ctypes by `_kernels.load`, which
+caches the build in pdmlag's folder of the user cache directory.  Where it
+cannot be built or loaded, the plain path calls `dstebz` and each window
+`dlaebz` instead, with the same bits; so does the plain path for a matrix
+that `dstebz` would split into blocks.
 """
 from __future__ import annotations
 
@@ -69,6 +66,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .models import ModelKind, default_domain, mass, v_eff
 from .orthopoly import _integer
 
@@ -472,99 +470,16 @@ def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     return call
 
 
-# How `_sturm.c` is built, with the compiler Python was built with: -O3
-# runs the count loop's chains in vector lanes; no multiply and add may be
-# fused, which would change the bits
-_KERNEL_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-# Builds kept in the cache folder, the most recently used: two source trees
-# that share the folder, run in turn, then compile once each
-_KERNEL_BUILDS = 4
-
-
-def _built_kernel() -> Optional[str]:
-    """The path of `_sturm.c` built as a shared library, or None where the
-    compiler is missing or fails.
-
-    The file is named by a hash of the source and the build command, so
-    that a change to either builds anew.  It is built in pdmlag's folder of
-    the user cache directory (`XDG_CACHE_HOME`, else ~/.cache), or in a
-    directory of this process's own, removed at exit, where that cannot be
-    written; it is written whole or not at all, so that processes that
-    build at the same time each load a complete library.  A build found
-    there is touched; a new build removes all but the `_KERNEL_BUILDS`
-    most recently touched or built.
-    """
-    import atexit
-    import contextlib
-    import shlex
-    import shutil
-    import subprocess
-    import sysconfig
-    import tempfile
-    import zlib
-    from importlib import resources
-
-    source = resources.files(__package__).joinpath("_sturm.c").read_bytes()
-    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
-               *_KERNEL_FLAGS]
-    # CRC-32, not hashlib: importing hashlib loads OpenSSL, 3.5 MB of
-    # resident memory for one name
-    digest = zlib.crc32(b"\0".join([source, *map(str.encode, command)]))
-    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
-    name = f"_sturm-{digest:08x}{suffix}"
-    folder = os.path.join(os.environ.get("XDG_CACHE_HOME")
-                          or os.path.join(os.path.expanduser("~"), ".cache"),
-                          "pdmlag")
-    if os.path.exists(os.path.join(folder, name)):
-        with contextlib.suppress(OSError):
-            os.utime(os.path.join(folder, name))
-        return os.path.join(folder, name)
-    try:
-        os.makedirs(folder, exist_ok=True)
-        fd, partial = tempfile.mkstemp(suffix=suffix, dir=folder)
-    except OSError:
-        try:
-            folder = tempfile.mkdtemp(prefix="pdmlag-")
-            fd, partial = tempfile.mkstemp(suffix=suffix, dir=folder)
-        except OSError:
-            return None
-        atexit.register(shutil.rmtree, folder, True)
-    os.close(fd)
-    try:
-        subprocess.run([*command, "-x", "c", "-", "-o", partial],
-                       input=source, capture_output=True, check=True,
-                       timeout=120)
-        os.replace(partial, os.path.join(folder, name))
-    except (OSError, subprocess.SubprocessError):
-        if os.path.exists(partial):     # the compiler removes it on failure
-            os.unlink(partial)
-        return None
-    with contextlib.suppress(OSError):     # another process may remove one
-        builds = sorted((os.path.join(folder, other)
-                         for other in os.listdir(folder)
-                         if other.startswith("_sturm-")
-                         and other.endswith(suffix)),
-                        key=lambda path: os.stat(path).st_mtime_ns)
-        for old in builds[:-_KERNEL_BUILDS]:
-            with contextlib.suppress(OSError):
-                os.unlink(old)
-    return os.path.join(folder, name)
-
-
 @cache
 def _sturm_kernel():
-    """`_sturm.c` loaded through ctypes on the first call (`_built_kernel`),
+    """`_sturm.c` loaded through ctypes on the first call (`_kernels.load`),
     with its routines `sturm_count`, `sturm_bisect` and `sturm_select`
     bound, or None where the kernel cannot be built or loaded.  A ctypes
     call releases the GIL."""
     import ctypes
 
-    path = _built_kernel()
-    if path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
+    lib = _kernels.load("_sturm")
+    if lib is None:
         return None
     size, dbl = ctypes.c_int64, ctypes.c_double
     doubles = np.ctypeslib.ndpointer(np.double, flags="C")

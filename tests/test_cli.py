@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import pdmlag.emit
 import pdmlag.solver
 from pdmlag import checks, cli
 from pdmlag.cli import main
@@ -392,6 +393,20 @@ def test_spectrum_at_the_defaults_is_the_same_without_the_kernel(capsys,
     assert built == without
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_data_is_the_same_without_the_emit_kernel(capsys, monkeypatch,
+                                                         fmt):
+    # the emit kernel writes the bytes of '%.17g', which formats each value
+    # where the kernel cannot be built
+    for argv in (["profile"], ["density2d", "--case", "2"]):
+        argv = argv + ["--format", fmt]
+        _, built, _ = _run(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(pdmlag.emit, "_kernel", lambda: None)
+            _, without, _ = _run(capsys, argv)
+        assert built == without
+
+
 def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     parser = cli._build_parser()
     base = ["spectrum", "--case", "2", "--eta", "2", "--m", "2"]
@@ -701,6 +716,28 @@ def test_emission_matches_row_reference(capsys, argv, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("loaded", ["kernel", "python"])
+def test_rows_either_side_of_a_chunk_match_row_reference(monkeypatch, fmt,
+                                                         loaded):
+    # one row short of a chunk, a whole chunk, and one row into the next,
+    # of integers, scaled normals and the finite doubles of random bits
+    if loaded == "python":
+        monkeypatch.setattr(pdmlag.emit, "_kernel", lambda: None)
+    rng = np.random.default_rng(29)
+    cfg = cli._default_config(format=fmt)
+    metadata, columns = {"command": "rows"}, ["n", "scaled", "bits"]
+    for nrows in (cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1):
+        bits = rng.integers(0, 2 ** 64, nrows, dtype=np.uint64).view(float)
+        data = [np.arange(nrows, dtype=float),
+                rng.standard_normal(nrows) * 10.0 ** rng.integers(-30, 30, nrows),
+                np.where(np.isfinite(bits), bits, -0.0)]
+        rows = [[float(c[r]) for c in data] for r in range(nrows)]
+        text = "".join(cli._render_table(cfg, metadata, columns, nrows,
+                                         cli._column_cells(data)))
+        assert text == _reference_render(fmt, metadata, columns, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_text_only_stdout_matches_out_file(tmp_path, capsys, monkeypatch, fmt):
     argv = (["density2d"] + _CASE2
             + ["--n1", "1", "--n2", "2", "--npoints", "101", "--format", fmt])
@@ -721,13 +758,16 @@ def test_non_finite_data_exits_three(tmp_path, capsys, monkeypatch, argv):
         psi[len(psi) // 2] = np.nan
         return psi
     monkeypatch.setattr(cli, "wavefunction", poisoned)
-    code, out, err = _run(capsys, argv)
-    assert code == 3
-    assert out == ""
-    assert err == "error: non-finite value in output\n"
-    # with --out the refusal comes before the file is opened
-    path = tmp_path / "data.txt"
-    code, out, err = _run(capsys, argv + ["--out", str(path)])
-    assert code == 3
-    assert err == "error: non-finite value in output\n"
-    assert not path.exists()
+    # with the emit kernel and without it
+    for loader in (pdmlag.emit._kernel, lambda: None):
+        monkeypatch.setattr(pdmlag.emit, "_kernel", loader)
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: non-finite value in output\n"
+        # with --out the refusal comes before the file is opened
+        path = tmp_path / "data.txt"
+        code, out, err = _run(capsys, argv + ["--out", str(path)])
+        assert code == 3
+        assert err == "error: non-finite value in output\n"
+        assert not path.exists()

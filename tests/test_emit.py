@@ -1,9 +1,9 @@
-"""The vectorised `%.17g` formatter against Python's own `'%.17g' % x`.
+"""The C row emitter's `%.17g` fields against Python's own `'%.17g' % x`.
 
 Every case compares whole columns byte for byte: the fast path (digits from
-a double-double product), the exact fallback (near-ties, subnormals and the
-ends of the range) and the `%g` layout rules all have to agree with the
-reference on every value.
+a double-double product), the exact fallback (near-ties, subnormals, zeros
+and the ends of the range) and the `%g` layout rules all have to agree with
+the reference on every value.
 """
 import os
 import subprocess
@@ -21,10 +21,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _texts(values) -> list:
-    """The formatter's output for each value, as strings."""
-    slots = emit.format_column(np.asarray(values, dtype=np.float64))
-    assert slots.shape == (len(values), emit.WIDTH)
-    return emit.join_rows([slots, b"\n"]).decode("ascii").split("\n")[:-1]
+    """The kernel's field for each value, as strings."""
+    assert emit._kernel() is not None       # built here: no silent fallback
+    text = emit.rows([np.asarray(values, dtype=np.float64)], "", "", "\n")
+    return text.split("\n")[:-1]
 
 
 def _assert_matches_percent(values) -> None:
@@ -42,10 +42,12 @@ def test_matches_percent_on_any_finite_floats(values):
     _assert_matches_percent(values)
 
 
-def test_matches_percent_on_either_side_of_the_short_column_cutoff():
+def test_matches_percent_on_short_columns_with_special_values():
+    # zeros, subnormals and the non-finite values take snprintf
     rng = np.random.default_rng(11)
-    special = [0.0, -0.0, 5e-324, -1e300, 1e-5, 1e16, 0.1, 123456789.0]
-    for n in range(emit._SHORT + 2):
+    special = [0.0, -0.0, 5e-324, -1e300, 1e-5, 1e16, 0.1, 123456789.0,
+               -2.5e-310, np.inf, -np.inf, np.nan, -np.nan]
+    for n in range(130):
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
         values[:len(special)] = special[:n]
         _assert_matches_percent(values)
@@ -90,12 +92,16 @@ def test_matches_percent_at_powers_of_ten_and_neighbours():
     _assert_matches_percent(np.concatenate([values, -values]))
 
 
-def test_tables_are_built_on_first_use_not_at_import():
+def test_tables_are_built_on_first_use_not_at_import(tmp_path):
+    # neither the 10**p table nor a kernel: nothing is compiled or loaded,
+    # and the cache folder is not made
     script = ("import pdmlag, pdmlag.cli\n"
               "print(pdmlag.emit._pow10.cache_info().currsize,"
-              " pdmlag.emit._tables.cache_info().currsize)\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+              " pdmlag.emit._kernel.cache_info().currsize,"
+              " pdmlag.solver._sturm_kernel.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
+    assert list(tmp_path.iterdir()) == []

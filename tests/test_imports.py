@@ -150,11 +150,13 @@ def test_every_traced_name_is_a_function_of_its_layer():
             assert fn.__module__ == module.__name__, f"pdmlag.{layer}.{name}"
 
 
-def test_the_sturm_kernel_source_is_package_data():
-    # the solver reads the Sturm kernel through importlib.resources,
-    # so an installed package must carry it
+def test_the_kernel_sources_are_package_data():
+    # the kernels are read through importlib.resources, so an installed
+    # package must carry their sources
     from importlib import resources
 
-    source = resources.files("pdmlag").joinpath("_sturm.c")
-    assert source.is_file()
-    assert b"void sturm_bisect(" in source.read_bytes()
+    for stem, routine in (("_sturm", b"void sturm_bisect("),
+                          ("_emit", b"int64_t emit_rows(")):
+        source = resources.files("pdmlag").joinpath(f"{stem}.c")
+        assert source.is_file()
+        assert routine in source.read_bytes()

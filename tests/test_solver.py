@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdmlag import solver
+from pdmlag import _kernels, emit, solver
 from pdmlag.checks import convergence_order
 from pdmlag.models import (Case1Params, Case2Params, default_domain, energy,
                            mass, v_eff, wavefunction)
@@ -1145,7 +1145,7 @@ def test_the_kernel_builds_and_loads_here(kernel_cache):
 
     kernel = solver._sturm_kernel()
     assert kernel is not None
-    assert Path(solver._built_kernel()).parent == kernel_cache
+    assert Path(_kernels.built("_sturm")).parent == kernel_cache
     wide = ctypes.c_int.in_dll(kernel, "sturm_wide").value
     avx2 = _cpu_has_avx2()
     if platform.machine() not in ("x86_64", "AMD64"):
@@ -1278,10 +1278,13 @@ def test_a_pass_counts_no_deeper_than_the_steps_left(caps, deepest):
 
 @pytest.fixture
 def rebuild():
-    """Clears the loaded kernel before the test and after it."""
-    solver._sturm_kernel.cache_clear()
-    yield solver._sturm_kernel.cache_clear
-    solver._sturm_kernel.cache_clear()
+    """Clears the loaded kernels before the test and after it."""
+    def clear():
+        solver._sturm_kernel.cache_clear()
+        emit._kernel.cache_clear()
+    clear()
+    yield clear
+    clear()
 
 
 def test_without_a_compiler_the_warm_start_gives_the_same_bytes(monkeypatch,
@@ -1306,19 +1309,20 @@ def test_an_unwritable_cache_builds_in_a_directory_of_its_own(monkeypatch,
     blocked = tmp_path / "file"
     blocked.write_text("")                  # no directory can be made in it
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
-    path = Path(solver._built_kernel())
+    path = Path(_kernels.built("_sturm"))
     assert path.is_file() and blocked not in path.parents
     assert solver._sturm_kernel() is not None
 
 
-def _older_builds(folder, count):
-    """`count` builds of other sources in `folder`, the first the oldest."""
+def _older_builds(folder, count, stem="_sturm"):
+    """`count` builds of other sources of the kernel `stem` in `folder`, the
+    first the oldest."""
     import os
     import sysconfig
     import time
 
     suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
-    builds = [folder / f"_sturm-0000000{j}{suffix}" for j in range(count)]
+    builds = [folder / f"{stem}-0000000{j}{suffix}" for j in range(count)]
     for j, path in enumerate(builds):
         path.write_bytes(b"an older build")
         os.utime(path, (time.time() - 100 * (count - j),) * 2)
@@ -1326,18 +1330,25 @@ def _older_builds(folder, count):
 
 
 def test_a_new_build_removes_the_stale_ones(monkeypatch, tmp_path, rebuild):
-    # of five builds, the new one and four older, the oldest is removed;
-    # whatever else is in the folder stays, and the new build loads
+    # of five builds of one kernel, the new one and four older, the oldest
+    # is removed; the other kernel's builds and whatever else is in the
+    # folder stay, and the new build loads
     folder = tmp_path / "pdmlag"
     folder.mkdir()
-    older = _older_builds(folder, solver._KERNEL_BUILDS)
+    sturm = _older_builds(folder, _kernels._KERNEL_BUILDS)
+    emitted = _older_builds(folder, _kernels._KERNEL_BUILDS, "_emit")
     kept = [folder / "_sturm-00000000.c", folder / "notes.txt"]
     for path in kept:
         path.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    path = Path(solver._built_kernel())
-    assert sorted(folder.iterdir()) == sorted([path, *older[1:], *kept])
+    path = Path(_kernels.built("_sturm"))
+    assert sorted(folder.iterdir()) == sorted([path, *sturm[1:], *emitted,
+                                               *kept])
     assert solver._sturm_kernel() is not None
+    emit_path = Path(_kernels.built("_emit"))
+    assert sorted(folder.iterdir()) == sorted([path, *sturm[1:], emit_path,
+                                               *emitted[1:], *kept])
+    assert emit._kernel() is not None
 
 
 def test_two_trees_in_turn_compile_once_each(monkeypatch, tmp_path, rebuild):
@@ -1367,7 +1378,7 @@ def test_two_trees_in_turn_compile_once_each(monkeypatch, tmp_path, rebuild):
         monkeypatch.setattr(importlib.resources, "files",
                             lambda package: types.SimpleNamespace(
                                 joinpath=lambda name: tree))
-        paths.append(Path(solver._built_kernel()))
+        paths.append(Path(_kernels.built("_sturm")))
     assert len(compiled) == 2 and paths == paths[:2] * 3
     assert paths[0] != paths[1]
     assert sorted(folder.iterdir()) == sorted([*paths[:2], *older[1:]])
