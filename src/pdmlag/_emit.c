@@ -13,8 +13,8 @@
    where D falls outside [10^16, 10^17) (log10 rounded across a power of
    ten, or the rounding carried into an 18th digit), for a magnitude outside
    [TINY, HUGE] (subnormals and the ends of the range, where 10^p or the
-   split would leave the normal range) and for zero.  The split must stay
-   exact: build with -ffp-contract=off. */
+   split would leave the normal range).  Zero is written directly, "0" or
+   "-0".  The split must stay exact: build with -ffp-contract=off. */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -115,6 +115,12 @@ static char *field(double x, const double *pow10, int64_t npow, char *p)
             if (d < E17)
                 return layout(x < 0, x10, d, p);
         }
+    }
+    if (x == 0) {
+        *p = '-';
+        p += signbit(x) != 0;
+        *p = '0';
+        return p + 1;
     }
     if (isnan(x))               /* Python writes no sign */
         return copy(p, "nan", 3);

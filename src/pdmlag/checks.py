@@ -29,8 +29,9 @@ from .models import (Case1Params, Case2Params, ModelKind, _bracket, _points,
 from .orthopoly import (Polynomial, XmFamilySpec, _integer,
                         _laguerre_or_zero, eval_poly, eval_xm_laguerre,
                         laguerre_data, xm_laguerre)
-from .solver import (Grid, _auto_grid, _model_operator, _nested_fit, _stebz,
-                     align_sign, discretize, lowest_eigenvalues, quadrature)
+from .solver import (Grid, _auto_grid, _index_values, _model_operator,
+                     _nested_fit, align_sign, discretize, lowest_eigenvalues,
+                     quadrature)
 from .susy import (_inv_sqrt_mass, _ratio_s, _w1, apply_A, apply_A_dagger,
                    partner_model, partner_wavefunction)
 
@@ -67,15 +68,16 @@ def _gauss_laguerre(alpha: float, n: int):
 
     Nodes: the eigenvalues of the Jacobi matrix, diagonal 2k+alpha+1 and
     off-diagonal b_k = sqrt(k(k+alpha)) (Golub and Welsch, Math. Comp. 23
-    (1969) 221), by the solver's one-thread LAPACK bisection at its most
-    accurate tolerance (a dense eigensolver's threaded BLAS can stall for
-    tenths of a second).  Weights: the Christoffel numbers 1 / sum_k
+    (1969) 221), by the solver's one-thread index bisection (`dstebz`'s,
+    in the Sturm kernel where it is built) at its most accurate tolerance
+    (a dense eigensolver's threaded BLAS can stall for tenths of a
+    second).  Weights: the Christoffel numbers 1 / sum_k
     p_k(g)^2 of the orthonormal recurrence, 0 where the sum overflows,
     accurate relative to their own size, unlike Gamma(alpha+1) v_0^2.
     """
     k = np.arange(n, dtype=float)
     diag, b = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
-    nodes = _stebz(diag, b[1:], b"A", 0, 0, 0, 0, 2 * np.finfo(float).tiny)[1]
+    nodes = _index_values(diag, b[1:], n, tol=2 * np.finfo(float).tiny)[1]
     with np.errstate(all="ignore"):
         prev, p = 0.0, np.full(n, math.gamma(alpha + 1.0) ** -0.5)
         total = p * p

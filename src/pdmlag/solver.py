@@ -12,9 +12,8 @@ run in a C kernel (below); eigenvectors come from one inverse iteration
 (LAPACK `dstein`) on those values, with the matrix as one block, and only
 where a caller asks for them (`eigen_lowest`, `solve_model`).  LAPACK is
 bound on first use, for `dstein` and what the kernel does not run, through
-ctypes to the OpenBLAS in numpy's wheel, or where numpy exports no such
-routines (built from source, or on MKL or Accelerate) to
-scipy.linalg.cython_lapack.  Everything here is independent of the
+ctypes to scipy.linalg.cython_lapack (`_lapack`); a solve that needs
+neither loads no scipy submodule.  Everything here is independent of the
 closed-form machinery so it can serve as an oracle for it.
 
 Large grids are warm-started, for any number of levels: the same problem is
@@ -244,95 +243,45 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
                                coefficients=(massfn, potfn))
 
 
-# The LAPACK symbols numpy's wheels export from the OpenBLAS they bundle,
-# built with 64-bit integers, in the order (dstebz, dstein, dlaebz).
-_NUMPY_SYMBOLS = ("scipy_dstebz_64_", "scipy_dstein_64_", "scipy_dlaebz_64_")
-_ROUTINES = ("dstebz", "dstein", "dlaebz")
-
-
-def _numpy_lapack():
-    """The addresses of `_ROUTINES` in the OpenBLAS that numpy loaded, or
-    None unless all are there (a numpy built from source, or on MKL or
-    Accelerate, exports none)."""
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        return tuple(ctypes.cast(getattr(lib, symbol), ctypes.c_void_p).value
-                     for symbol in _NUMPY_SYMBOLS)
-    except (AttributeError, OSError):
-        return None
-
-
-def _scipy_lapack():
-    """The addresses of `_ROUTINES` that `scipy.linalg.cython_lapack`
-    exports, which take C ints."""
+@cache
+def _lapack(name: str):
+    """The LAPACK routine `name` (`dstebz`, `dstein` or `dlaebz`) of
+    `scipy.linalg.cython_lapack`, which takes C ints, bound through ctypes
+    on first use.  A ctypes call releases the GIL, so bisections on
+    separate threads run at the same time; scipy's own f2py wrappers hold
+    it."""
     import ctypes
     from scipy.linalg import cython_lapack
 
+    char, dbl, ptr = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_double),
+                      ctypes.c_void_p)
+    num = ctypes.POINTER(ctypes.c_int)
+    doubles = np.ctypeslib.ndpointer(np.double, ndim=1, flags="C")
+    ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C")
+    columns = np.ctypeslib.ndpointer(np.double, ndim=2, flags="F")
+    signature = {
+        # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK
+        # IWORK INFO
+        "dstebz": (char, char, num, dbl, dbl, num, num, dbl, doubles, doubles,
+                   num, num, doubles, ints, ints, doubles, ints, num),
+        # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
+        "dstein": (num, doubles, doubles, num, doubles, ints, ints, columns,
+                   num, doubles, ints, ints, num),
+        # IJOB NITMAX N MMAX MINP NBMIN ABSTOL RELTOL PIVMIN D E E2 NVAL AB C
+        # MOUT NAB WORK IWORK INFO, the arrays as plain pointers: `_laebz`
+        # checks them once for many calls
+        "dlaebz": (num, num, num, num, num, num, dbl, dbl, dbl, ptr, ptr, ptr,
+                   ptr, ptr, ptr, num, ptr, ptr, ptr, num),
+    }[name]
+    capsule = cython_lapack.__pyx_capi__[name]
     api = ctypes.pythonapi
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", api))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                     ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
-    capsules = [cython_lapack.__pyx_capi__[name] for name in _ROUTINES]
-    return tuple(get_pointer(c, get_name(c)) for c in capsules)
-
-
-@cache
-def _binding():
-    """`_ROUTINES` bound through ctypes, all from one LAPACK, with the
-    ctypes integer type they take: numpy's own OpenBLAS (64-bit integers)
-    when it exports all three, else `scipy.linalg.cython_lapack` (C ints).
-    Only the second loads a scipy submodule.
-
-    A ctypes call releases the GIL, so bisections on separate threads run
-    at the same time; scipy's own f2py wrappers hold it.
-    """
-    import ctypes
-
-    addresses = _numpy_lapack()
-    fortran = addresses is not None
-    integer = ctypes.c_int64 if fortran else ctypes.c_int
-    stebz_at, stein_at, laebz_at = addresses if fortran else _scipy_lapack()
-    char = ctypes.c_char_p
-    num = ctypes.POINTER(integer)
-    dbl = ctypes.POINTER(ctypes.c_double)
-    doubles = np.ctypeslib.ndpointer(np.double, ndim=1, flags="C")
-    ints = np.ctypeslib.ndpointer(integer, ndim=1, flags="C")
-    columns = np.ctypeslib.ndpointer(np.double, ndim=2, flags="F")
-    # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK
-    # IWORK INFO, then, for a Fortran symbol, the lengths of RANGE and ORDER
-    # that gfortran passes after the last argument
-    stebz_args = (char, char, num, dbl, dbl, num, num, dbl, doubles, doubles,
-                  num, num, doubles, ints, ints, doubles, ints, num)
-    lengths = (ctypes.c_size_t,) * 2 if fortran else ()
-    raw_stebz = ctypes.CFUNCTYPE(None, *stebz_args, *lengths)(stebz_at)
-    # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
-    dstein = ctypes.CFUNCTYPE(None, num, doubles, doubles, num, doubles, ints,
-                              ints, columns, num, doubles, ints, ints,
-                              num)(stein_at)
-    # IJOB NITMAX N MMAX MINP NBMIN ABSTOL RELTOL PIVMIN D E E2 NVAL AB C
-    # MOUT NAB WORK IWORK INFO, the arrays as plain pointers: `_laebz`
-    # checks them once for many calls
-    ptr = ctypes.c_void_p
-    dlaebz = ctypes.CFUNCTYPE(None, num, num, num, num, num, num, dbl, dbl,
-                              dbl, ptr, ptr, ptr, ptr, ptr, ptr, num, ptr,
-                              ptr, ptr, num)(laebz_at)
-    if fortran:
-        def dstebz(*args):
-            raw_stebz(*args, 1, 1)
-    else:
-        dstebz = raw_stebz
-    return {"dstebz": dstebz, "dstein": dstein, "dlaebz": dlaebz}, integer
-
-
-def _lapack(name: str):
-    """The LAPACK routine `name` (one of `_ROUTINES`) and the ctypes
-    integer type its integer arguments take, from `_binding`."""
-    routines, integer = _binding()
-    return routines[name], integer
+    return ctypes.CFUNCTYPE(None, *signature)(get_pointer(capsule,
+                                                          get_name(capsule)))
 
 
 def _stebz(d: np.ndarray, e: np.ndarray, select: bytes, vl: float, vu: float,
@@ -344,21 +293,19 @@ def _stebz(d: np.ndarray, e: np.ndarray, select: bytes, vl: float, vu: float,
     the m values found; the block index and splitting that `dstebz` also
     writes are workspace here.
     """
-    import ctypes
+    from ctypes import byref, c_double, c_int
 
     n = d.size
     if e.size != n - 1:
         raise ValueError("arrays do not fit the matrix")
-    dstebz, integer = _lapack("dstebz")
     w = np.empty(n)
-    iblock, isplit = np.empty(n, dtype=integer), np.empty(n, dtype=integer)
-    m, nsplit, info = integer(), integer(), integer()
-    dstebz(select, b"E", ctypes.byref(integer(n)),
-           ctypes.byref(ctypes.c_double(vl)), ctypes.byref(ctypes.c_double(vu)),
-           ctypes.byref(integer(il)), ctypes.byref(integer(iu)),
-           ctypes.byref(ctypes.c_double(tol)), d, e, ctypes.byref(m),
-           ctypes.byref(nsplit), w, iblock, isplit, np.empty(4 * n),
-           np.empty(3 * n, dtype=integer), ctypes.byref(info))
+    iblock, isplit = np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc)
+    m, nsplit, info = c_int(), c_int(), c_int()
+    _lapack("dstebz")(select, b"E", byref(c_int(n)), byref(c_double(vl)),
+                      byref(c_double(vu)), byref(c_int(il)), byref(c_int(iu)),
+                      byref(c_double(tol)), d, e, byref(m), byref(nsplit), w,
+                      iblock, isplit, np.empty(4 * n),
+                      np.empty(3 * n, dtype=np.intc), byref(info))
     return m.value, w[:m.value].copy(), info.value
 
 
@@ -378,8 +325,6 @@ def _nested_fit(op: DiscretizedOperator, k: int, ladder: Tuple[int, ...],
     massfn, potfn = op.coefficients
     coarse = [discretize(massfn, potfn, Grid(op.grid.lo, op.grid.hi, npoints))
               for npoints in ladder]
-    if _sturm_kernel() is None:     # built or bound here, not in a thread
-        _lapack("dstebz")
     fits = list(pmap(lambda c: lowest_eigenvalues(c, k), reversed(coarse)))
     fits.reverse()
     levels = fits
@@ -438,30 +383,29 @@ def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     Returns a function that makes the call and returns INFO, each time it
     is called, with the arguments checked and converted once, so that ab
     and nab carry a bisection from one call to the next.  The arrays are
-    float, except nab, of `dlaebz`'s integer type.
+    float, except nab, of C ints (`np.intc`).
     """
-    import ctypes
+    from ctypes import byref, c_double, c_int
 
     n = d.size
-    dlaebz, integer = _lapack("dlaebz")
+    dlaebz = _lapack("dlaebz")
     arrays = (d, e, e2, nab, ab)
     if (any(a.ndim != 1 or not a.flags.c_contiguous for a in arrays)
             or any(a.dtype != np.double for a in (d, e, e2, ab))
-            or nab.dtype != np.dtype(integer)
+            or nab.dtype != np.intc
             or e.size != n - 1 or e2.size != n - 1 or ab.size != 2
             or nab.size != 2):
         raise ValueError("arrays do not fit the matrix")
-    mout, info = integer(), integer()
+    mout, info = c_int(), c_int()
     d_at, e_at, e2_at, nab_at, ab_at = (a.ctypes.data for a in arrays)
     # MMAX = MINP = 1 and NBMIN = 0, the serial loop `dstebz` runs; the
     # relative tolerance is `dstebz`'s 2 ulp; nab stands in for NVAL, which
     # only IJOB 3 reads
-    args = (*(ctypes.byref(integer(v)) for v in (ijob, nitmax, n, 1, 1, 0)),
-            *(ctypes.byref(ctypes.c_double(v))
+    args = (*(byref(c_int(v)) for v in (ijob, nitmax, n, 1, 1, 0)),
+            *(byref(c_double(v))
               for v in (_BISECT_TOL, 2 * np.finfo(float).eps, pivmin)),
-            d_at, e_at, e2_at, nab_at, ab_at, (ctypes.c_double * 1)(),
-            ctypes.byref(mout), nab_at, (ctypes.c_double * 1)(),
-            (integer * 1)(), ctypes.byref(info))
+            d_at, e_at, e2_at, nab_at, ab_at, (c_double * 1)(), byref(mout),
+            nab_at, (c_double * 1)(), (c_int * 1)(), byref(info))
 
     def call(held=arrays):      # the arrays outlive their pointers
         dlaebz(*args)
@@ -533,7 +477,7 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
                             steps, info, np.empty(4 * w + 48),
                             np.empty(2 * w, dtype=np.int64))
     else:
-        window, pair = np.empty(2), np.empty(2, dtype=_lapack("dlaebz")[1])
+        window, pair = np.empty(2), np.empty(2, dtype=np.intc)
         step = _laebz(ijob, d, e, e2, pivmin, window, pair, 1)
         for i in range(w):
             window[:], pair[:] = ab[i], nab[i]
@@ -572,7 +516,8 @@ def _warm_values(op: DiscretizedOperator, k: int):
     if sturm is None:
         return None
     e2, pivmin = sturm
-    _sturm_kernel()             # built here, so that no thread builds it
+    if _sturm_kernel() is None:     # built or bound here, not in a thread
+        _lapack("dstebz"), _lapack("dlaebz")
     # row j: window j's interval, and the counts at its ends
     ab = np.empty((k, 2))
     nab = np.empty((k, 2), dtype=np.int64)
@@ -635,10 +580,12 @@ def _warm_values(op: DiscretizedOperator, k: int):
     return 0.5 * (ab[:, 0] + ab[:, 1])
 
 
-def _index_values(d: np.ndarray, e: np.ndarray, k: int):
+def _index_values(d: np.ndarray, e: np.ndarray, k: int, *,
+                  tol: float = _BISECT_TOL):
     """The lowest k eigenvalues of the matrix (d, e) by `dstebz`'s index
-    bisection over the whole spectrum: (m, w, info), bit for bit what
-    `_stebz(d, e, b"I", 0, 1, 1, k, _BISECT_TOL)` returns.
+    bisection over the whole spectrum to absolute tolerance `tol`:
+    (m, w, info), bit for bit what `_stebz(d, e, b"I", 0, 1, 1, k, tol)`
+    returns (for k = n, what `_stebz(d, e, b"A", 0, 0, 0, 0, tol)` does).
 
     The kernel (`_sturm_kernel`) runs `dstebz`'s steps, with every
     interval's Sturm chains, at the points of its next few steps, advanced
@@ -649,11 +596,11 @@ def _index_values(d: np.ndarray, e: np.ndarray, k: int):
     kernel = _sturm_kernel()
     sturm = None if kernel is None else _sturm_squares(d, e)
     if sturm is None:
-        return _stebz(d, e, b"I", 0.0, 1.0, 1, k, _BISECT_TOL)
+        return _stebz(d, e, b"I", 0.0, 1.0, 1, k, tol)
     e2, pivmin = sturm
     n = d.size
     w, result = np.empty(n), np.empty(2, dtype=np.int64)
-    kernel.sturm_select(n, d, e, e2, pivmin, _BISECT_TOL, 1, k, w, result,
+    kernel.sturm_select(n, d, e, e2, pivmin, tol, 1, k, w, result,
                         np.empty(6 * n + 48), np.empty(6 * n, dtype=np.int64))
     m, info = result.tolist()
     return m, w[:m].copy(), info
@@ -706,19 +653,18 @@ def eigen_lowest(op: DiscretizedOperator, k: int) -> SpectrumResult:
     by inverse iteration, one `dstein` call that takes the matrix as one
     block.  Where `dstebz` finds one block, as on every model's matrix, the
     vectors are bit for bit those of a call block by block."""
-    import ctypes
+    from ctypes import byref, c_int
 
     vals = lowest_eigenvalues(op, k)
     n = op.size
-    dstein, integer = _lapack("dstein")
     vecs = np.empty((n, k), order="F")
-    info = integer()
-    dstein(ctypes.byref(integer(n)), np.ascontiguousarray(op.diag),
-           np.ascontiguousarray(op.offdiag), ctypes.byref(integer(k)), vals,
-           np.ones(k, dtype=integer), np.array([n], dtype=integer), vecs,
-           ctypes.byref(integer(n)), np.empty(5 * n),
-           np.empty(n, dtype=integer), np.empty(k, dtype=integer),
-           ctypes.byref(info))
+    info = c_int()
+    _lapack("dstein")(byref(c_int(n)), np.ascontiguousarray(op.diag),
+                      np.ascontiguousarray(op.offdiag), byref(c_int(k)), vals,
+                      np.ones(k, dtype=np.intc), np.array([n], dtype=np.intc),
+                      vecs, byref(c_int(n)), np.empty(5 * n),
+                      np.empty(n, dtype=np.intc), np.empty(k, dtype=np.intc),
+                      byref(info))
     if info.value:
         raise RuntimeError(f"tridiagonal eigensolve failed: inverse iteration "
                            f"returned info={info.value}")

@@ -384,13 +384,16 @@ def test_byte_identical_reruns(capsys):
 def test_spectrum_at_the_defaults_is_the_same_without_the_kernel(capsys,
                                                                   monkeypatch,
                                                                   fmt):
-    # the Sturm kernel runs `dstebz`'s index bisection bit for bit, so a
-    # machine without a compiler writes the same bytes
-    argv = ["spectrum", "--format", fmt]
-    _, built, _ = _run(capsys, argv)
-    monkeypatch.setattr(pdmlag.solver, "_sturm_kernel", lambda: None)
-    _, without, _ = _run(capsys, argv)
-    assert built == without
+    # the Sturm kernel runs `dstebz`'s index bisection bit for bit, and the
+    # warm start's windows `dlaebz`'s (from 32001 points), so a machine
+    # without a compiler writes the same bytes
+    for argv in (["spectrum"], ["spectrum", "--npoints", "40001"]):
+        argv = argv + ["--format", fmt]
+        _, built, _ = _run(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(pdmlag.solver, "_sturm_kernel", lambda: None)
+            _, without, _ = _run(capsys, argv)
+        assert built == without
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -746,6 +749,21 @@ def test_text_only_stdout_matches_out_file(tmp_path, capsys, monkeypatch, fmt):
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(argv) == 0
     assert stdout.getvalue() == (tmp_path / "mesh").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("model", [["--case", "1", "--b", "1"],
+                                   ["--case", "2", "--eta", "1"]],
+                         ids=["case1", "case2"])
+def test_states_are_served_up_to_alpha_304(capsys, model):
+    # today's frontier in alpha: from 305, N_0 underflows where the
+    # prefactor overflows, and even the ground state is refused
+    code, out, err = _run(capsys, ["profile", *model, "--m", "2",
+                                   "--alpha", "304"])
+    assert code == 0 and out and err == ""
+    code, out, err = _run(capsys, ["profile", *model, "--m", "2",
+                                   "--alpha", "305"])
+    assert code == 3 and out == ""
+    assert err == "error: bound state n=0 overflows in floating point\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,13 +3,12 @@
 Importing the package, emitting closed-form data (`profile`, `density2d`)
 and solving on the finite-difference grid (`spectrum`) load no scipy
 submodule: both solver paths run in the Sturm kernel, which binds no LAPACK
-routine, and `dstein` and whatever the kernel does not run call LAPACK
-through the OpenBLAS that numpy's wheel already loads.  Only where numpy
-exports no such routines does the solver fall back to
-scipy.linalg.cython_lapack.  The warm start's thread pool is
-concurrent.futures, which is loaded on the first warm-started solve.  The
-verify battery, `pdmlag.checks`, is loaded by `verify` alone, and loads no
-scipy submodule either.
+routine.  Only `dstein` (eigenvectors) and what the kernel does not run
+bind LAPACK, from scipy.linalg.cython_lapack.  The warm start's thread pool
+is concurrent.futures, which is loaded on the first warm-started solve.
+The verify battery, `pdmlag.checks`, is loaded by `verify` alone, and loads
+no scipy submodule either: its Gauss rules take their nodes from the
+kernel's index bisection too.
 Each case runs in a fresh interpreter, because this test process has
 imported all of scipy already.
 """
@@ -23,7 +22,6 @@ from pathlib import Path
 import pytest
 
 import pdmlag
-from pdmlag import solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -75,15 +73,11 @@ def test_verify_loads_the_checks(tmp_path):
     codes, loaded, _ = _run([["verify", "--out", "verify.json"]], tmp_path)
     assert codes == [0]
     assert "pdmlag.checks" in loaded
-    # the X_m inner product is a Gauss rule built in numpy, so no check loads
-    # a scipy submodule; only the solver's LAPACK fallback does
-    fallback = ({"scipy.linalg", "scipy.linalg.cython_lapack"}
-                if solver._numpy_lapack() is None else set())
-    assert {m for m in loaded if m.startswith("scipy.")} <= fallback
+    # the X_m inner product is a Gauss rule built in numpy on the kernel's
+    # nodes, so no check loads a scipy submodule
+    assert {m for m in loaded if m.startswith("scipy.")} == set()
 
 
-@pytest.mark.skipif(solver._numpy_lapack() is None,
-                    reason="numpy exports no dstebz/dstein of its own")
 def test_spectrum_loads_no_scipy_submodule(tmp_path):
     # the default grid takes plain bisection; 40001 points the warm start
     plain = ["spectrum"] + _MODEL2 + ["--out", "spectrum.csv"]

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from pdmlag import checks
+from pdmlag import checks, solver
 from pdmlag.checks import _gauss_laguerre, xm_inner_product, xm_ode_residual
 from pdmlag.orthopoly import (Polynomial, XmFamilySpec, _genlaguerre_pair,
                               _laguerre_or_zero, classical_laguerre, eval_poly,
@@ -462,6 +462,20 @@ def test_inner_product_sweep_matches_quad_oracle(m):
                      * eval_xm_laguerre(nu2, spec, gauss_g)
                      / eval_poly(laguerre_data(m, alpha).h, gauss_g) ** 2)
                 assert abs(ours) <= 1e-10 * np.sum(np.abs(gauss_w * f))
+
+
+@pytest.mark.parametrize("n", checks._GAUSS_NODES)
+@pytest.mark.parametrize("alpha", [1.25, 2.0, 3.5, 10.0])
+def test_gauss_nodes_are_dstebz_over_the_whole_spectrum(alpha, n):
+    # the nodes come from the solver's index bisection of levels 1..n, which
+    # `dstebz` runs as RANGE 'A'; `dstebz` with RANGE 'A' is the reference
+    k = np.arange(n, dtype=float)
+    diag, b = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
+    m, ref, info = solver._stebz(diag, b[1:], b"A", 0, 0, 0, 0,
+                                 2 * np.finfo(float).tiny)
+    assert (m, info) == (n, 0)
+    nodes = _gauss_laguerre.__wrapped__(alpha, n)[0]
+    assert nodes.tobytes() == ref.tobytes()
 
 
 def test_xm_orthogonality_reading_is_an_accuracy():

@@ -940,9 +940,10 @@ def _raise(*args, **kwargs):
 
 
 def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
-    # the routines of `solver._binding`, and nothing of scipy's; where the
-    # Sturm kernel loads, it gives every value and only `dstein` is bound,
-    # else the plain path calls `dstebz` and the warm windows `dlaebz`
+    # the routines of `solver._lapack`, and none of scipy's own wrappers;
+    # where the Sturm kernel loads, it gives every value and only `dstein`
+    # is bound, else the plain path calls `dstebz` and the warm windows
+    # `dlaebz`
     import scipy.linalg
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", _raise)
@@ -971,86 +972,8 @@ def test_every_solve_binds_only_dstebz_and_dstein(monkeypatch):
                               else {"dstebz", "dstein", "dlaebz"})
 
 
-# ---------------------------------------------------------------------------
-# the two LAPACK sources: numpy's own OpenBLAS and scipy.linalg.cython_lapack
-
-_needs_numpy_lapack = pytest.mark.skipif(
-    solver._numpy_lapack() is None,
-    reason="numpy exports no dstebz/dstein of its own")
-
-
-@pytest.fixture
-def rebind():
-    """Clears the cached binding before the test and after it, so a source
-    forced here neither leaks out nor is hidden by an earlier binding."""
-    solver._binding.cache_clear()
-    yield solver._binding.cache_clear
-    solver._binding.cache_clear()
-
-
-def _address(routine):
-    return ctypes.cast(routine, ctypes.c_void_p).value
-
-
 _CASE1 = Case1Params(Fraction(3, 2), Fraction(7, 3), 2)
 _CASE2 = Case2Params(3, Fraction(19, 7), 4)
-
-
-@_needs_numpy_lapack
-@pytest.mark.parametrize("build, k, path", [
-    (lambda: _model_op(_CASE1, 10, 4001), 10, "plain"),
-    (lambda: _model_op(_CASE1, 10, 12001), 10, "plain"),
-    (lambda: _model_op(_CASE2, 10, 4001), 10, "plain"),
-    (lambda: _model_op(_CASE2, 10, 12001), 10, "plain"),
-    (lambda: _model_op(_CASE1, 10, 40001), 10, "warm"),
-    (lambda: _model_op(_CASE2, 10, 40001), 10, "warm"),
-    (lambda: _model_op(_CASE2, 10, 40001), 10, "fallback"),
-    (_split_operator, 30, "plain"),
-], ids=["case1-4001", "case1-12001", "case2-4001", "case2-12001",
-        "case1-40001-warm", "case2-40001-warm", "case2-40001-fallback",
-        "300x300-split"])
-def test_both_lapack_sources_give_the_same_bits(monkeypatch, rebind, build,
-                                                k, path):
-    op = build()
-    if path == "fallback":
-        monkeypatch.setattr(solver, "_predicted_windows",
-                            _shift_up_one_level(solver._predicted_windows))
-    runs = []
-    for integer in (ctypes.c_int64, ctypes.c_int):
-        if integer is ctypes.c_int:         # hide numpy's symbols
-            monkeypatch.setattr(solver, "_numpy_lapack", lambda: None)
-            rebind()
-        assert solver._lapack("dstebz")[1] is integer
-        if path != "plain":
-            warm = solver._warm_values(op, k)
-            assert (warm is not None) == (path == "warm")
-        res = eigen_lowest(op, k)
-        runs.append((lowest_eigenvalues(op, k), res.eigenvalues,
-                     res.eigenvectors, res.residual_norms))
-    for ours, scipys in zip(*runs):
-        assert ours.tobytes() == scipys.tobytes()
-
-
-@_needs_numpy_lapack
-@pytest.mark.parametrize("missing", [0, 1, 2], ids=list(solver._ROUTINES))
-def test_one_numpy_symbol_alone_falls_back_for_both(monkeypatch, rebind,
-                                                    missing):
-    # any one of the three symbols missing takes all three from scipy
-    symbols = list(solver._NUMPY_SYMBOLS)
-    symbols[missing] = "pdmlag_no_such_symbol_"
-    monkeypatch.setattr(solver, "_NUMPY_SYMBOLS", tuple(symbols))
-    assert solver._numpy_lapack() is None
-    bound = [solver._lapack(name) for name in solver._ROUTINES]
-    assert all(integer is ctypes.c_int for _, integer in bound)
-    assert tuple(_address(routine) for routine, _ in bound) == \
-        solver._scipy_lapack()
-    op = _split_operator()
-    assert eigen_lowest(op, 30).eigenvalues.tobytes() == \
-        _index_bisection(op, 30).tobytes()
-    op = _model_op(_CASE2, 10, 40001)
-    warm = solver._warm_values(op, 10)
-    assert warm is not None, "fell back"
-    assert warm.tobytes() == _dstebz_windows(op, 10)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1060,8 +983,7 @@ def _laebz_one_by_one(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
     """Reference for `solver._sturm_batch`: each window in one `_laebz`
     call, with the whole cap for IJOB 2.  Returns ab, nab (as int64) and,
     for IJOB 2, each window's INFO."""
-    integer = solver._lapack("dlaebz")[1]
-    ab, nab = ab.copy(), nab.astype(integer)
+    ab, nab = ab.copy(), nab.astype(np.intc)
     caps = nitmax if ijob == 2 else np.zeros(len(ab))
     info = [solver._laebz(ijob, d, e, e2, pivmin, window, counts, int(cap))()
             for window, counts, cap in zip(ab, nab, caps)]
