@@ -4,12 +4,13 @@
    time, and every row of a chain waits on one division.  These routines run
    many chains side by side, rows outer and chains inner, so that their
    divisions overlap, in vector lanes (in AVX2 where the CPU has it:
-   sturm_wide says which loop runs).  The bisection looks a few steps ahead:
-   one pass over the matrix counts at every point that an interval's next
-   steps can reach, and the steps are then made one at a time from those
-   counts.  Each chain does dlaebz's arithmetic in dlaebz's order, and each
-   step is dlaebz's, so every count and every interval end is bit for bit
-   its own; build with -ffp-contract=off.  sturm_select is dstebz's index
+   sturm_wide says which copy runs), all in one count loop whose pivot rule
+   is a threshold.  The bisection looks a few steps ahead: one pass over the
+   matrix counts at every point that an interval's next steps can reach,
+   and the steps are then made one at a time from those counts.  Each
+   chain does dlaebz's arithmetic in dlaebz's order, and each step is
+   dlaebz's, so every count and every interval end is bit for bit its own;
+   build with -ffp-contract=off.  sturm_select is dstebz's index
    bisection of a matrix that does not split, in dstebz's arithmetic, with
    every value placed by its count, as dstebz places it.  Arrays of two per
    interval are (lower, upper) pairs. */
@@ -17,53 +18,33 @@
 #include <math.h>
 #include <stdint.h>
 
-/* IJOB 1: count[i] = the number of eigenvalues below x[i], for m shifts x
-   (t: m doubles of workspace).  A pivot smaller than pivmin in magnitude
-   counts as -pivmin. */
-void sturm_count(int64_t n, const double *d, const double *e2, double pivmin,
-                 int64_t m, const double *x, int64_t *count, double *t)
-{
-    for (int64_t i = 0; i < m; i++) {
-        double v = d[0] - x[i];
-        if (v < pivmin && v > -pivmin)
-            v = -pivmin;
-        count[i] = v <= 0;
-        t[i] = v;
-    }
-    for (int64_t r = 1; r < n; r++)
-        for (int64_t i = 0; i < m; i++) {
-            double v = d[r] - e2[r - 1] / t[i] - x[i];
-            if (v < pivmin && v > -pivmin)
-                v = -pivmin;
-            count[i] += v <= 0;
-            t[i] = v;
-        }
-}
-
-/* The IJOB 2 and 3 count at the m points c: a pivot at most pivmin is
-   counted and then taken as min(pivot, -pivmin).  Branch-free, with the
-   counts as doubles, so that the compiler runs the chains in vector lanes
-   (-O3), each lane in its own IEEE arithmetic; always inlined, so that the
-   AVX2 copy below compiles it for AVX2.  t: m doubles. */
+/* The Sturm count at the m points c, the one count loop of every IJOB: a
+   pivot at most lim is counted, and one also above -pivmin is then taken as
+   -pivmin.  IJOB 2 and 3 count at lim = pivmin; IJOB 1's rule (a pivot
+   smaller than pivmin in magnitude taken as -pivmin, then counted if at
+   most 0) is lim = the double below pivmin (sturm_count).  Branch-free,
+   with the counts as doubles, so that the compiler runs the chains in
+   vector lanes (-O3), each lane in its own IEEE arithmetic; always inlined,
+   so that the AVX2 copy below compiles it for AVX2.  t: m doubles. */
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define WIDE 1
 __attribute__((always_inline))
 #endif
 static inline void counts(int64_t n, const double *restrict d,
-                          const double *restrict e2, double pivmin, int64_t m,
-                          const double *restrict c, double *restrict t,
-                          double *restrict count)
+                          const double *restrict e2, double pivmin,
+                          double lim, int64_t m, const double *restrict c,
+                          double *restrict t, double *restrict count)
 {
     for (int64_t i = 0; i < m; i++) {
         double v = d[0] - c[i];
-        count[i] = v <= pivmin;
-        t[i] = (v <= pivmin) & (v > -pivmin) ? -pivmin : v;
+        count[i] = v <= lim;
+        t[i] = (v <= lim) & (v > -pivmin) ? -pivmin : v;
     }
     for (int64_t r = 1; r < n; r++)
         for (int64_t i = 0; i < m; i++) {
             double v = d[r] - e2[r - 1] / t[i] - c[i];
-            count[i] += v <= pivmin;
-            t[i] = (v <= pivmin) & (v > -pivmin) ? -pivmin : v;
+            count[i] += v <= lim;
+            t[i] = (v <= lim) & (v > -pivmin) ? -pivmin : v;
         }
 }
 
@@ -71,10 +52,10 @@ static inline void counts(int64_t n, const double *restrict d,
 /* The same loop in AVX2, taken where the CPU has it (sturm_wide = 1). */
 __attribute__((target("avx2")))
 static void wide_counts(int64_t n, const double *d, const double *e2,
-                        double pivmin, int64_t m, const double *c, double *t,
-                        double *count)
+                        double pivmin, double lim, int64_t m, const double *c,
+                        double *t, double *count)
 {
-    counts(n, d, e2, pivmin, m, c, t, count);
+    counts(n, d, e2, pivmin, lim, m, c, t, count);
 }
 
 int sturm_wide;
@@ -89,6 +70,17 @@ __attribute__((constructor)) static void choose_counts(void)
 int sturm_wide = 0;
 #define COUNTS counts
 #endif
+
+/* IJOB 1: count[i] = the number of eigenvalues below x[i], for m shifts x
+   (work: 2m doubles). */
+void sturm_count(int64_t n, const double *d, const double *e2, double pivmin,
+                 int64_t m, const double *x, int64_t *count, double *work)
+{
+    COUNTS(n, d, e2, pivmin, nextafter(pivmin, -INFINITY), m, x, work,
+           work + m);
+    for (int64_t i = 0; i < m; i++)
+        count[i] = (int64_t)work[m + i];
+}
 
 /* Chains per pass over the matrix that the lookahead aims at: about as many
    as cost one chain's time in the vector lanes. */
@@ -152,7 +144,7 @@ static void bisect(int64_t n, const double *d, const double *e2,
         }
         for (int64_t k = left * size; k < chains; k++)
             x[k] = x[0];
-        COUNTS(n, d, e2, pivmin, chains, x, t, count);
+        COUNTS(n, d, e2, pivmin, pivmin, chains, x, t, count);
         for (int64_t step = 0; step < s && left; step++) {
             int64_t all = left;
             for (int64_t k = 0; k < left; k++) {
@@ -345,15 +337,11 @@ void sturm_select(int64_t n, const double *d, const double *e,
             gl = larger(gl, wl);
             gu = smaller(gu, wu);
         }
-        c[0] = gl;
-        c[1] = gu;
-        sturm_count(n, d, e2, pivmin, 2, c, at, chains);
-        nwl = at[0];
-        nwu = at[1];
         ab[0] = gl;
         ab[1] = gu;
-        nab[0] = nwl;
-        nab[1] = nwu;
+        sturm_count(n, d, e2, pivmin, 2, ab, nab, chains);
+        nwl = nab[0];
+        nwu = nab[1];
         room[0] = step_cap(gu - gl, pivmin);
         info[0] = 1;
         c[0] = 0.5 * (gl + gu);

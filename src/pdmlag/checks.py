@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cli import _default_config, _plot_grid, _profile_grid
+from .cli import _default_config, _profile_grid, _table_grid
 from .models import (Case1Params, Case2Params, ModelKind, _bracket, _points,
                      _ret, default_domain, energy, energy_fraction, mass,
                      v_eff, wavefunction)
@@ -444,7 +444,7 @@ def _check_profile_normalization() -> float:
 
 
 def _count_nodes(model: ModelKind, n: int) -> int:
-    vals = wavefunction(model, n, _plot_grid(model, n, 4000).xs())
+    vals = wavefunction(model, n, _table_grid(model, n, 4000).xs())
     signs = np.sign(vals)
     signs = signs[signs != 0]
     return int(np.sum(signs[1:] * signs[:-1] < 0))
@@ -461,7 +461,7 @@ def _check_node_counts() -> float:
 
 def _density2d_mesh(n1: int, n2: int, npoints: int = 161):
     model = Case2Params(1, 2, 1)
-    grid = _plot_grid(model, max(n1, n2, 2), npoints)
+    grid = _table_grid(model, max(n1, n2, 2), npoints)
     px, py = (wavefunction(model, n, grid.xs()) ** 2 for n in (n1, n2))
     return grid, px, py
 

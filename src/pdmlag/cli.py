@@ -37,7 +37,7 @@ from . import __version__, emit
 from .models import (Case1Params, Case2Params, ModelKind, default_domain,
                      energy, mass, susy_constant, v_eff, wavefunction)
 from .orthopoly import _integer
-from .solver import Grid, _auto_grid, _model_operator, lowest_eigenvalues
+from .solver import Grid, _model_operator, lowest_eigenvalues
 
 OUTDIR_ENV = "PDMLAG_OUTDIR"
 
@@ -321,25 +321,28 @@ def _write_output(cfg: RunConfig, chunks: Iterable[str]) -> None:
 # ---------------------------------------------------------------------------
 # data commands
 
-def _user_grid(cfg: RunConfig, grid: Grid) -> Grid:
-    """`grid` with --grid-lo and --grid-hi in place of its ends where given."""
-    return Grid(grid.lo if cfg.grid_lo is None else cfg.grid_lo,
-                grid.hi if cfg.grid_hi is None else cfg.grid_hi, grid.npoints)
-
-
-def _plot_grid(model: ModelKind, n: int, npoints: int) -> Grid:
-    """`npoints` samples of default_domain(model, n); on the half-line the
-    grid starts one spacing in from x = 0, keeping the barrier at a finite
-    end off the samples."""
-    lo, hi = default_domain(model, n)
-    if model.pct_map.lo > -math.inf:
-        lo = hi / npoints
+def _table_grid(model: ModelKind, n: int, npoints: int,
+                lo: Optional[float] = None, hi: Optional[float] = None, *,
+                gap: bool = True) -> Grid:
+    """`npoints` samples of default_domain(model, n), with `lo` and `hi`
+    (--grid-lo and --grid-hi) in place of its ends where given, so that
+    default_domain runs only for an end not given.  Where `gap`, a grid on
+    the half-line without a given lo starts one of its own spacings in from
+    x = 0, keeping the barrier at a finite end off the samples."""
+    if lo is None or hi is None:
+        domain = default_domain(model, n)
+        hi = domain[1] if hi is None else hi
+        if lo is None:
+            lo = (hi / npoints if gap and model.pct_map.lo > -math.inf
+                  else domain[0])
     return Grid(lo, hi, npoints)
 
 
 def _spectrum_grid(cfg: RunConfig, model: ModelKind, k: int) -> Grid:
+    # the solver samples no grid end, so Case 2's grid may start at x = 0
     npoints = cfg.npoints if cfg.npoints is not None else 4001
-    return _user_grid(cfg, _auto_grid(model, k, npoints))
+    return _table_grid(model, max(k - 1, 3), npoints, cfg.grid_lo,
+                       cfg.grid_hi, gap=False)
 
 
 def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
@@ -360,7 +363,8 @@ def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
 
 def _profile_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     npoints = cfg.npoints if cfg.npoints is not None else 2001
-    return _user_grid(cfg, _plot_grid(model, max(cfg.nmax, 2), npoints))
+    return _table_grid(model, max(cfg.nmax, 2), npoints, cfg.grid_lo,
+                       cfg.grid_hi)
 
 
 def cmd_profile(cfg: RunConfig) -> Iterator[str]:
@@ -376,7 +380,8 @@ def cmd_profile(cfg: RunConfig) -> Iterator[str]:
 
 def _density2d_grid(cfg: RunConfig, model: ModelKind) -> Grid:
     npoints = cfg.npoints if cfg.npoints is not None else 201
-    return _user_grid(cfg, _plot_grid(model, max(cfg.n1, cfg.n2, 2), npoints))
+    return _table_grid(model, max(cfg.n1, cfg.n2, 2), npoints, cfg.grid_lo,
+                       cfg.grid_hi)
 
 
 def cmd_density2d(cfg: RunConfig) -> Iterator[str]:

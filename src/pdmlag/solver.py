@@ -12,7 +12,8 @@ run in a C kernel (below); eigenvectors come from one inverse iteration
 (LAPACK `dstein`) on those values, with the matrix as one block, and only
 where a caller asks for them (`eigen_lowest`, `solve_model`).  LAPACK is
 bound on first use, for `dstein` and what the kernel does not run, through
-ctypes to scipy.linalg.cython_lapack (`_lapack`); a solve that needs
+ctypes to scipy.linalg.cython_lapack (`_lapack`), every routine the same
+way, with numpy arrays checked by ctypes on each call; a solve that needs
 neither loads no scipy submodule.  Everything here is independent of the
 closed-form machinery so it can serve as an oracle for it.
 
@@ -52,8 +53,8 @@ LAPACK's.  The kernel is compiled on the first finite-difference solve,
 never at import, and loaded through ctypes by `_kernels.load`, which
 caches the build in pdmlag's folder of the user cache directory.  Where it
 cannot be built or loaded, the plain path calls `dstebz` and each window
-`dlaebz` instead, with the same bits; so does the plain path for a matrix
-that `dstebz` would split into blocks.
+`dlaebz`, one call per step, instead, with the same bits; so does the plain
+path for a matrix that `dstebz` would split into blocks.
 """
 from __future__ import annotations
 
@@ -247,14 +248,14 @@ def discretize(massfn: Callable, potfn: Callable, grid: Grid) -> DiscretizedOper
 def _lapack(name: str):
     """The LAPACK routine `name` (`dstebz`, `dstein` or `dlaebz`) of
     `scipy.linalg.cython_lapack`, which takes C ints, bound through ctypes
-    on first use.  A ctypes call releases the GIL, so bisections on
-    separate threads run at the same time; scipy's own f2py wrappers hold
-    it."""
+    on first use: scalars by reference, arrays as numpy ndpointers, whose
+    dtype, dimensions and order ctypes checks on every call.  A ctypes call
+    releases the GIL, so bisections on separate threads run at the same
+    time; scipy's own f2py wrappers hold it."""
     import ctypes
     from scipy.linalg import cython_lapack
 
-    char, dbl, ptr = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_double),
-                      ctypes.c_void_p)
+    char, dbl = ctypes.c_char_p, ctypes.POINTER(ctypes.c_double)
     num = ctypes.POINTER(ctypes.c_int)
     doubles = np.ctypeslib.ndpointer(np.double, ndim=1, flags="C")
     ints = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C")
@@ -268,10 +269,10 @@ def _lapack(name: str):
         "dstein": (num, doubles, doubles, num, doubles, ints, ints, columns,
                    num, doubles, ints, ints, num),
         # IJOB NITMAX N MMAX MINP NBMIN ABSTOL RELTOL PIVMIN D E E2 NVAL AB C
-        # MOUT NAB WORK IWORK INFO, the arrays as plain pointers: `_laebz`
-        # checks them once for many calls
-        "dlaebz": (num, num, num, num, num, num, dbl, dbl, dbl, ptr, ptr, ptr,
-                   ptr, ptr, ptr, num, ptr, ptr, ptr, num),
+        # MOUT NAB WORK IWORK INFO
+        "dlaebz": (num, num, num, num, num, num, dbl, dbl, dbl, doubles,
+                   doubles, doubles, ints, doubles, doubles, num, ints,
+                   doubles, ints, num),
     }[name]
     capsule = cython_lapack.__pyx_capi__[name]
     api = ctypes.pythonapi
@@ -374,44 +375,28 @@ def _sturm_squares(d: np.ndarray, e: np.ndarray):
 
 def _laebz(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
            pivmin: float, ab: np.ndarray, nab: np.ndarray,
-           nitmax: int = 0) -> Callable[[], int]:
-    """A `dlaebz` call on one interval ab = [lo, hi] of the matrix (d, e),
+           nitmax: int = 0) -> int:
+    """One `dlaebz` call on one interval ab = [lo, hi] of the matrix (d, e),
     as `dstebz` makes it for an unsplit matrix: IJOB 1 writes the Sturm
     counts N(lo) and N(hi) to nab, and IJOB 2, given those counts, bisects
     the interval in place, to `_BISECT_TOL` and in at most nitmax steps.
-
-    Returns a function that makes the call and returns INFO, each time it
-    is called, with the arguments checked and converted once, so that ab
-    and nab carry a bisection from one call to the next.  The arrays are
-    float, except nab, of C ints (`np.intc`).
+    Returns INFO.  The arrays are float, except nab, of C ints (`np.intc`).
     """
     from ctypes import byref, c_double, c_int
 
     n = d.size
-    dlaebz = _lapack("dlaebz")
-    arrays = (d, e, e2, nab, ab)
-    if (any(a.ndim != 1 or not a.flags.c_contiguous for a in arrays)
-            or any(a.dtype != np.double for a in (d, e, e2, ab))
-            or nab.dtype != np.intc
-            or e.size != n - 1 or e2.size != n - 1 or ab.size != 2
-            or nab.size != 2):
+    if e.size != n - 1 or e2.size != n - 1 or ab.size != 2 or nab.size != 2:
         raise ValueError("arrays do not fit the matrix")
     mout, info = c_int(), c_int()
-    d_at, e_at, e2_at, nab_at, ab_at = (a.ctypes.data for a in arrays)
     # MMAX = MINP = 1 and NBMIN = 0, the serial loop `dstebz` runs; the
     # relative tolerance is `dstebz`'s 2 ulp; nab stands in for NVAL, which
     # only IJOB 3 reads
-    args = (*(byref(c_int(v)) for v in (ijob, nitmax, n, 1, 1, 0)),
-            *(byref(c_double(v))
-              for v in (_BISECT_TOL, 2 * np.finfo(float).eps, pivmin)),
-            d_at, e_at, e2_at, nab_at, ab_at, (c_double * 1)(), byref(mout),
-            nab_at, (c_double * 1)(), (c_int * 1)(), byref(info))
-
-    def call(held=arrays):      # the arrays outlive their pointers
-        dlaebz(*args)
-        return info.value
-
-    return call
+    _lapack("dlaebz")(*(byref(c_int(v)) for v in (ijob, nitmax, n, 1, 1, 0)),
+                      *(byref(c_double(v)) for v in
+                        (_BISECT_TOL, 2 * np.finfo(float).eps, pivmin)),
+                      d, e, e2, nab, ab, np.empty(1), byref(mout), nab,
+                      np.empty(1), np.empty(1, dtype=np.intc), byref(info))
+    return info.value
 
 
 @cache
@@ -428,7 +413,7 @@ def _sturm_kernel():
     size, dbl = ctypes.c_int64, ctypes.c_double
     doubles = np.ctypeslib.ndpointer(np.double, flags="C")
     ints = np.ctypeslib.ndpointer(np.int64, flags="C")
-    # N D E2 PIVMIN M X COUNT WORK
+    # N D E2 PIVMIN M X COUNT WORK (2M)
     lib.sturm_count.argtypes = (size, doubles, doubles, dbl, size, doubles,
                                 ints, doubles)
     # N D E2 PIVMIN ABSTOL RELTOL M AB NAB NITMAX STEPS INFO WORK IWORK
@@ -456,9 +441,8 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     the same pass over the matrix, and each IJOB 2 pass counts ahead at the
     points of the window's next few steps; the steps it reports are
     `dlaebz`'s, not passes.  Where it cannot be built or loaded, each
-    window goes through `dlaebz`, with the same bits, one step per call, so
-    that the steps are exact.  The arguments of those calls are converted
-    once per batch (`_laebz`), and the windows pass through one buffer.
+    window goes through `dlaebz` (`_laebz`) in place, with the same bits,
+    one step per call, so that the steps are exact.
     """
     w = len(ab)
     if (e.size != d.size - 1 or e2.size != d.size - 1 or ab.shape != (w, 2)
@@ -469,7 +453,7 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
     kernel = _sturm_kernel()
     if kernel is not None and ijob == 1:
         kernel.sturm_count(d.size, d, e2, pivmin, 2 * w, ab, nab,
-                           np.empty(2 * w))
+                           np.empty(4 * w))
     elif kernel is not None:
         kernel.sturm_bisect(d.size, d, e2, pivmin, _BISECT_TOL,
                             2 * np.finfo(float).eps, w, ab, nab,
@@ -477,16 +461,14 @@ def _sturm_batch(ijob: int, d: np.ndarray, e: np.ndarray, e2: np.ndarray,
                             steps, info, np.empty(4 * w + 48),
                             np.empty(2 * w, dtype=np.int64))
     else:
-        window, pair = np.empty(2), np.empty(2, dtype=np.intc)
-        step = _laebz(ijob, d, e, e2, pivmin, window, pair, 1)
+        counts = nab.astype(np.intc)
         for i in range(w):
-            window[:], pair[:] = ab[i], nab[i]
             if ijob == 1:
-                step()
+                _laebz(1, d, e, e2, pivmin, ab[i], counts[i])
             while ijob == 2 and info[i] == 1 and steps[i] < nitmax[i]:
-                info[i] = step()
+                info[i] = _laebz(2, d, e, e2, pivmin, ab[i], counts[i], 1)
                 steps[i] += 1
-            ab[i], nab[i] = window, pair
+        nab[:] = counts
     return (info, steps) if ijob == 2 else None
 
 

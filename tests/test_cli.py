@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ import pdmlag.emit
 import pdmlag.solver
 from pdmlag import checks, cli
 from pdmlag.cli import main
-from pdmlag.models import energy, mass, v_eff, wavefunction
-from pdmlag.solver import solve_model
+from pdmlag.models import (Case1Params, Case2Params, energy, mass, v_eff,
+                           wavefunction)
+from pdmlag.solver import Grid, quadrature, solve_model
 
 
 def _run(capsys, argv):
@@ -160,6 +162,77 @@ def test_spectrum_serves_eta_24(tmp_path):
     assert main(["spectrum", "--case", "2", "--eta", "24", "--out",
                  str(path)]) == 0
     assert len(path.read_text().splitlines()) == 5
+
+
+_ETA_40001 = ["--case", "2", "--alpha", "5/2", "--m", "2", "--nmax", "9",
+              "--npoints", "40001"]
+
+
+@pytest.mark.parametrize("argv, code, shown", [
+    (["--case", "1", "--b", "1000"], 1,
+     "the model leaves double precision at these parameters and grid ("),
+    ([*_ETA_40001, "--eta", "18"], 0, None),
+    ([*_ETA_40001, "--eta", "19"], 1,
+     "the matrix leaves double precision: the square of its off-diagonal "
+     "entry 1.4e+162 overflows\n"),
+], ids=["b-1000", "eta-18-40001", "eta-19-40001"])
+def test_spectrum_frontier(capsys, argv, code, shown):
+    # today's served range: default_domain's search fails at b = 1000, and
+    # on 40001 points the barrier's off-diagonal squares overflow from
+    # eta = 19
+    got, out, err = _run(capsys, ["spectrum", *argv])
+    assert got == code
+    if code == 0:
+        assert err == "" and len(out.splitlines()) == 11
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {shown}")
+
+
+_B1000 = ["--case", "1", "--b", "1000", "--alpha", "2", "--m", "2",
+          "--nmax", "3", "--grid-lo", "-0.012", "--grid-hi", "0.03"]
+
+
+def test_both_grid_ends_serve_a_model_whose_default_domain_fails(capsys):
+    # at b = 1000 default_domain fails (above); with both ends given it is
+    # not called, and the grid is b = 1's [-12, 30] scaled by 1/b
+    code, out, err = _run(capsys, ["spectrum", *_B1000])
+    assert code == 0 and err == ""
+    rel_err = [float(line.split(",")[4]) for line in out.splitlines()[1:]]
+    assert len(rel_err) == 4 and rel_err[0] < 1.6e-6 and max(rel_err) < 1e-4
+    code, out, err = _run(capsys, ["profile", *_B1000, "--format", "json"])
+    assert code == 0 and err == ""
+    data = np.array(json.loads(out)["data"])
+    grid = Grid(-0.012, 0.03, 2001)
+    assert data[:, 0].tobytes() == grid.xs().tobytes()
+    for column in (3, 4, 5):
+        assert abs(quadrature(data[:, column], grid) - 1.0) < 1e-12
+
+
+def _no_domain(*args):
+    raise AssertionError("default_domain was called")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "profile", "density2d"])
+def test_both_grid_ends_call_no_default_domain(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "default_domain", _no_domain)
+    monkeypatch.setattr(pdmlag.solver, "default_domain", _no_domain)
+    code, out, err = _run(capsys, [command, "--case", "2", "--eta", "1",
+                                   "--grid-lo", "0.25", "--grid-hi", "8",
+                                   "--npoints", "33"])
+    assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("command", ["profile", "density2d"])
+def test_case2_grid_hi_alone_starts_one_own_spacing_above_zero(capsys,
+                                                               command):
+    # lo = hi / npoints, from the given hi, not from default_domain's
+    code, out, err = _run(capsys, [command, "--case", "2", "--eta", "1",
+                                   "--grid-hi", "10", "--npoints", "21"])
+    assert code == 0 and err == ""
+    xs = sorted({float(line.split(",")[0]) for line in out.splitlines()[1:]})
+    assert xs == Grid(10 / 21, 10.0, 21).xs().tolist()
+    assert np.allclose(np.diff(xs), xs[0], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("message, shown", [
@@ -764,6 +837,22 @@ def test_states_are_served_up_to_alpha_304(capsys, model):
                                    "--alpha", "305"])
     assert code == 3 and out == ""
     assert err == "error: bound state n=0 overflows in floating point\n"
+
+
+@pytest.mark.parametrize("model, served", [
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 300),
+    (Case2Params(3, Fraction(19, 7), 4), 294),
+], ids=["case1", "case2"])
+def test_states_are_served_up_to_a_first_refused_level(model, served):
+    # today's frontier in n, on 40001 points of default_domain(model, n)
+    # (Case 2's from hi / 40001): past it the polynomial overflows where
+    # the prefactor underflows
+    xs = cli._table_grid(model, served, 40001).xs()
+    assert np.all(np.isfinite(wavefunction(model, served, xs)))
+    xs = cli._table_grid(model, served + 1, 40001).xs()
+    with pytest.raises(RuntimeError, match=f"^bound state n={served + 1} "
+                                           f"overflows in floating point$"):
+        wavefunction(model, served + 1, xs)
 
 
 @pytest.mark.parametrize("argv", [

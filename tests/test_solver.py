@@ -985,7 +985,7 @@ def _laebz_one_by_one(ijob, d, e, e2, pivmin, ab, nab, nitmax=None):
     for IJOB 2, each window's INFO."""
     ab, nab = ab.copy(), nab.astype(np.intc)
     caps = nitmax if ijob == 2 else np.zeros(len(ab))
-    info = [solver._laebz(ijob, d, e, e2, pivmin, window, counts, int(cap))()
+    info = [solver._laebz(ijob, d, e, e2, pivmin, window, counts, int(cap))
             for window, counts, cap in zip(ab, nab, caps)]
     return ab, nab.astype(np.int64), np.array(info, dtype=np.int64)
 
@@ -1127,6 +1127,23 @@ def test_pivot_rules_are_dlaebz(pivot, counted, row, coupling):
         assert (ab[0, 0] == 0.0) == (not counted[1])
 
 
+@pytest.mark.parametrize("d, e, pivmin, lower", [
+    ([1.0], [], 0.25, 0.75),
+    ([2.0, 2.0, np.finfo(float).tiny], [1.0, 0.0], np.finfo(float).tiny, 0.0),
+], ids=["pivmin-quarter", "pivmin-dbl-min"])
+def test_ijob1_counts_a_pivot_of_pivmin_as_dlaebz(d, e, pivmin, lower):
+    # the last row's pivot is pivmin at `lower` and just below it at the
+    # next double: IJOB 1 counts only a pivot smaller than pivmin, so the
+    # window counts (0, 1), where the IJOB 2 rule (at most pivmin) gives
+    # (1, 1).  With |e| <= 1 `dstebz`'s pivot floor, DBL_MIN max(1, e^2),
+    # is DBL_MIN, and the kernel's threshold below it is subnormal.
+    d, e = np.array(d), np.array(e)
+    window = np.array([[lower, np.nextafter(lower, 1.0)]])
+    counts = _batch_is_dlaebz(1, d, e, e * e, pivmin, window,
+                              np.zeros((1, 2)))[1]
+    assert counts.tolist() == [[0, 1]]
+
+
 def test_a_step_that_counts_between_the_ends_stops_as_dlaebz_stops():
     # `dlaebz` with one interval returns INFO = MMAX + 1 = 2, the window as
     # it was: the probe at 0 of [-2, 2] counts 1 of the matrix's 2 values
@@ -1234,6 +1251,27 @@ def test_an_unwritable_cache_builds_in_a_directory_of_its_own(monkeypatch,
     path = Path(_kernels.built("_sturm"))
     assert path.is_file() and blocked not in path.parents
     assert solver._sturm_kernel() is not None
+
+
+@pytest.mark.parametrize("stem", ["_sturm", "_emit"])
+def test_the_kernels_compile_without_warnings(tmp_path, stem):
+    # with the flags of `_kernels.built`, in C99 with GNU extensions, and
+    # every warning of -Wall -Wextra an error
+    import shlex
+    import shutil
+    import subprocess
+    import sysconfig
+    from importlib import resources
+
+    command = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(command[0]) is None:
+        pytest.skip(f"no compiler {command[0]}")
+    source = resources.files("pdmlag").joinpath(f"{stem}.c").read_bytes()
+    built = subprocess.run([*command, *_kernels._KERNEL_FLAGS, "-std=gnu99",
+                            "-Wall", "-Wextra", "-Werror", "-x", "c", "-",
+                            "-o", str(tmp_path / f"{stem}.so")],
+                           input=source, capture_output=True, timeout=120)
+    assert built.returncode == 0, built.stderr.decode()
 
 
 def _older_builds(folder, count, stem="_sturm"):
