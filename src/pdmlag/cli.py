@@ -34,8 +34,9 @@ import numpy as np
 import scipy
 
 from . import __version__, emit
-from .models import (Case1Params, Case2Params, ModelKind, default_domain,
-                     energy, mass, susy_constant, v_eff, wavefunction)
+from .models import (Case1Params, Case2Params, ModelKind, _points,
+                     default_domain, energy, mass, susy_constant, v_eff,
+                     wavefunction)
 from .orthopoly import _integer
 from .solver import Grid, _model_operator, lowest_eigenvalues
 
@@ -322,27 +323,22 @@ def _write_output(cfg: RunConfig, chunks: Iterable[str]) -> None:
 # data commands
 
 def _table_grid(model: ModelKind, n: int, npoints: int,
-                lo: Optional[float] = None, hi: Optional[float] = None, *,
-                gap: bool = True) -> Grid:
+                lo: Optional[float] = None, hi: Optional[float] = None) -> Grid:
     """`npoints` samples of default_domain(model, n), with `lo` and `hi`
     (--grid-lo and --grid-hi) in place of its ends where given, so that
-    default_domain runs only for an end not given.  Where `gap`, a grid on
-    the half-line without a given lo starts one of its own spacings in from
-    x = 0, keeping the barrier at a finite end off the samples."""
-    if lo is None or hi is None:
-        domain = default_domain(model, n)
-        hi = domain[1] if hi is None else hi
-        if lo is None:
-            lo = (hi / npoints if gap and model.pct_map.lo > -math.inf
-                  else domain[0])
+    default_domain runs only for an end not given.  A grid on the half-line
+    with hi alone given starts one of its own spacings above x = 0."""
+    if lo is None and hi is not None and model.pct_map.lo > -math.inf:
+        lo = hi / npoints
+    elif lo is None or hi is None:
+        lo, hi = (end if given is None else given
+                  for given, end in zip((lo, hi), default_domain(model, n)))
     return Grid(lo, hi, npoints)
 
 
 def _spectrum_grid(cfg: RunConfig, model: ModelKind, k: int) -> Grid:
-    # the solver samples no grid end, so Case 2's grid may start at x = 0
-    npoints = cfg.npoints if cfg.npoints is not None else 4001
-    return _table_grid(model, max(k - 1, 3), npoints, cfg.grid_lo,
-                       cfg.grid_hi, gap=False)
+    return _table_grid(model, max(k - 1, 3), cfg.npoints or 4001, cfg.grid_lo,
+                       cfg.grid_hi)
 
 
 def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
@@ -362,9 +358,8 @@ def cmd_spectrum(cfg: RunConfig) -> Iterator[str]:
 
 
 def _profile_grid(cfg: RunConfig, model: ModelKind) -> Grid:
-    npoints = cfg.npoints if cfg.npoints is not None else 2001
-    return _table_grid(model, max(cfg.nmax, 2), npoints, cfg.grid_lo,
-                       cfg.grid_hi)
+    return _table_grid(model, max(cfg.nmax, 2), cfg.npoints or 2001,
+                       cfg.grid_lo, cfg.grid_hi)
 
 
 def cmd_profile(cfg: RunConfig) -> Iterator[str]:
@@ -379,9 +374,8 @@ def cmd_profile(cfg: RunConfig) -> Iterator[str]:
 
 
 def _density2d_grid(cfg: RunConfig, model: ModelKind) -> Grid:
-    npoints = cfg.npoints if cfg.npoints is not None else 201
-    return _table_grid(model, max(cfg.n1, cfg.n2, 2), npoints, cfg.grid_lo,
-                       cfg.grid_hi)
+    return _table_grid(model, max(cfg.n1, cfg.n2, 2), cfg.npoints or 201,
+                       cfg.grid_lo, cfg.grid_hi)
 
 
 def cmd_density2d(cfg: RunConfig) -> Iterator[str]:
@@ -390,7 +384,7 @@ def cmd_density2d(cfg: RunConfig) -> Iterator[str]:
         raise ValueError("density2d supports Case 2 only "
                          "(the 2D figure is built on the half-line model)")
     grid = _density2d_grid(cfg, model)
-    xs = grid.xs()
+    xs = _points(model, grid.xs())[1]       # inside the open domain, as M's
     px = wavefunction(model, cfg.n1, xs) ** 2
     py = wavefunction(model, cfg.n2, xs) ** 2
     # px, py >= 0, so every product px[i] * py[j] is finite iff the largest is

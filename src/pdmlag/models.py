@@ -6,8 +6,11 @@ g'^2/(M g) = C constant.  Case 1 has M = g = e^(-b x) on the whole line
 (C = b^2), Case 2 M = l^2 x^(l-2), g = x^l on the half line (l = 2*eta + 2,
 C = 1).  A params class supplies only its map (``pct_map``); the effective
 potential, the equispaced spectrum and the constant vc that puts its ground
-level at 0, the closed-form bound states and the superpotential of ``susy``
-are derived from it once, for both families.
+level at 0, the closed-form bound states, the superpotential of ``susy``
+and the truncated domain are derived from it once, for both families.
+The domain (``default_domain``) is chosen in g, where the states' weight
+is the X_m weight for both families, from closed-form bounds of its tails
+at one target mass (``_TAIL_MASS``), and mapped back to x.
 The constructors apply the input rules of ``orthopoly``: b, alpha and vc
 are stored as exact Fractions (never parsed from strings), m and eta as ints.
 Each family's hand-derived potential, the reference that ``v_eff`` is
@@ -45,12 +48,14 @@ class PctMap:
     (t = 1 in Case 1, t = 1/x in Case 2).  The constants are d1 = g'/g,
     d2 = g''/g', d3 = g'''/g', e1 = M'/M and e2 = M''/M in those units, so
     M = d1^2 t^2 g / C.  ``c`` is C = g'^2/(M g) and ``lo`` the left end of
-    the domain.  ``k_g`` is the Schwarzian-and-mass term K(x) times g: as
-    every ratio carries t^k and t^2/M = C/(d1^2 g), K is a constant over g.
+    the domain.  ``x_of_log_g`` inverts the map: it takes L = log g to x.
+    ``k_g`` is the Schwarzian-and-mass term K(x) times g: as every ratio
+    carries t^k and t^2/M = C/(d1^2 g), K is a constant over g.
     """
 
     g: Callable
     log_g: Callable
+    x_of_log_g: Callable
     mass: Callable
     d1: Fraction
     d2: Fraction
@@ -72,8 +77,9 @@ class PctMap:
 def _exponential_map(b: Fraction) -> PctMap:
     bf = float(b)
     return PctMap(g=lambda x: np.exp(-bf * x), log_g=lambda x: -bf * x,
-                  mass=lambda x: np.exp(-bf * x), d1=-b, d2=-b, d3=b * b,
-                  e1=-b, e2=b * b, tau=Fraction(0), c=b * b, lo=-math.inf)
+                  x_of_log_g=lambda L: -L / bf, mass=lambda x: np.exp(-bf * x),
+                  d1=-b, d2=-b, d3=b * b, e1=-b, e2=b * b, tau=Fraction(0),
+                  c=b * b, lo=-math.inf)
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,7 @@ class Case1Params:
 @lru_cache(maxsize=64)
 def _power_map(l: int) -> PctMap:
     return PctMap(g=lambda x: x ** l, log_g=lambda x: l * np.log(x),
+                  x_of_log_g=lambda L: math.exp(L / l),
                   mass=lambda x: float(l * l) * x ** (l - 2), d1=Fraction(l),
                   d2=Fraction(l - 1), d3=Fraction((l - 1) * (l - 2)),
                   e1=Fraction(l - 2), e2=Fraction((l - 2) * (l - 3)),
@@ -230,11 +237,6 @@ def energy(model: ModelKind, n: int) -> float:
         raise ValueError(f"E_{n} is too large for a float") from None
 
 
-def level_spacing(model: ModelKind) -> float:
-    """Constant gap C between consecutive analytic eigenvalues."""
-    return float(model.pct_map.c)
-
-
 def _prefactor(model: ModelKind, pm: PctMap, xa):
     """g and sqrt(g^alpha e^(-g) |g'|)/h(g), |g'| = |d1| g^(1+tau), at xa.
 
@@ -312,35 +314,64 @@ def density2d(model: ModelKind, n1: int, n2: int, x, y):
     return px ** 2 * py ** 2
 
 
+# The mass of each state n <= n_max that ``default_domain`` may leave
+# outside, half at each end: a few units in the last place of a unit norm
+# (2^-52 = 2.2e-16), so that the truncation is lost in the rounding of what
+# is computed on the domain.  A smaller target would only widen the domain,
+# and so coarsen a grid of a given size.
+_TAIL_MASS = 1e-15
+
+
 def default_domain(model: ModelKind, n_max: int) -> tuple:
-    """Truncated domain (lo, hi) certified by the potential barrier.
+    """Truncated domain (lo, hi) outside which each state n <= n_max holds
+    at most ``_TAIL_MASS``.
 
-    Endpoints are pushed outward, past the well, until V_eff there exceeds
-    E(n_max) + 25 * (level spacing); a finite left end of the model's domain
-    (Case 2's origin) is kept as a Dirichlet endpoint.  A barrier that
-    stays below the threshold out to |x| = 1e6 raises ValueError.
+    For both families psi_n^2 dx = N_n^2 g^alpha e^(-g) (P/h)^2 dg, so the
+    ends are chosen in g, from the weight of level n_max, and mapped to x
+    by ``PctMap.x_of_log_g``: they depend on alpha, m and n_max alone, and
+    on b or eta only through the map.  Below g_lo, P/h is taken at its
+    value at 0, (-1)^n C(n+alpha, n) (n+m+alpha)/(n+alpha); above g_hi it is
+    at most (g^n/n!) (1 + m (g+n)/g^2), whose factor is largest at g = p =
+    alpha + 2n + 1.  Each tail is then a constant times an incomplete gamma
+    function, gamma(alpha+1, g_lo) or Gamma(p, g_hi), and each end is where
+    ``_tail_end``'s bound of it is half the target.  Lower levels leave less
+    outside both ends.
+
+    A model whose E_(n_max) is no float, or so large that the level spacing
+    is lost in its rounding, is refused with ValueError: no grid resolves
+    its levels.
     """
-    pm = model.pct_map
-    thr = energy(model, n_max) + 25.0 * level_spacing(model)
-    hi = _past_barrier(model, thr, 1.0, "right")
-    # Where g -> 0 at the right end (Case 1) the tail decays only like
-    # g^((alpha+1)/2), as the barrier grows just like 1/g; so also require
-    # g(hi)^alpha <= e^-16, which certifies truncation effects below ~1e-7.
-    while pm.d1 < 0 and float(model.alpha) * pm.log_g(hi) > -16.0:
-        hi *= 2.0
-    if pm.lo > -math.inf:
-        return pm.lo, hi
-    return _past_barrier(model, thr, -1.0, "left"), hi
+    if math.ulp(energy(model, n_max)) >= 2.0 * float(model.pct_map.c):
+        raise ValueError(f"E_{n_max} hides the level spacing in its rounding")
+    n, m, a = n_max, model.m, float(model.alpha)
+    # with N_n^2 = n!/e^t and f = log n!, the constants of the two tails are
+    # N_n^2 (P(0)/h(0))^2 = e^(t-f)/Gamma(a+1)^2 and
+    # N_n^2 (1 + m (p+n)/p^2)^2/n!^2 = (1 + m (p+n)/p^2)^2 e^(-t-f)
+    t, f = math.log(n + m + a) + math.lgamma(n + a), math.lgamma(n + 1)
+    p = a + 2 * n + 1.0
+    log_lo = _tail_end(t - f - 2.0 * math.lgamma(a + 1.0), a + 1.0, -1.0)
+    log_hi = _tail_end(2.0 * math.log1p(m * (p + n) / (p * p)) - t - f, p, 1.0)
+    return tuple(sorted(map(model.pct_map.x_of_log_g, (log_lo, log_hi))))
 
 
-def _past_barrier(model: ModelKind, thr: float, x: float, side: str) -> float:
-    """First of x, 2x, 4x, ... (|x| <= 1e6) where V_eff exceeds thr and has
-    risen since the previous point, so that the end lies past the well."""
-    v_in, v = v_eff(model, x / 2.0), v_eff(model, x)
-    while v <= thr or v < v_in:
-        x *= 2.0
-        if abs(x) > 1e6:
-            raise ValueError(f"domain expansion failed on the {side}: V_eff "
-                             "stays below the level threshold out to |x| = 1e6")
-        v_in, v = v, v_eff(model, x)
-    return x
+def _tail_end(log_c: float, q: float, side: float) -> float:
+    """L = log g where c g^q e^(-g)/|q - g| falls to half of
+    ``_TAIL_MASS``, below q (``side`` -1) or above it (``side`` 1).
+
+    In L the integrand of an incomplete gamma function of order q is
+    exp(q L - e^L), whose exponent is concave, so its tangent at L bounds
+    the tail beyond L by that expression (DLMF 8.10).  The end is found by
+    Newton's method in L from g = q + side sqrt(q).  The log of the bound
+    is concave beyond that start, so the first step lands on the side of
+    the end that leaves less outside, and the iterates approach it from
+    there.
+    """
+    rhs = math.log(_TAIL_MASS / 2.0) - log_c
+    L = math.log(q + side * math.sqrt(q))
+    for _ in range(60):
+        g = math.exp(L)
+        step = (q * L - g - math.log(abs(q - g)) - rhs) / (q - g + g / (q - g))
+        L -= step
+        if abs(step) < 1e-12:
+            break
+    return L

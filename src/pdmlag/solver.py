@@ -698,9 +698,9 @@ def solve_model(model: ModelKind, k: int, grid: Optional[Grid] = None) -> Spectr
 
     Eigenvectors are embedded on the full grid with zero endpoints,
     normalized to unit L2 by Simpson quadrature, and sign-aligned.  On the
-    half-line (Case 2) the grid starts at the origin, so the first interior
-    node sits one spacing from it and the x^(-l) barrier is never sampled
-    at x = 0.
+    half-line (Case 2) the default grid starts above the origin; a grid
+    that starts at it has its first interior node one spacing away, so the
+    x^(-l) barrier is never sampled at x = 0.
     """
     op = _model_operator(model, k, grid)
     grid = op.grid

@@ -6,6 +6,7 @@ stderr, and file outputs are exercised exactly as a shell user sees them.
 import io
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -134,20 +135,28 @@ def test_large_finite_parameter_exits_one(tmp_path, capsys, command, key):
     assert not path.exists()
 
 
+# the first b = 2^j refused at the defaults: b^2 scales b = 1's matrix
+_B_REFUSED = str(2 ** 240)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, shown", [
     (["--grid-lo", "0", "--grid-hi", "1e200", "--npoints", "101"],
      "the grid leaves double precision: the square of its spacing 1e+198 "
      "overflows"),
+    # hi alone: the grid starts at hi / 4001, one spacing above x = 0
     (["--case", "2", "--grid-hi", "1e160"],
-     "the grid leaves double precision: the square of its spacing 2.5e+156 "
-     "overflows"),
-    # the barrier's off-diagonal entries reach 2.6e159 at the origin, and
-    # their squares overflow in the Sturm counts
-    (["--case", "2", "--eta", "25"],
+     "the grid leaves double precision: the square of its spacing "
+     "2.4993751562109473e+156 overflows"),
+    # on [0, 2] the barrier's off-diagonal entries reach 2.6e159 one spacing
+    # from the origin, and their squares overflow in the Sturm counts
+    (["--case", "2", "--eta", "25", "--grid-lo", "0", "--grid-hi", "2"],
      "the matrix leaves double precision: the square of its off-diagonal "
      "entry 2.61e+159 overflows"),
-], ids=["grid-span", "grid-hi", "eta-25"])
+    (["--case", "1", "--b", _B_REFUSED],
+     "the matrix leaves double precision: the square of its off-diagonal "
+     "entry 3.04e+154 overflows"),
+], ids=["grid-span", "grid-hi", "eta-25", "b-2^240"])
 def test_spectrum_past_double_precision_exits_one(tmp_path, capsys, argv,
                                                   shown):
     path = tmp_path / "spectrum.csv"
@@ -157,11 +166,26 @@ def test_spectrum_past_double_precision_exits_one(tmp_path, capsys, argv,
 
 
 def test_spectrum_serves_eta_24(tmp_path):
-    # the last eta whose off-diagonal squares stay finite at the defaults
+    # eta = 24, the last eta served before the domain left the origin
     path = tmp_path / "spectrum.csv"
     assert main(["spectrum", "--case", "2", "--eta", "24", "--out",
                  str(path)]) == 0
     assert len(path.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    *(["--case", "1", "--b", b, "--alpha", "2"]
+      for b in ("1/100", "1", "10", "100", "1000", "1000000")),
+    *(["--case", "2", "--eta", eta, "--alpha", "5/2"]
+      for eta in ("25", "42", "100")),
+], ids=lambda argv: f"{argv[2][2:]}-{argv[3]}")
+def test_spectrum_serves_large_b_and_eta(capsys, argv):
+    # the domain scales with 1/b in Case 1 and leaves the origin in Case 2
+    code, out, err = _run(capsys, ["spectrum", *argv, "--m", "2",
+                                   "--nmax", "9"])
+    assert code == 0 and err == ""
+    rel_err = [float(line.split(",")[4]) for line in out.splitlines()[1:]]
+    assert len(rel_err) == 10 and max(rel_err) <= 1e-4
 
 
 _ETA_40001 = ["--case", "2", "--alpha", "5/2", "--m", "2", "--nmax", "9",
@@ -169,33 +193,56 @@ _ETA_40001 = ["--case", "2", "--alpha", "5/2", "--m", "2", "--nmax", "9",
 
 
 @pytest.mark.parametrize("argv, code, shown", [
-    (["--case", "1", "--b", "1000"], 1,
-     "the model leaves double precision at these parameters and grid ("),
+    (["--case", "1", "--b", "1000"], 0, None),
     ([*_ETA_40001, "--eta", "18"], 0, None),
-    ([*_ETA_40001, "--eta", "19"], 1,
+    ([*_ETA_40001, "--eta", "19"], 0, None),
+    (["--case", "1", "--b", str(2 ** 239)], 0, None),
+    (["--case", "2", "--eta", str(10 ** 12)], 0, None),
+    (["--case", "1", "--b", _B_REFUSED], 1,
      "the matrix leaves double precision: the square of its off-diagonal "
-     "entry 1.4e+162 overflows\n"),
-], ids=["b-1000", "eta-18-40001", "eta-19-40001"])
+     "entry 3.04e+154 overflows\n"),
+], ids=["b-1000", "eta-18-40001", "eta-19-40001", "b-2^239", "eta-10^12",
+        "b-2^240"])
 def test_spectrum_frontier(capsys, argv, code, shown):
-    # today's served range: default_domain's search fails at b = 1000, and
-    # on 40001 points the barrier's off-diagonal squares overflow from
-    # eta = 19
+    # today's served range: the first b = 2^j refused is 2^240, where the
+    # off-diagonal squares overflow.  No eta is refused; the domain's width
+    # in x shrinks like 1/eta, and past eta = 10^13 or so nears the rounding
+    # of x = 1, where the error grows
     got, out, err = _run(capsys, ["spectrum", *argv])
     assert got == code
     if code == 0:
-        assert err == "" and len(out.splitlines()) == 11
+        assert err == "" and len(out.splitlines()) in (5, 11)
     else:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith(f"error: {shown}")
+
+
+def test_spectrum_sweep_of_the_served_range_is_within_1e_3(capsys):
+    # 40 seeded draws over the whole parameter range at the defaults: either
+    # case, b = 2^j p/3 (j in -7..10, p in 2..5), eta 0..60, alpha = p/20 in
+    # (1, 1000], m 1..4, nmax 0..9; every draw is served within 1e-3
+    rng = random.Random(2026)
+    for _ in range(40):
+        argv = ["spectrum", "--case", str(rng.choice((1, 2))),
+                "--b", str(Fraction(2) ** rng.randint(-7, 10)
+                           * Fraction(rng.randint(2, 5), 3)),
+                "--eta", str(rng.randint(0, 60)),
+                "--alpha", str(Fraction(rng.randint(21, 20000), 20)),
+                "--m", str(rng.randint(1, 4)),
+                "--nmax", str(rng.randint(0, 9))]
+        code, out, err = _run(capsys, argv)
+        assert code == 0 and err == "", argv
+        rel_err = [float(line.split(",")[4]) for line in out.splitlines()[1:]]
+        assert max(rel_err) <= 1e-3, argv
 
 
 _B1000 = ["--case", "1", "--b", "1000", "--alpha", "2", "--m", "2",
           "--nmax", "3", "--grid-lo", "-0.012", "--grid-hi", "0.03"]
 
 
-def test_both_grid_ends_serve_a_model_whose_default_domain_fails(capsys):
-    # at b = 1000 default_domain fails (above); with both ends given it is
-    # not called, and the grid is b = 1's [-12, 30] scaled by 1/b
+def test_both_grid_ends_serve_b_1000(capsys):
+    # with both ends given default_domain is not called, and the grid is
+    # b = 1's [-12, 30] scaled by 1/b
     code, out, err = _run(capsys, ["spectrum", *_B1000])
     assert code == 0 and err == ""
     rel_err = [float(line.split(",")[4]) for line in out.splitlines()[1:]]
@@ -233,6 +280,24 @@ def test_case2_grid_hi_alone_starts_one_own_spacing_above_zero(capsys,
     xs = sorted({float(line.split(",")[0]) for line in out.splitlines()[1:]})
     assert xs == Grid(10 / 21, 10.0, 21).xs().tolist()
     assert np.allclose(np.diff(xs), xs[0], rtol=1e-14, atol=0)
+
+
+def test_spectrum_grid_hi_alone_starts_one_own_spacing_above_zero(capsys):
+    # as profile's and density2d's: lo = hi / npoints
+    code, out, err = _run(capsys, ["spectrum", "--case", "2", "--eta", "1",
+                                   "--grid-hi", "10", "--npoints", "21",
+                                   "--format", "json"])
+    assert code == 0 and err == ""
+    grid = json.loads(out)["metadata"]["grid"]
+    assert grid == {"lo": 10 / 21, "hi": 10.0, "npoints": 21}
+
+
+@pytest.mark.parametrize("command", ["profile", "density2d"])
+def test_case2_grid_from_the_origin_exits_one(capsys, command):
+    code, out, err = _run(capsys, [command, "--case", "2", "--eta", "1",
+                                   "--grid-lo", "0", "--npoints", "21"])
+    assert (code, out) == (1, "")
+    assert err == "error: the model is defined for x > 0.0 only\n"
 
 
 @pytest.mark.parametrize("message, shown", [

@@ -52,9 +52,47 @@ print(json.dumps({{"codes": codes, "loaded": loaded,
     return out["codes"], set(out["loaded"]), out["threads"]
 
 
+def _modules_after(code, tmp_path):
+    """The modules a fresh interpreter holds after running `code`."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+# what the package's modules import at their top level, beyond their own
+_TOP_IMPORTS = ("__future__, argparse, dataclasses, fractions, functools, "
+                "json, math, numbers, numpy, os, scipy, sys, time, typing")
+_OWN_MODULES = {"pdmlag", "pdmlag._kernels", "pdmlag.cli", "pdmlag.emit",
+                "pdmlag.models", "pdmlag.orthopoly", "pdmlag.solver",
+                "pdmlag.susy"}
+
+
 def test_import_loads_no_scipy_submodule(tmp_path):
     _, loaded, _ = _run([], tmp_path)
     assert loaded == set()
+
+
+def test_import_loads_its_own_modules_and_their_top_imports_alone(tmp_path):
+    # set-up time is the import: a module loaded there is paid by every
+    # process, whether or not it is used
+    base = _modules_after(f"import {_TOP_IMPORTS}", tmp_path)
+    loaded = _modules_after("import pdmlag, pdmlag.cli", tmp_path)
+    assert loaded - base == _OWN_MODULES
+
+
+def test_default_domain_loads_no_module(tmp_path):
+    # the domain is a closed form in math alone, even at level 300
+    code = "import pdmlag, pdmlag.cli"
+    base = _modules_after(code, tmp_path)
+    loaded = _modules_after(
+        code + "\nfrom pdmlag import Case1Params, Case2Params, default_domain"
+        "\nfor model in (Case1Params(1, 2, 2), Case2Params(3, 7, 4)):"
+        "\n    default_domain(model, 300)", tmp_path)
+    assert loaded == base
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from pdmlag import models
 from pdmlag.checks import pct_master_residual, v_eff_m1_closed_form
@@ -403,24 +403,111 @@ def test_density2d_integrates_to_one():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_default_domain_certifies_barrier():
-    model = Case1Params(1, 2, 1)
-    lo, hi = default_domain(model, 3)
-    thr = energy(model, 3) + 25.0
-    assert v_eff(model, lo) > thr and v_eff(model, hi) > thr
-    assert float(model.alpha) * float(model.b) * hi >= 16.0
-    lo2, hi2 = default_domain(Case2Params(1, 2, 1), 3)
-    assert lo2 == 0.0
-    assert v_eff(Case2Params(1, 2, 1), hi2) > energy(Case2Params(1, 2, 1), 3) + 25.0
+def _log_weights(n_max, m, alpha, g):
+    """log of N_n^2 g^(alpha+1) e^(-g) (P_n/h)^2, psi_n^2 per unit log g,
+    for n = 0..n_max (rows) at the points g.
+
+    P_n = (-1)^n [A_m B_n - A_(m-1) B_(n-1)] with A_j = L_j^(alpha)(-g)
+    and h = L_m^(alpha-1)(-g) from scipy, and B_j = L_j^(alpha)(g) from its
+    own three-term recurrence, rescaled as it grows, since B_300 overflows
+    a float in the right tail.
+    """
+    a = float(alpha)
+    a_m, a_m1, h = (special.eval_genlaguerre(j, b, -g)
+                    for j, b in ((m, a), (m - 1, a), (m, a - 1)))
+    base = (a + 1.0) * np.log(g) - g - 2.0 * np.log(h)
+    prev, cur, scale = np.zeros_like(g), np.ones_like(g), np.zeros_like(g)
+    rows = []
+    for n in range(n_max + 1):
+        if n:
+            prev, cur = cur, ((2 * n - 1 + a - g) * cur
+                              - (n - 1 + a) * prev) / n
+        shrink = np.where(np.abs(cur) > 1e100, 1e-100, 1.0)
+        prev, cur, scale = prev * shrink, cur * shrink, scale - np.log(shrink)
+        log_n2 = math.lgamma(n + 1) - math.lgamma(n + a) - math.log(n + m + a)
+        rows.append(log_n2 + base
+                    + 2.0 * (np.log(np.abs(a_m * cur - a_m1 * prev)) + scale))
+    return np.array(rows)
+
+
+def _tails(model, n_max, points=801):
+    """Mass of psi_0..psi_n_max outside default_domain(model, n_max), below
+    and above it, by Simpson's rule in L = log g over 60 decay lengths of
+    each tail (the decay rate of g^p e^(-g) in L is |p - g|)."""
+    pm = model.pct_map
+    ends = sorted(float(pm.log_g(x)) for x in default_domain(model, n_max))
+    af = float(model.alpha)
+    rate_lo = af + 1.0 - math.exp(ends[0])
+    rate_hi = math.exp(ends[1]) - (af + 2 * n_max + 1.0)
+    tails = []
+    for lo, hi in ((ends[0] - 60.0 / rate_lo, ends[0]),
+                   (ends[1], ends[1] + math.log1p(60.0 / rate_hi))):
+        w = np.exp(_log_weights(n_max, model.m, model.alpha,
+                                np.exp(np.linspace(lo, hi, points))))
+        tails.append(np.sum(w[:, 0:-2:2] + 4.0 * w[:, 1:-1:2] + w[:, 2::2],
+                            axis=1) * (hi - lo) / (3.0 * (points - 1)))
+    return tails
+
+
+@pytest.mark.parametrize("alpha, m", [
+    (Fraction(7, 3), 2), (Fraction(5, 4), 1), (Fraction(19, 7), 4),
+    (Fraction(21, 20), 1), (Fraction(40), 3), (Fraction(400), 1)])
+def test_default_domain_certifies_the_tails(alpha, m):
+    # The mass the domain leaves outside depends on alpha, m and n_max
+    # alone, so both families' ends are read back in g.  Every level up to
+    # n_max leaves at most the target outside, and up to alpha = 40 the
+    # level n_max leaves at least a thousandth of it: the tail bounds are
+    # loose by no more than that.  Above, the bound of the left end, the
+    # polynomial's value at g = 0, is loose where g_lo nears its zeros.
+    target = models._TAIL_MASS
+    for n_max in (0, 3, 9, 24, 100, 300):
+        for model in (Case1Params(Fraction(3, 2), alpha, m),
+                      Case2Params(3, alpha, m)):
+            below, above = _tails(model, n_max)
+            outside = below + above
+            assert np.all(outside <= target), (n_max, outside.max())
+            if alpha <= 40:
+                assert outside[-1] >= target / 1000, (n_max, outside[-1])
+
+
+@pytest.mark.parametrize("alpha, m, n_max", [(2, 2, 9), (Fraction(7, 3), 4, 3),
+                                             (Fraction(21, 20), 1, 0)])
+def test_case1_domain_is_b1_domain_over_b(alpha, m, n_max):
+    # x = -log(g)/b: a power of two scales the ends without rounding
+    lo, hi = default_domain(Case1Params(1, alpha, m), n_max)
+    for j in range(-3, 4):
+        b = Fraction(2) ** j
+        assert default_domain(Case1Params(b, alpha, m), n_max) == (lo / b,
+                                                                   hi / b)
+
+
+def test_case2_domain_leaves_the_origin():
+    # g_lo > 0 maps to x = g_lo^(1/l) > 0, so no default grid holds x = 0
+    for eta in (0, 1, 25, 100):
+        lo, hi = default_domain(Case2Params(eta, Fraction(5, 2), 2), 9)
+        assert 0.0 < lo < 1.0 < hi
+
+
+def test_default_domain_refuses_levels_lost_in_rounding():
+    # E_3 no float, and E_3 = 1e300 + 5, where the spacing 1 is rounded away
+    with pytest.raises(ValueError, match="^E_3 is too large for a float$"):
+        default_domain(Case1Params(Fraction(10) ** 200, 2, 1), 3)
+    with pytest.raises(ValueError, match="^E_3 hides the level spacing in its "
+                                         "rounding$"):
+        default_domain(Case1Params(1, 2, 1, Fraction(10) ** 300), 3)
+    # E_3 = 2^53 + 5: the spacing 1 is half a unit in its last place
+    with pytest.raises(ValueError, match="hides the level spacing"):
+        default_domain(Case1Params(1, 2, 1, Fraction(2) ** 53), 3)
+    default_domain(Case1Params(1, 2, 1, Fraction(2) ** 52), 3)
 
 
 @pytest.mark.parametrize("model", [Case2Params(0, 12, 1),
                                    Case1Params(Fraction(1, 9), 13, 1)])
 def test_default_domain_reaches_past_the_well(model):
-    # The barrier at x = 1 (Case 2) or x = -1 (Case 1) already clears the
-    # threshold here, on the near side of the well.
+    # The well lies far from x = 1 (Case 2) or x = -1 (Case 1) here, and
+    # the domain holds it and the states.
     lo, hi = default_domain(model, 3)
-    grid = Grid(hi / 20001 if lo == 0.0 else lo, hi, 20001)
+    grid = Grid(lo, hi, 20001)
     xs = grid.xs()
     v = v_eff(model, xs)
     assert 0 < np.argmin(v) < xs.size - 1

@@ -251,16 +251,19 @@ def test_k_follows_the_package_integer_rule():
 def test_matrix_whose_squares_overflow_is_refused_before_either_path(
         monkeypatch):
     # Sturm counts square the off-diagonal, and past sqrt(max double)
-    # bisection finds no value: Case 2 at eta = 25 on the default 4001
-    # points, and at eta = 19 on 40001, where the warm start would run
+    # bisection finds no value: Case 2 at eta = 25 on [0, 2] at 4001
+    # points, and at eta = 19 on 40001, where the warm start would run; the
+    # barrier x^(-l) is sampled one spacing from the origin
     top = math.sqrt(np.finfo(float).max)
     edge = DiscretizedOperator(diag=np.zeros(2), offdiag=np.array([top]))
     np.testing.assert_allclose(lowest_eigenvalues(edge, 2), [-top, top],
                                rtol=1e-12)
     above = math.nextafter(top, math.inf)
     over = DiscretizedOperator(diag=np.zeros(2), offdiag=np.array([above]))
-    ops = [(over, 2), (_model_op(Case2Params(25, 2, 1), 4, 4001), 4),
-           (_model_op(Case2Params(19, 2, 1), 4, 40001), 4)]
+    ops = [(over, 2),
+           (_model_operator(Case2Params(25, 2, 1), 4, Grid(0.0, 2.0, 4001)), 4),
+           (_model_operator(Case2Params(19, 2, 1), 4, Grid(0.0, 2.0, 40001)),
+            4)]
 
     def unreachable(*args):
         raise AssertionError("a solver path ran")
@@ -512,16 +515,16 @@ def _counting_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("model, npoints, k, passes", [
-    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 40001, 10, 153),
-    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 200001, 10, 162),
-    (Case2Params(3, Fraction(19, 7), 4), 40001, 10, 127),
-    (Case2Params(3, Fraction(19, 7), 4), 200001, 10, 146),
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 40001, 10, 148),
+    (Case1Params(Fraction(3, 2), Fraction(7, 3), 2), 200001, 10, 159),
+    (Case2Params(3, Fraction(19, 7), 4), 40001, 10, 122),
+    (Case2Params(3, Fraction(19, 7), 4), 200001, 10, 155),
     # the x^(-2) barrier makes the FD error non-analytic in h^2: the
     # predictions err by tens of half-widths, and every window widens
-    (Case2Params(0, Fraction(5, 4), 1), 40001, 10, 281),
+    (Case2Params(0, Fraction(5, 4), 1), 40001, 10, 227),
     (Case2Params(0, Fraction(5, 4), 1), 200001, 10, 249),
     # 100 levels, predicted from a ladder of 1501, 3001 and 6001 points
-    (Case2Params(3, Fraction(19, 7), 4), 200001, 100, 2490),
+    (Case2Params(3, Fraction(19, 7), 4), 200001, 100, 1908),
 ], ids=["case1", "case1-200001", "case2", "case2-200001", "case2-eta0",
         "case2-eta0-200001", "case2-200001-k100"])
 def test_warm_start_cost_in_sturm_passes(monkeypatch, model, npoints, k,
@@ -540,7 +543,7 @@ def test_warm_start_cost_over_the_benchmark_space(monkeypatch):
     counted = _counting_passes(monkeypatch)
     for model, k, npoints in _benchmark_space(18, 16):
         assert solver._warm_values(_model_op(model, k, npoints), k) is not None
-    assert sum(counted) == 1471
+    assert sum(counted) == 1367
 
 
 def test_warm_start_makes_one_thread_pool(monkeypatch):
@@ -653,12 +656,13 @@ def test_warm_start_falls_back_to_index_bisection(monkeypatch, name, breaker,
 
 
 def test_warm_start_widens_a_window_missed_by_rounding():
-    # one of the benchmark's spectrum ops: at 200001 points level 0 lies
-    # 1.9e-9 relative below its prediction, outside its window, whose
-    # half-width is the 1e-9 relative floor; without widening this solve
-    # fell back
+    # one of the benchmark's spectrum ops, on [0, 4]: at 200001 points
+    # level 0 lies 1.9e-9 relative below its prediction, outside its
+    # window, whose half-width is the 1e-9 relative floor; without widening
+    # this solve fell back
     k = 4
-    op = _model_op(Case2Params(1, Fraction(15, 7), 3), k, 200001)
+    op = _model_operator(Case2Params(1, Fraction(15, 7), 3), k,
+                         Grid(0.0, 4.0, 200001))
     probed = []
     batch = solver._sturm_batch
 
